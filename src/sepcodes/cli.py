@@ -32,6 +32,8 @@ EXIT_PARSE = 2
 EXIT_INADMISSIBLE = 3
 EXIT_GUARD = 4
 
+JOBS_HELP = "worker processes, at least 1; more than the CPU count are clamped to it"
+
 
 def _read_input(path: str) -> bytes:
     if path == "-":
@@ -145,10 +147,16 @@ def _verify_payload(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     return payload, EXIT_OK if check.passed else 1
 
 
+def _jobs(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise FormatError(f"--jobs must be at least 1, got {args.jobs}")
+    return args.jobs
+
+
 def _audit_payload(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     kind = CodeKind.parse(args.kind)
     report = audit_characterization(
-        kind, args.n, mode=args.mode, seed=args.seed, trials=args.trials, jobs=args.jobs
+        kind, args.n, mode=args.mode, seed=args.seed, trials=args.trials, jobs=_jobs(args)
     )
     payload: dict[str, Any] = {
         "command": "audit",
@@ -173,7 +181,7 @@ def _audit_payload(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 def _census_payload(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     kind = CodeKind.parse(args.kind)
-    report = census(kind, args.n, jobs=args.jobs, allow_large=args.allow_large)
+    report = census(kind, args.n, jobs=_jobs(args), allow_large=args.allow_large)
     payload = {
         "command": "census",
         "kind": kind.name,
@@ -254,14 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     add_common(p)
     p.set_defaults(run=_audit_payload)
 
     p = sub.add_parser("census", help="kind-number histogram over all labeled graphs")
     p.add_argument("--kind", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--allow-large", action="store_true")
     add_common(p)
     p.set_defaults(run=_census_payload)

@@ -16,6 +16,7 @@ import random
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from math import comb
 
 from .codes import CodeKind, Separation, is_admissible, is_code
@@ -30,6 +31,7 @@ from .graphs import (
     edge_bit_pairs,
     empty_graph,
     enumerate_labeled_graphs,
+    graph_code,
     graph_from_code,
     induced_subgraph,
     is_isomorphic,
@@ -42,10 +44,11 @@ from .serialize import emit_graph6, parse_graph6
 from .solver import (
     DEFAULT_BUDGET,
     SolveReport,
-    _masks_admissible,
+    _split_range,
     lower_bound,
     make_mask_checker,
     min_code,
+    resolve_jobs,
 )
 
 AUDIT_EXHAUSTIVE_GUARD = ENUMERATION_GUARD
@@ -396,14 +399,6 @@ class AuditReport:
     failures: tuple[str, ...] = ()
 
 
-def _code_of_adj(n: int, adj: list[int]) -> int:
-    code = 0
-    for t, (i, j) in enumerate(edge_bit_pairs(n)):
-        if adj[i] >> j & 1:
-            code |= 1 << t
-    return code
-
-
 def _family_labeled_codes(kind: CodeKind, n: int, k: int) -> set[int]:
     """All fixed-partition labeled graphs of order n in the characterization
     family: every admissible inner graph, every allowed removal set, every
@@ -445,7 +440,7 @@ def _family_labeled_codes(kind: CodeKind, n: int, k: int) -> set[int]:
                         adj[b] |= 1 << a
                     oc >>= 1
                     t += 1
-                out.add(_code_of_adj(n, adj))
+                out.add(graph_code(Graph(n, tuple(adj))))
     return out
 
 
@@ -483,41 +478,81 @@ def _expand_labelings(reps: list[Graph], n: int) -> set[int]:
     return out
 
 
-def _attaining_range(kind_name: str, n: int, k: int, lo: int, hi: int) -> list[int]:
-    """Edge codes in [lo, hi) whose graphs have kind-number exactly k, where
-    k is the logarithmic lower bound for order n (so a size-k code being
-    present is equivalent to attainment)."""
+def _c0_patterns(kind_name: str, n: int, k: int, lo: int, hi: int) -> list[int]:
+    """Patterns in [lo, hi) of the edges meeting C0 = {0..k-1} under which
+    C0 is a kind-code. Bit s of a pattern is the s-th such edge in edge-code
+    order; the edges among the other vertices are left out, as no code test
+    reads them."""
     kind = CodeKind[kind_name]
-    pairs = edge_bit_pairs(n)
+    incident = [(i, j) for i, j in edge_bit_pairs(n) if i < k]
     bits = [1 << v for v in range(n)]
-    kmasks = [
-        sum(bits[v] for v in combo) for combo in itertools.combinations(range(n), k)
-    ]
+    c0 = (1 << k) - 1
+    empty = [0] * n
+    adj = empty.copy()
+    closed = bits.copy()
+    # the checker reads adj and closed when called; each pattern refills them
+    check = make_mask_checker(n, adj, closed, kind)
     out: list[int] = []
-    for code in range(lo, hi):
-        adj = [0] * n
-        c = code
-        t = 0
-        while c:
-            if c & 1:
-                i, j = pairs[t]
+    for pattern in range(lo, hi):
+        adj[:] = empty
+        closed[:] = bits
+        p = pattern
+        s = 0
+        while p:
+            if p & 1:
+                i, j = incident[s]
                 adj[i] |= bits[j]
                 adj[j] |= bits[i]
-            c >>= 1
-            t += 1
-        closed = [adj[v] | bits[v] for v in range(n)]
-        if not _masks_admissible(n, adj, closed, kind):
-            continue
-        check = make_mask_checker(n, adj, closed, kind)
-        for cm in kmasks:
-            if check(cm):
-                out.append(code)
-                break
+                closed[i] |= bits[j]
+                closed[j] |= bits[i]
+            p >>= 1
+            s += 1
+        if check(c0):
+            out.append(pattern)
     return out
 
 
-def _attaining_range_args(args: tuple[str, int, int, int, int]) -> list[int]:
-    return _attaining_range(*args)
+def _attaining_codes(kind: CodeKind, n: int, k: int, jobs: int = 1) -> set[int]:
+    """Edge codes of every labeled graph of order n that has a kind-code of
+    size k: for each k-set C, the good patterns of C0 = {0..k-1} carried to
+    C by the relabeling that maps C0 onto C and the rest onto the rest, both
+    in ascending order, each with every setting of the edges among the
+    other n - k vertices, which no code test of C reads."""
+    pairs = edge_bit_pairs(n)
+    incident = [(i, j) for i, j in pairs if i < k]
+    total = 1 << len(incident)
+    chunks = _split_range(total, jobs)
+    if len(chunks) == 1:
+        patterns = _c0_patterns(kind.name, n, k, 0, total)
+    else:
+        los, his = zip(*chunks)
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = pool.map(partial(_c0_patterns, kind.name, n, k), los, his)
+            patterns = [p for part in parts for p in part]
+    bit_of = [[0] * n for _ in range(n)]
+    for t, (i, j) in enumerate(pairs):
+        bit_of[i][j] = bit_of[j][i] = 1 << t
+    attaining: set[int] = set()
+    for code_set in itertools.combinations(range(n), k):
+        perm = code_set + tuple(v for v in range(n) if v not in code_set)
+        images = [bit_of[perm[i]][perm[j]] for i, j in incident]
+        moved = []
+        for pattern in patterns:
+            code = 0
+            s = 0
+            while pattern:
+                if pattern & 1:
+                    code |= images[s]
+                pattern >>= 1
+                s += 1
+            moved.append(code)
+        free = [0]
+        for i, j in pairs:
+            if i >= k:
+                free += [f | bit_of[perm[i]][perm[j]] for f in free]
+        for f in free:
+            attaining.update([code | f for code in moved])
+    return attaining
 
 
 def audit_characterization(
@@ -530,11 +565,22 @@ def audit_characterization(
 ) -> AuditReport:
     """Check the extremal characterization at order n.
 
-    Exhaustive mode enumerates every labeled graph, collects those whose
-    kind-number attains the logarithmic bound k, and verifies exact equality
-    with the label-closure of the characterization family (both directions,
-    up to isomorphism). Sampled mode solves seeded random graphs and
-    structurally checks every attaining one against the construction."""
+    Exhaustive mode collects every labeled graph whose kind-number attains
+    the logarithmic bound k and verifies exact equality with the
+    label-closure of the characterization family (both directions, up to
+    isomorphism). As no code is smaller than k, a graph attains k exactly
+    when some k-set is a code. A code test reads only the edges meeting the
+    candidate set, so the attaining graphs are found by projection
+    (_attaining_codes): the patterns of the edges meeting {0..k-1} are
+    tested once with the definitional mask test, moved to every other k-set
+    by relabeling, and combined with every setting of the edges the test
+    never reads. This is exact, not a sample: it yields the same set as
+    testing every k-set on each of the 2^(n(n-1)/2) labeled graphs, and it
+    uses nothing of the construction, so the two sides stay independent.
+    `jobs` (clamped to [1, os.cpu_count()]) shards the pattern scan; the
+    result does not depend on it. Sampled mode solves seeded random graphs
+    and structurally checks every attaining one against the
+    construction."""
     k = lower_bound(kind, n)
     if k < 1:
         raise GuardError(f"no attainment theory at order {n} (bound is {k})")
@@ -543,22 +589,11 @@ def audit_characterization(
             raise GuardError(
                 f"exhaustive audit is guarded at order {AUDIT_EXHAUSTIVE_GUARD}"
             )
+        # before the family side, so that a pool forks a small process
+        attaining = _attaining_codes(kind, n, k, resolve_jobs(jobs))
         family = _family_labeled_codes(kind, n, k)
         reps = _iso_class_reps(sorted(family), n)
         closure = _expand_labelings(reps, n)
-        total = labeled_graph_count(n)
-        if jobs <= 1 or total < 1 << 16:
-            attaining = set(_attaining_range(kind.name, n, k, 0, total))
-        else:
-            step = -(-total // (jobs * 8))
-            chunks = [
-                (kind.name, n, k, lo, min(lo + step, total))
-                for lo in range(0, total, step)
-            ]
-            attaining = set()
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for part in pool.map(_attaining_range_args, chunks):
-                    attaining.update(part)
         missing = sorted(closure - attaining)
         unexpected = sorted(attaining - closure)
 

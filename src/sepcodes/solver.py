@@ -5,6 +5,7 @@ checks between the eight code numbers."""
 from __future__ import annotations
 
 import itertools
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -61,7 +62,9 @@ def make_mask_checker(
     """Fused separation+domination test over a candidate code mask.
 
     Specialized per kind for the solver's hot loops; agrees with
-    codes.is_code on every input (property-tested exhaustively)."""
+    codes.is_code on every input (property-tested exhaustively). The
+    checker reads adj and closed when called, so a caller may refill them
+    in place and keep the checker."""
     total = kind.total_domination
     sep = kind.separation
     rng = range(n)
@@ -316,6 +319,7 @@ def census(
             f"census enumeration is guarded at order {ENUMERATION_GUARD}; "
             f"pass allow_large=True to override"
         )
+    jobs = resolve_jobs(jobs)
     total = labeled_graph_count(n)
     chunks = _split_range(total, jobs)
     if len(chunks) == 1:
@@ -337,8 +341,15 @@ def _census_range_args(args: tuple[str, int, int, int]) -> tuple[dict[int, int],
     return _census_range(*args)
 
 
+def resolve_jobs(jobs: int) -> int:
+    """Worker count actually used for `jobs`: clamped to [1, os.cpu_count()],
+    as a process pool starts all of its workers on the first task."""
+    return max(1, min(jobs, os.cpu_count() or 1))
+
+
 def _split_range(total: int, jobs: int) -> list[tuple[int, int]]:
-    jobs = max(1, jobs)
+    """Chunks of [0, total) for `jobs` workers (already resolved), four per
+    worker; a single chunk when jobs is 1 or the range is too short."""
     if jobs == 1 or total < 2 * jobs:
         return [(0, total)]
     step = -(-total // (jobs * 4))

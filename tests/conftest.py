@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
 from math import comb
+
+import pytest
 
 from sepcodes import Graph, build_graph, graph_from_code
 
@@ -42,3 +45,34 @@ def relabeled(g: Graph, perm: list[int]) -> Graph:
         adj[perm[u]] |= 1 << perm[v]
         adj[perm[v]] |= 1 << perm[u]
     return Graph(g.order, tuple(adj))
+
+
+@pytest.fixture
+def spy_pools(monkeypatch):
+    """Put a stand-in for ProcessPoolExecutor in the solver and extremal
+    modules and report 4 CPUs. Each stand-in pool records its worker count
+    and tasks and runs them in this process, so no process is started.
+    Returns the list of pools made."""
+    pools = []
+
+    class SpyPool:
+        def __init__(self, max_workers=None):
+            self.max_workers = max_workers
+            self.tasks = 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, *iterables):
+            tasks = list(zip(*iterables))
+            self.tasks += len(tasks)
+            return [fn(*args) for args in tasks]
+
+    monkeypatch.setattr("sepcodes.solver.ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr("sepcodes.extremal.ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    return pools

@@ -154,6 +154,14 @@ def test_bounds_guard(capsys):
     assert "k >= 4" in err
 
 
+def test_jobs_below_one_is_rejected(capsys):
+    for command in (["audit", "--kind", "ld", "--n", "4"], ["census", "--kind", "ld", "--n", "3"]):
+        for jobs in ("0", "-2"):
+            status, out, err = run(capsys, command + ["--jobs", jobs])
+            assert status == 2
+            assert "--jobs must be at least 1" in err and not out
+
+
 def test_count(capsys):
     status, out, _ = run(capsys, ["count", "--k", "2", "--format", "json"])
     assert status == 0

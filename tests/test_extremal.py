@@ -3,7 +3,10 @@ families, audits, counting, tight presets, and the blueprint format."""
 
 from __future__ import annotations
 
+import itertools
+import os
 import random
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from conftest import p4, random_graph, relabeled
@@ -25,9 +28,13 @@ from sepcodes import (
     eligible_outer_labels,
     emit_graph6,
     empty_graph,
+    enumerate_labeled_graphs,
     expected_order,
     extremal_structure_check,
+    graph_code,
     is_admissible,
+    is_code,
+    lower_bound,
     materialize,
     matching_graph,
     min_code,
@@ -40,6 +47,7 @@ from sepcodes import (
     verify_extremal,
     vset,
 )
+from sepcodes.extremal import _attaining_codes
 
 PATH_PLUS_ISOLATE_5 = Graph(5, tuple(path_graph(4).adj) + (0,))
 
@@ -322,6 +330,15 @@ def test_audit_exhaustive_small():
         (CodeKind.OTD, 5, 170, 4),
         (CodeKind.ITD, 5, 262, 6),
         (CodeKind.ID, 5, 382, 8),
+        # order 7, confirmed against the labeled scan of all 2^21 graphs; ID
+        # at order 7 is acceptance criterion 05
+        (CodeKind.OD, 7, 351960, 122),
+        (CodeKind.OTD, 7, 43260, 20),
+        (CodeKind.ITD, 7, 93030, 35),
+        (CodeKind.FTD, 7, 395160, 111),
+        (CodeKind.LD, 7, 0, 0),
+        (CodeKind.LTD, 7, 0, 0),
+        (CodeKind.FD, 7, 0, 0),
     ],
 )
 def test_audit_exhaustive_other_kinds(kind, n, attaining, classes):
@@ -333,10 +350,44 @@ def test_audit_exhaustive_other_kinds(kind, n, attaining, classes):
     assert report.family_class_count == classes
 
 
-def test_audit_parallel_matches_serial():
+@pytest.mark.parametrize(
+    "kind,n",
+    [(kind, n) for kind in CodeKind for n in range(1, 6)] + [(CodeKind.ID, 6)],
+)
+def test_attaining_codes_match_definitional_scan(kind, n):
+    # the projection against the plain definition: every labeled graph, every
+    # k-subset, codes.is_code
+    k = lower_bound(kind, n)
+    expected = {
+        graph_code(g)
+        for g in enumerate_labeled_graphs(n)
+        if any(is_code(g, vset(c), kind) for c in itertools.combinations(range(n), k))
+    }
+    assert _attaining_codes(kind, n, k) == expected
+
+
+def test_audit_parallel_matches_serial(monkeypatch):
+    submitted = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr("sepcodes.extremal.ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     serial = audit_characterization(CodeKind.LD, 5, jobs=1)
+    assert not submitted
     parallel = audit_characterization(CodeKind.LD, 5, jobs=2)
+    assert len(submitted) > 1
     assert serial == parallel
+
+
+def test_audit_jobs_are_clamped(spy_pools):
+    report = audit_characterization(CodeKind.ID, 5, jobs=100_000)
+    assert [pool.max_workers for pool in spy_pools] == [4]
+    assert spy_pools[0].tasks > 1
+    assert report == audit_characterization(CodeKind.ID, 5, jobs=1)
 
 
 def test_audit_sampled():

@@ -3,6 +3,7 @@ relation checks, and the census."""
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from sepcodes import (
     relation_check,
     vset,
 )
+from sepcodes.solver import resolve_jobs
 
 
 @pytest.mark.parametrize(
@@ -196,6 +198,21 @@ def test_census_matches_oracle():
 
 def test_census_parallel_matches_serial():
     assert census(CodeKind.LD, 4, jobs=2) == census(CodeKind.LD, 4, jobs=1)
+
+
+def test_resolve_jobs_clamps_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert [resolve_jobs(j) for j in (-3, 0, 1, 3, 4, 5, 100_000)] == [1, 1, 1, 3, 4, 4, 4]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: run serially
+    assert resolve_jobs(8) == 1
+
+
+def test_census_jobs_are_clamped(spy_pools):
+    report = census(CodeKind.LD, 4, jobs=100_000)
+    assert [pool.max_workers for pool in spy_pools] == [4]
+    assert spy_pools[0].tasks > 1
+    assert report == census(CodeKind.LD, 4, jobs=1)
+    assert len(spy_pools) == 1  # the serial call made no pool
 
 
 def test_census_guard():
