@@ -76,6 +76,7 @@ from .solver import (
     min_code,
     oracle_min_code,
     relation_check,
+    separation_family,
 )
 
 __version__ = "0.1.0"

@@ -33,6 +33,7 @@ EXIT_INADMISSIBLE = 3
 EXIT_GUARD = 4
 
 JOBS_HELP = "worker processes, at least 1; more than the CPU count are clamped to it"
+BUDGET_HELP = "cap on solver search nodes, at least 1 (exit 4 when it runs out)"
 
 
 def _read_input(path: str) -> bytes:
@@ -86,7 +87,7 @@ def _solve_payload(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     raw = _read_input(args.graph)
     g = _parse_graph_input(raw)
     kind = CodeKind.parse(args.kind)
-    report = min_code(g, kind, args.budget)
+    report = min_code(g, kind, _at_least_one(args, "budget"))
     payload: dict[str, Any] = {
         "command": "solve",
         "kind": kind.name,
@@ -132,7 +133,7 @@ def _verify_payload(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     bp = parse_blueprint(raw.decode("ascii", errors="replace"))
     me = materialize(bp)
     kind = CodeKind.parse(args.kind)
-    check = verify_extremal(me, kind, args.budget)
+    check = verify_extremal(me, kind, _at_least_one(args, "budget"))
     payload = {
         "command": "verify",
         "kind": kind.name,
@@ -147,16 +148,18 @@ def _verify_payload(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     return payload, EXIT_OK if check.passed else 1
 
 
-def _jobs(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise FormatError(f"--jobs must be at least 1, got {args.jobs}")
-    return args.jobs
+def _at_least_one(args: argparse.Namespace, name: str) -> int:
+    value = getattr(args, name)
+    if value < 1:
+        raise FormatError(f"--{name} must be at least 1, got {value}")
+    return value
 
 
 def _audit_payload(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     kind = CodeKind.parse(args.kind)
+    jobs = _at_least_one(args, "jobs")
     report = audit_characterization(
-        kind, args.n, mode=args.mode, seed=args.seed, trials=args.trials, jobs=_jobs(args)
+        kind, args.n, mode=args.mode, seed=args.seed, trials=args.trials, jobs=jobs
     )
     payload: dict[str, Any] = {
         "command": "audit",
@@ -181,7 +184,8 @@ def _audit_payload(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 def _census_payload(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     kind = CodeKind.parse(args.kind)
-    report = census(kind, args.n, jobs=_jobs(args), allow_large=args.allow_large)
+    jobs = _at_least_one(args, "jobs")
+    report = census(kind, args.n, jobs=jobs, allow_large=args.allow_large)
     payload = {
         "command": "census",
         "kind": kind.name,
@@ -240,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="minimum code of a graph")
     p.add_argument("graph", help="graph6 or edge-list file, '-' for stdin")
     p.add_argument("--kind", required=True, help="one of LD LTD OD OTD ID ITD FD FTD")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     add_common(p)
     p.set_defaults(run=_solve_payload)
 
@@ -252,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="materialize a blueprint and verify minimality")
     p.add_argument("blueprint", help="blueprint file, '-' for stdin")
     p.add_argument("--kind", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     add_common(p)
     p.set_defaults(run=_verify_payload)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import Graph, members
 
@@ -42,8 +43,9 @@ class CodeKind(enum.Enum):
     FD = "FD"
     FTD = "FTD"
 
-    @property
+    @cached_property
     def separation(self) -> Separation:
+        # cached: the census reads it once per graph
         return Separation(self.name[0])
 
     @property

@@ -14,7 +14,9 @@ class GuardError(ValueError):
 
 
 class BudgetError(GuardError):
-    """The solver exhausted its subset-testing budget before finishing."""
+    """The solver exhausted its search-node budget before finishing.
+
+    subsets_tested is the number of search nodes visited."""
 
     def __init__(self, message: str, subsets_tested: int = 0):
         super().__init__(message)

@@ -18,6 +18,7 @@ from .graphs import (
     Graph,
     edge_bit_pairs,
     labeled_graph_count,
+    members,
 )
 
 DEFAULT_BUDGET = 5_000_000
@@ -131,11 +132,6 @@ def make_mask_checker(
     return check
 
 
-def _graph_checker(g: Graph, kind: CodeKind) -> Callable[[int], bool]:
-    closed = tuple(nb | (1 << v) for v, nb in enumerate(g.adj))
-    return make_mask_checker(g.order, g.adj, closed, kind)
-
-
 @dataclass(frozen=True)
 class SolveReport:
     """Result of one minimum-code computation. number is None when the
@@ -152,28 +148,94 @@ class SolveReport:
         return self.number is None
 
 
+def separation_family(g: Graph, kind: CodeKind) -> list[int]:
+    """The kind's separation hypergraph: a vertex set C is a kind-code
+    exactly when it hits every set in the family. It holds N[v] for D kinds
+    or N(v) for TD kinds, and for each pair u, v:
+
+    - LOCATION: (N(u) ^ N(v)) | {u, v};
+    - OPEN: N(u) ^ N(v);
+    - CLOSED: N[u] ^ N[v];
+    - FULL: both of the above.
+
+    The family is deduplicated, reduced to its inclusion-minimal sets and
+    sorted by largest vertex. It is [0] exactly when g is inadmissible."""
+    adj = g.adj
+    closed = [nb | (1 << v) for v, nb in enumerate(adj)]
+    sep = kind.separation
+    sets = set(adj if kind.total_domination else closed)
+    for u in range(g.order):
+        for v in range(u + 1, g.order):
+            if sep is Separation.LOCATION:
+                sets.add(adj[u] ^ adj[v] | 1 << u | 1 << v)
+            if sep in (Separation.OPEN, Separation.FULL):
+                sets.add(adj[u] ^ adj[v])
+            if sep in (Separation.CLOSED, Separation.FULL):
+                sets.add(closed[u] ^ closed[v])
+    minimal: list[int] = []
+    for s in sorted(sets, key=lambda s: (s.bit_count(), s)):
+        if all(m & s != m for m in minimal):
+            minimal.append(s)
+    return sorted(minimal, key=int.bit_length)
+
+
 def min_code(g: Graph, kind: CodeKind, budget: int = DEFAULT_BUDGET) -> SolveReport:
     """Exact kind-number with a deterministic witness: cardinalities are
-    tried from the lower-bound floor upward, subsets within a cardinality in
-    lexicographic order, and the first passing subset is returned."""
+    tried from the lower-bound floor upward, and the witness is the
+    lexicographically first set of that cardinality that hits every set of
+    the separation family, which is what testing the k-sets in
+    itertools.combinations order would return. subsets_tested counts search
+    nodes, and budget caps them."""
     lb = lower_bound(kind, g.order)
     if not is_admissible(g, kind):
         return SolveReport(kind, None, None, 0, lb)
-    check = _graph_checker(g, kind)
-    tested = 0
-    for size in range(max(1, lb), g.order + 1):
-        for combo in itertools.combinations(range(g.order), size):
-            tested += 1
-            if tested > budget:
+    family = separation_family(g, kind)
+    n = g.order
+    full = (1 << n) - 1
+    nodes = 0
+
+    def search(unhit: list[int], start: int, left: int) -> int | None:
+        """First set of `left` vertices from start.. that hits every set
+        in unhit (each cut to vertices >= start, sorted by largest vertex)."""
+        nonlocal nodes
+        last = n - left
+        if unhit:
+            # vertices after x are larger, so x may not pass the largest
+            # vertex of the first set not yet hit (the smallest such vertex)
+            last = min(last, unhit[0].bit_length() - 1)
+        for x in range(start, last + 1):
+            nodes += 1
+            if nodes > budget:
                 raise BudgetError(
-                    f"budget of {budget} subsets exhausted at cardinality {size}",
-                    subsets_tested=tested,
+                    f"budget of {budget} search nodes exhausted at cardinality {size}",
+                    subsets_tested=nodes,
                 )
-            c = 0
-            for v in combo:
-                c |= 1 << v
-            if check(c):
-                return SolveReport(kind, size, c, tested, lb)
+            bit = 1 << x
+            above = full ^ ((bit << 1) - 1)
+            rest = [s & above for s in unhit if not s & bit]
+            if left == 1:
+                if not rest:
+                    return bit
+                continue
+            # greedy packing: disjoint sets not yet hit each need their own
+            # vertex, and left - 1 slots remain
+            used = packed = 0
+            for s in rest:
+                if not s & used:
+                    used |= s
+                    packed += 1
+                    if not s or packed == left:
+                        break
+            else:
+                found = search(rest, x + 1, left - 1)
+                if found is not None:
+                    return found | bit
+        return None
+
+    for size in range(max(1, lb), n + 1):
+        witness = search(family, 0, size)
+        if witness is not None:
+            return SolveReport(kind, size, witness, nodes, lb)
     raise AssertionError("admissible graph has no code; admissibility test is wrong")
 
 
@@ -193,22 +255,11 @@ def oracle_min_code(g: Graph, kind: CodeKind) -> SolveReport:
         size = mask.bit_count()
         if size < best_size:
             best, best_size = mask, size
-        elif size == best_size and best is not None and _lex_key(mask) < _lex_key(best):
+        elif size == best_size and best is not None and members(mask) < members(best):
             best = mask
     if best is None:
         return SolveReport(kind, None, None, tested, lb)
     return SolveReport(kind, best_size, best, tested, lb)
-
-
-def _lex_key(mask: int) -> tuple[int, ...]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -260,6 +311,7 @@ def _census_range(kind_name: str, n: int, lo: int, hi: int) -> tuple[dict[int, i
         [sum(bits[v] for v in combo) for combo in itertools.combinations(range(n), size)]
         for size in range(n + 1)
     ]
+    lb = max(1, lower_bound(kind, n))
     hist: Counter[int] = Counter()
     inadmissible = 0
     for code in range(lo, hi):
@@ -278,7 +330,6 @@ def _census_range(kind_name: str, n: int, lo: int, hi: int) -> tuple[dict[int, i
             inadmissible += 1
             continue
         check = make_mask_checker(n, adj, closed, kind)
-        lb = max(1, lower_bound(kind, n))
         number = None
         for size in range(lb, n + 1):
             if any(check(m) for m in masks_by_size[size]):

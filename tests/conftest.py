@@ -7,8 +7,16 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import settings
 
 from sepcodes import Graph, build_graph, graph_from_code
+
+# Property tests draw the same examples on every run and stay bounded, so
+# the suite is deterministic and fast; no example database is written.
+settings.register_profile(
+    "tier1", derandomize=True, max_examples=100, deadline=None, database=None
+)
+settings.load_profile("tier1")
 
 
 def k1() -> Graph:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 
+from sepcodes import cycle_graph, emit_graph6, path_graph
 from sepcodes.cli import main
 
 K3_G6 = "Bw"
@@ -68,6 +69,27 @@ def test_solve_budget_exit_code(tmp_path, capsys):
     status, _, err = run(capsys, ["solve", str(path), "--kind", "ld", "--budget", "1"])
     assert status == 4
     assert "budget" in err
+
+
+def test_budget_below_one_is_rejected(tmp_path, capsys):
+    path = tmp_path / "p3.txt"
+    path.write_text("3 2\n0 1\n1 2\n")
+    blueprint = tmp_path / "bp.txt"
+    blueprint.write_text(BLUEPRINT_I3)
+    for command in (["solve", str(path), "--kind", "ld"], ["verify", str(blueprint), "--kind", "id"]):
+        for budget in ("0", "-5"):
+            status, out, err = run(capsys, command + ["--budget", budget])
+            assert status == 2
+            assert "--budget must be at least 1" in err and not out
+
+
+def test_solve_id_on_long_path_and_cycle(tmp_path, capsys):
+    for name, g, number in (("p30", path_graph(30), 16), ("c40", cycle_graph(40), 20)):
+        path = tmp_path / f"{name}.g6"
+        path.write_bytes(emit_graph6(g))
+        status, out, _ = run(capsys, ["solve", str(path), "--kind", "id", "--format", "json"])
+        assert status == 0
+        assert json.loads(out)["number"] == number
 
 
 def test_unknown_kind_exit_code(tmp_path, capsys):

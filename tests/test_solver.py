@@ -5,9 +5,12 @@ from __future__ import annotations
 
 import os
 import random
+from math import comb
 
 import pytest
 from conftest import k1, k2, k3, p3, p4, random_graph, two_k1
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sepcodes import (
     ALL_KINDS,
@@ -15,18 +18,29 @@ from sepcodes import (
     CodeKind,
     GuardError,
     census,
+    cycle_graph,
     disjoint_union,
     empty_graph,
     enumerate_labeled_graphs,
+    graph_from_code,
+    is_admissible,
     is_code,
     lower_bound,
     max_order,
     min_code,
     oracle_min_code,
+    path_graph,
     relation_check,
+    separation_family,
     vset,
 )
 from sepcodes.solver import resolve_jobs
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 12))
+    return graph_from_code(n, draw(st.integers(0, (1 << comb(n, 2)) - 1)))
 
 
 @pytest.mark.parametrize(
@@ -143,6 +157,48 @@ def test_solver_is_deterministic():
 def test_budget_is_enforced():
     with pytest.raises(BudgetError):
         min_code(p3(), CodeKind.LD, budget=1)
+
+
+@given(graphs())
+def test_solver_matches_oracle_on_random_graphs(g):
+    for kind in ALL_KINDS:
+        fast = min_code(g, kind)
+        slow = oracle_min_code(g, kind)
+        assert (fast.number, fast.witness) == (slow.number, slow.witness)
+
+
+@given(graphs(), st.data())
+def test_family_hitting_agrees_with_is_code(g, data):
+    for kind in ALL_KINDS:
+        family = separation_family(g, kind)
+        assert (family == [0]) == (not is_admissible(g, kind))
+        for _ in range(8):
+            mask = data.draw(st.integers(0, (1 << g.order) - 1))
+            assert all(s & mask for s in family) == is_code(g, mask, kind)
+
+
+def _assert_solved(g, kind, number):
+    report = min_code(g, kind)
+    assert report.number == number
+    assert is_code(g, report.witness, kind) and report.witness.bit_count() == number
+
+
+# Closed forms (Slater; Bertrand, Charon, Hudry and Lobstein 2004), checked
+# past the oracle's order guard.
+@pytest.mark.parametrize("n", range(3, 31))
+def test_id_number_of_paths(n):
+    _assert_solved(path_graph(n), CodeKind.ID, -(-(n + 1) // 2))
+
+
+@pytest.mark.parametrize("n", range(6, 41, 2))
+def test_id_number_of_even_cycles(n):
+    _assert_solved(cycle_graph(n), CodeKind.ID, n // 2)
+
+
+@pytest.mark.parametrize("n", range(4, 31))
+def test_ld_number_of_paths_and_cycles(n):
+    _assert_solved(path_graph(n), CodeKind.LD, -(-2 * n // 5))
+    _assert_solved(cycle_graph(n), CodeKind.LD, -(-2 * n // 5))
 
 
 def test_relation_check_p4():
