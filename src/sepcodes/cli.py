@@ -15,7 +15,7 @@ import time
 from typing import Any
 
 from .codes import CodeKind
-from .errors import BlueprintError, BudgetError, FormatError, GuardError
+from .errors import BlueprintError, FormatError, GuardError
 from .extremal import (
     audit_characterization,
     counting,
@@ -302,10 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FormatError, BlueprintError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except GuardError as exc:
+    except GuardError as exc:  # BudgetError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except ValueError as exc:

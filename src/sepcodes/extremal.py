@@ -14,10 +14,12 @@ from __future__ import annotations
 import itertools
 import random
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
+# not used here: kept bound because bench/tracer.py patches this name
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from functools import partial
 from math import comb
+from typing import Sequence
 
 from .codes import CodeKind, Separation, is_admissible, is_code
 from .errors import BlueprintError, FormatError, GuardError
@@ -44,22 +46,14 @@ from .serialize import emit_graph6, parse_graph6
 from .solver import (
     DEFAULT_BUDGET,
     SolveReport,
-    _split_range,
     lower_bound,
     make_mask_checker,
     min_code,
-    resolve_jobs,
+    scan,
 )
 
 AUDIT_EXHAUSTIVE_GUARD = ENUMERATION_GUARD
 AUDIT_SAMPLED_GUARD = 10
-
-_SEP_TO_KIND = {
-    Separation.LOCATION: CodeKind.LD,
-    Separation.OPEN: CodeKind.OD,
-    Separation.CLOSED: CodeKind.ID,
-    Separation.FULL: CodeKind.FD,
-}
 
 INNER_PRESETS = {
     "empty": empty_graph,
@@ -192,8 +186,7 @@ def _validate_blueprint(bp: ExtremalBlueprint) -> tuple[int, ...]:
             f"inner graph has order {bp.inner.order}, expected k = {bp.k}"
         )
     if bp.separation is not Separation.LOCATION:
-        probe = _SEP_TO_KIND[bp.separation]
-        if not is_admissible(bp.inner, probe):
+        if not is_admissible(bp.inner, CodeKind(bp.separation.value + "D")):
             condition = {
                 Separation.OPEN: "open-twin-free",
                 Separation.CLOSED: "closed-twin-free",
@@ -237,6 +230,17 @@ def _outer_edges(policy: OuterPolicy, count: int) -> list[tuple[int, int]]:
     return out
 
 
+def _attach_outer(inner: Graph, labels: Sequence[int]) -> list[int]:
+    """Adjacency of `inner` on vertices 0..k-1 plus one outer vertex k + idx
+    per label, adjacent to exactly the members of its label."""
+    k = inner.order
+    adj = list(inner.adj) + list(labels)
+    for idx, label in enumerate(labels):
+        for u in members(label):
+            adj[u] |= 1 << (k + idx)
+    return adj
+
+
 def materialize(bp: ExtremalBlueprint) -> MaterializedExtremal:
     """Build the construction: code vertices 0..k-1 carry the inner graph,
     outer vertices follow in ascending label order, each adjacent to exactly
@@ -245,15 +249,7 @@ def materialize(bp: ExtremalBlueprint) -> MaterializedExtremal:
     labels = _validate_blueprint(bp)
     k = bp.k
     pool = len(labels)
-    adj = list(bp.inner.adj) + [0] * pool
-    for idx, label in enumerate(labels):
-        v = k + idx
-        adj[v] |= label
-        rest = label
-        while rest:
-            u = (rest & -rest).bit_length() - 1
-            adj[u] |= 1 << v
-            rest &= rest - 1
+    adj = _attach_outer(bp.inner, labels)
     for a, b in _outer_edges(bp.outer, pool):
         adj[k + a] |= 1 << (k + b)
         adj[k + b] |= 1 << (k + a)
@@ -340,17 +336,10 @@ def extremal_structure_check(g: Graph, code: int, kind: CodeKind) -> StructureCh
     inner = induced_subgraph(g, code) if code else None
     if inner is None or not is_admissible(inner, kind):
         return StructureCheck(False, "inner graph is not admissible for this kind")
-    code_vertices = members(code)
-    excl_open = {g.adj[u] & code for u in code_vertices}
-    excl_closed = {(g.adj[u] | (1 << u)) & code for u in code_vertices}
-    if kind.separation is Separation.LOCATION:
-        excluded: set[int] = set()
-    elif kind.separation is Separation.OPEN:
-        excluded = excl_open
-    elif kind.separation is Separation.CLOSED:
-        excluded = excl_closed
-    else:
-        excluded = excl_open | excl_closed
+    # labels number the code's vertices 0..k-1 in ascending order, as the
+    # inner graph does; signatures keep the numbering of g
+    index = {v: i for i, v in enumerate(members(code))}
+    eligible = set(eligible_outer_labels(kind.separation, inner))
     seen: set[int] = set()
     for v in range(g.order):
         if code >> v & 1:
@@ -360,15 +349,12 @@ def extremal_structure_check(g: Graph, code: int, kind: CodeKind) -> StructureCh
             return StructureCheck(False, f"vertex {v} has an empty outer signature")
         if sig in seen:
             return StructureCheck(False, f"duplicate outer signature {members(sig)}")
-        if sig in excluded:
+        if sum(1 << index[u] for u in members(sig)) not in eligible:
             return StructureCheck(
                 False, f"outer signature {members(sig)} collides with the code's own"
             )
         seen.add(sig)
-    eligible_count = sum(
-        1 for m in range(1, 1 << k) if m not in excluded
-    )
-    removed = (k + eligible_count) - g.order
+    removed = (k + len(eligible)) - g.order
     cap = removal_cap(kind, k, inner)
     if removed > cap:
         return StructureCheck(
@@ -404,6 +390,7 @@ def _family_labeled_codes(kind: CodeKind, n: int, k: int) -> set[int]:
     family: every admissible inner graph, every allowed removal set, every
     edge set on the surviving outer vertices."""
     out: set[int] = set()
+    free = _free_edge_codes(n, k)
     for inner in enumerate_labeled_graphs(k):
         if not is_admissible(inner, kind):
             continue
@@ -413,35 +400,25 @@ def _family_labeled_codes(kind: CodeKind, n: int, k: int) -> set[int]:
         if r < 0 or r > min(removal_cap(kind, k, inner), pool):
             continue
         for removed in itertools.combinations(labels, r):
-            removed_set = set(removed)
-            kept = [m for m in labels if m not in removed_set]
-            base = list(inner.adj) + [0] * len(kept)
-            for idx, label in enumerate(kept):
-                v = k + idx
-                base[v] |= label
-                rest = label
-                while rest:
-                    u = (rest & -rest).bit_length() - 1
-                    base[u] |= 1 << v
-                    rest &= rest - 1
-            outer_pairs = [
-                (k + a, k + b)
-                for b in range(1, len(kept))
-                for a in range(b)
-            ]
-            for outer_code in range(1 << len(outer_pairs)):
-                adj = base.copy()
-                oc = outer_code
-                t = 0
-                while oc:
-                    if oc & 1:
-                        a, b = outer_pairs[t]
-                        adj[a] |= 1 << b
-                        adj[b] |= 1 << a
-                    oc >>= 1
-                    t += 1
-                out.add(graph_code(Graph(n, tuple(adj))))
+            kept = [m for m in labels if m not in removed]
+            base = graph_code(Graph(n, tuple(_attach_outer(inner, kept))))
+            out.update([base | f for f in free])
     return out
+
+
+def _free_edge_codes(n: int, k: int, perm: Sequence[int] = ()) -> list[int]:
+    """Edge codes of every setting of the edges among vertices k..n-1, which
+    no code test of {0..k-1} reads; with `perm`, of those edges carried to
+    (perm[i], perm[j])."""
+    pairs = edge_bit_pairs(n)
+    bit = {pair: 1 << t for t, pair in enumerate(pairs)}
+    perm = perm or range(n)
+    free = [0]
+    for i, j in pairs:
+        if i >= k:
+            edge = bit[min(perm[i], perm[j]), max(perm[i], perm[j])]
+            free += [f | edge for f in free]
+    return free
 
 
 def _invariant_key(g: Graph) -> tuple:
@@ -494,6 +471,7 @@ def _c0_patterns(kind_name: str, n: int, k: int, lo: int, hi: int) -> list[int]:
     check = make_mask_checker(n, adj, closed, kind)
     out: list[int] = []
     for pattern in range(lo, hi):
+        # decode_edges fused with the refill of closed (the ID n = 7 audit ran 5% slower unfused)
         adj[:] = empty
         closed[:] = bits
         p = pattern
@@ -520,15 +498,8 @@ def _attaining_codes(kind: CodeKind, n: int, k: int, jobs: int = 1) -> set[int]:
     other n - k vertices, which no code test of C reads."""
     pairs = edge_bit_pairs(n)
     incident = [(i, j) for i, j in pairs if i < k]
-    total = 1 << len(incident)
-    chunks = _split_range(total, jobs)
-    if len(chunks) == 1:
-        patterns = _c0_patterns(kind.name, n, k, 0, total)
-    else:
-        los, his = zip(*chunks)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(partial(_c0_patterns, kind.name, n, k), los, his)
-            patterns = [p for part in parts for p in part]
+    parts = scan(partial(_c0_patterns, kind.name, n, k), 1 << len(incident), jobs)
+    patterns = [p for part in parts for p in part]
     bit_of = [[0] * n for _ in range(n)]
     for t, (i, j) in enumerate(pairs):
         bit_of[i][j] = bit_of[j][i] = 1 << t
@@ -546,11 +517,7 @@ def _attaining_codes(kind: CodeKind, n: int, k: int, jobs: int = 1) -> set[int]:
                 pattern >>= 1
                 s += 1
             moved.append(code)
-        free = [0]
-        for i, j in pairs:
-            if i >= k:
-                free += [f | bit_of[perm[i]][perm[j]] for f in free]
-        for f in free:
+        for f in _free_edge_codes(n, k, perm):
             attaining.update([code | f for code in moved])
     return attaining
 
@@ -590,7 +557,7 @@ def audit_characterization(
                 f"exhaustive audit is guarded at order {AUDIT_EXHAUSTIVE_GUARD}"
             )
         # before the family side, so that a pool forks a small process
-        attaining = _attaining_codes(kind, n, k, resolve_jobs(jobs))
+        attaining = _attaining_codes(kind, n, k, jobs)
         family = _family_labeled_codes(kind, n, k)
         reps = _iso_class_reps(sorted(family), n)
         closure = _expand_labelings(reps, n)
@@ -793,14 +760,6 @@ _TIGHT_RECIPES: dict[CodeKind, tuple[tuple[str, str, str], ...]] = {
     ),
 }
 
-_KIND_TO_TIGHT_SEP = {
-    CodeKind.LD: Separation.LOCATION,
-    CodeKind.LTD: Separation.LOCATION,
-    CodeKind.ID: Separation.CLOSED,
-    CodeKind.OD: Separation.OPEN,
-    CodeKind.OTD: Separation.OPEN,
-}
-
 
 @dataclass(frozen=True)
 class TightPreset:
@@ -828,12 +787,11 @@ def tight_family_presets(kind: CodeKind, k: int) -> list[TightPreset]:
         raise ValueError(f"no tight presets for {kind.name}; available for {allowed}")
     from .graphs import family_membership  # deferred: only needed here
 
-    sep = _KIND_TO_TIGHT_SEP[kind]
     out = []
     for family, inner_name, outer_name in _TIGHT_RECIPES[kind]:
         inner = INNER_PRESETS[inner_name](k)
         outer = OuterPolicy.complete() if outer_name == "complete" else OuterPolicy.empty()
-        me = materialize(ExtremalBlueprint(sep, k, inner, outer))
+        me = materialize(ExtremalBlueprint(kind.separation, k, inner, outer))
         membership = family_membership(me.graph)
         in_family = getattr(membership, family)
         check = verify_extremal(me, kind)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GuardError
 
@@ -225,11 +225,9 @@ def labeled_graph_count(order: int) -> int:
     return 1 << comb(order, 2)
 
 
-def graph_from_code(order: int, code: int) -> Graph:
-    """Graph whose edge set is given by the upper-triangle bit encoding."""
-    pairs = edge_bit_pairs(order)
-    if code < 0 or code >> len(pairs):
-        raise ValueError(f"code {code} out of range for order {order}")
+def decode_edges(order: int, code: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """Adjacency masks on `order` vertices holding edge pairs[t] for each bit
+    t set in `code`; unchecked, for the scans that decode every code."""
     adj = [0] * order
     t = 0
     while code:
@@ -239,7 +237,15 @@ def graph_from_code(order: int, code: int) -> Graph:
             adj[j] |= 1 << i
         code >>= 1
         t += 1
-    return Graph(order, tuple(adj))
+    return adj
+
+
+def graph_from_code(order: int, code: int) -> Graph:
+    """Graph whose edge set is given by the upper-triangle bit encoding."""
+    pairs = edge_bit_pairs(order)
+    if code < 0 or code >> len(pairs):
+        raise ValueError(f"code {code} out of range for order {order}")
+    return Graph(order, tuple(decode_edges(order, code, pairs)))
 
 
 def graph_code(g: Graph) -> int:

@@ -9,13 +9,15 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Callable, TypeVar
 
 from .codes import ALL_KINDS, CodeKind, Separation, is_admissible, is_code
 from .errors import BudgetError, GuardError
 from .graphs import (
     ENUMERATION_GUARD,
     Graph,
+    decode_edges,
     edge_bit_pairs,
     labeled_graph_count,
     members,
@@ -23,6 +25,8 @@ from .graphs import (
 
 DEFAULT_BUDGET = 5_000_000
 ORACLE_GUARD = 20
+
+T = TypeVar("T")
 
 
 def lower_bound(kind: CodeKind, n: int) -> int:
@@ -311,25 +315,19 @@ def _census_range(kind_name: str, n: int, lo: int, hi: int) -> tuple[dict[int, i
         [sum(bits[v] for v in combo) for combo in itertools.combinations(range(n), size)]
         for size in range(n + 1)
     ]
+    full = (1 << n) - 1
     lb = max(1, lower_bound(kind, n))
     hist: Counter[int] = Counter()
     inadmissible = 0
     for code in range(lo, hi):
-        adj = [0] * n
-        c = code
-        t = 0
-        while c:
-            if c & 1:
-                i, j = pairs[t]
-                adj[i] |= bits[j]
-                adj[j] |= bits[i]
-            c >>= 1
-            t += 1
+        adj = decode_edges(n, code, pairs)
         closed = [adj[v] | bits[v] for v in range(n)]
-        if not _masks_admissible(n, adj, closed, kind):
+        check = make_mask_checker(n, adj, closed, kind)
+        # every superset of a code is a code, so a graph has one exactly
+        # when its whole vertex set is one
+        if not check(full):
             inadmissible += 1
             continue
-        check = make_mask_checker(n, adj, closed, kind)
         number = None
         for size in range(lb, n + 1):
             if any(check(m) for m in masks_by_size[size]):
@@ -337,26 +335,6 @@ def _census_range(kind_name: str, n: int, lo: int, hi: int) -> tuple[dict[int, i
                 break
         hist[number] += 1
     return dict(hist), inadmissible
-
-
-def _masks_admissible(n: int, adj: list[int], closed: list[int], kind: CodeKind) -> bool:
-    if kind.total_domination and any(nb == 0 for nb in adj):
-        return False
-    sep = kind.separation
-    if sep in (Separation.OPEN, Separation.FULL):
-        for u in range(n):
-            au = adj[u]
-            for v in range(u + 1, n):
-                if not au >> v & 1 and au == adj[v]:
-                    return False
-    if sep in (Separation.CLOSED, Separation.FULL):
-        for u in range(n):
-            cu = closed[u]
-            au = adj[u]
-            for v in range(u + 1, n):
-                if au >> v & 1 and cu == closed[v]:
-                    return False
-    return True
 
 
 def census(
@@ -370,16 +348,7 @@ def census(
             f"census enumeration is guarded at order {ENUMERATION_GUARD}; "
             f"pass allow_large=True to override"
         )
-    jobs = resolve_jobs(jobs)
-    total = labeled_graph_count(n)
-    chunks = _split_range(total, jobs)
-    if len(chunks) == 1:
-        results = [_census_range(kind.name, n, 0, total)]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(_census_range_args, [(kind.name, n, lo, hi) for lo, hi in chunks])
-            )
+    results = scan(partial(_census_range, kind.name, n), labeled_graph_count(n), jobs)
     hist: Counter[int] = Counter()
     inadmissible = 0
     for part_hist, part_inadm in results:
@@ -388,20 +357,21 @@ def census(
     return CensusReport(kind, n, dict(sorted(hist.items())), inadmissible)
 
 
-def _census_range_args(args: tuple[str, int, int, int]) -> tuple[dict[int, int], int]:
-    return _census_range(*args)
-
-
 def resolve_jobs(jobs: int) -> int:
     """Worker count actually used for `jobs`: clamped to [1, os.cpu_count()],
     as a process pool starts all of its workers on the first task."""
     return max(1, min(jobs, os.cpu_count() or 1))
 
 
-def _split_range(total: int, jobs: int) -> list[tuple[int, int]]:
-    """Chunks of [0, total) for `jobs` workers (already resolved), four per
-    worker; a single chunk when jobs is 1 or the range is too short."""
+def scan(fn: Callable[[int, int], T], total: int, jobs: int) -> list[T]:
+    """The results of fn(lo, hi) over chunks of [0, total), in order. With `jobs`
+    resolved to 1, or fewer than two items per worker, the one chunk is the
+    whole range and runs in this process; otherwise a pool of `jobs`
+    workers maps fn over four chunks per worker, so fn must pickle."""
+    jobs = resolve_jobs(jobs)
     if jobs == 1 or total < 2 * jobs:
-        return [(0, total)]
+        return [fn(0, total)]
     step = -(-total // (jobs * 4))
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+    los = range(0, total, step)
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, los, [min(lo + step, total) for lo in los]))

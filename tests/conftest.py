@@ -57,10 +57,10 @@ def relabeled(g: Graph, perm: list[int]) -> Graph:
 
 @pytest.fixture
 def spy_pools(monkeypatch):
-    """Put a stand-in for ProcessPoolExecutor in the solver and extremal
-    modules and report 4 CPUs. Each stand-in pool records its worker count
-    and tasks and runs them in this process, so no process is started.
-    Returns the list of pools made."""
+    """Put a stand-in for ProcessPoolExecutor in the solver module, whose
+    `scan` is the one fan-out, and report 4 CPUs. Each stand-in pool
+    records its worker count and tasks and runs them in this process, so
+    no process is started. Returns the list of pools made."""
     pools = []
 
     class SpyPool:
@@ -81,6 +81,5 @@ def spy_pools(monkeypatch):
             return [fn(*args) for args in tasks]
 
     monkeypatch.setattr("sepcodes.solver.ProcessPoolExecutor", SpyPool)
-    monkeypatch.setattr("sepcodes.extremal.ProcessPoolExecutor", SpyPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     return pools

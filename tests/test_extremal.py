@@ -32,6 +32,7 @@ from sepcodes import (
     expected_order,
     extremal_structure_check,
     graph_code,
+    graph_from_code,
     is_admissible,
     is_code,
     lower_bound,
@@ -41,6 +42,7 @@ from sepcodes import (
     od_disconnection_case,
     open_signature,
     parse_blueprint,
+    parse_graph6,
     path_graph,
     removal_cap,
     tight_family_presets,
@@ -223,6 +225,15 @@ def test_structure_check_negative():
     assert not check.ok
 
 
+def test_structure_check_code_not_at_front():
+    # the minimum ID-code {0, 3, 5} is not {0, 1, 2}: outer labels number the
+    # code's own vertices, signatures the graph's
+    g = parse_graph6(b"Eiyo")
+    report = min_code(g, CodeKind.ID)
+    assert report.number == 3 and report.witness == vset([0, 3, 5])
+    assert extremal_structure_check(g, report.witness, CodeKind.ID).ok
+
+
 def test_od_disconnection_case():
     report = od_disconnection_case(3)
     assert report.removed_count == 3
@@ -350,10 +361,10 @@ def test_audit_exhaustive_other_kinds(kind, n, attaining, classes):
     assert report.family_class_count == classes
 
 
-@pytest.mark.parametrize(
-    "kind,n",
-    [(kind, n) for kind in CodeKind for n in range(1, 6)] + [(CodeKind.ID, 6)],
-)
+ATTAINING_CASES = [(kind, n) for kind in CodeKind for n in range(1, 6)] + [(CodeKind.ID, 6)]
+
+
+@pytest.mark.parametrize("kind,n", ATTAINING_CASES)
 def test_attaining_codes_match_definitional_scan(kind, n):
     # the projection against the plain definition: every labeled graph, every
     # k-subset, codes.is_code
@@ -366,6 +377,16 @@ def test_attaining_codes_match_definitional_scan(kind, n):
     assert _attaining_codes(kind, n, k) == expected
 
 
+@pytest.mark.parametrize("kind,n", ATTAINING_CASES)
+def test_structure_check_accepts_every_attaining_graph(kind, n):
+    # what the sampled audit asks of each graph it draws, over all of them
+    k = lower_bound(kind, n)
+    for code in _attaining_codes(kind, n, k):
+        g = graph_from_code(n, code)
+        check = extremal_structure_check(g, min_code(g, kind).witness, kind)
+        assert check.ok, (emit_graph6(g), check.reason)
+
+
 def test_audit_parallel_matches_serial(monkeypatch):
     submitted = []
 
@@ -374,7 +395,7 @@ def test_audit_parallel_matches_serial(monkeypatch):
             submitted.append(args)
             return super().submit(*args, **kwargs)
 
-    monkeypatch.setattr("sepcodes.extremal.ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr("sepcodes.solver.ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     serial = audit_characterization(CodeKind.LD, 5, jobs=1)
     assert not submitted

@@ -34,7 +34,7 @@ from sepcodes import (
     separation_family,
     vset,
 )
-from sepcodes.solver import resolve_jobs
+from sepcodes.solver import make_mask_checker, resolve_jobs
 
 
 @st.composite
@@ -146,6 +146,16 @@ def test_witness_validity_and_bounds_on_samples():
                 assert g.order <= max_order(kind, report.number)
 
 
+def test_mask_checker_agrees_with_is_code_exhaustively():
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            closed = [nb | 1 << v for v, nb in enumerate(g.adj)]
+            for kind in ALL_KINDS:
+                check = make_mask_checker(n, g.adj, closed, kind)
+                for mask in range(1 << n):
+                    assert check(mask) == is_code(g, mask, kind), (g, mask, kind)
+
+
 def test_solver_is_deterministic():
     rng = random.Random(5)
     for _ in range(25):
@@ -238,7 +248,7 @@ def test_census_ld_three_vertices():
 
 
 def test_census_matches_oracle():
-    for kind in (CodeKind.ID, CodeKind.OTD):
+    for kind in ALL_KINDS:
         report = census(kind, 4)
         hist: dict[int, int] = {}
         inadmissible = 0
