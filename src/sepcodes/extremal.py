@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from functools import partial
 from math import comb
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .codes import CodeKind, Separation, is_admissible, is_code
 from .errors import BlueprintError, FormatError, GuardError
@@ -385,25 +385,36 @@ class AuditReport:
     failures: tuple[str, ...] = ()
 
 
-def _family_labeled_codes(kind: CodeKind, n: int, k: int) -> set[int]:
-    """All fixed-partition labeled graphs of order n in the characterization
-    family: every admissible inner graph, every allowed removal set, every
-    edge set on the surviving outer vertices."""
-    out: set[int] = set()
+def _c0_edges(n: int, k: int) -> list[tuple[int, int]]:
+    """The edges meeting C0 = {0..k-1} in edge-code order: bit s of a
+    C0-pattern is edge s. The edges among the other vertices are left out,
+    as no code test of C0 reads them."""
+    return [(i, j) for i, j in edge_bit_pairs(n) if i < k]
+
+
+def _family_patterns(kind: CodeKind, n: int, k: int) -> tuple[set[int], set[int]]:
+    """C0-patterns of the characterization family at order n, for every
+    admissible inner graph on C0, allowed removal set, and order of the kept
+    labels on the outer vertices k..n-1; and, for the isomorphism classing,
+    the edge codes of the family graphs with kept labels in ascending order
+    and every setting of the edges among the outer vertices."""
+    incident = _c0_edges(n, k)
     free = _free_edge_codes(n, k)
+    patterns: set[int] = set()
+    ascending: set[int] = set()
     for inner in enumerate_labeled_graphs(k):
         if not is_admissible(inner, kind):
             continue
         labels = eligible_outer_labels(kind.separation, inner)
-        pool = len(labels)
-        r = (k + pool) - n
-        if r < 0 or r > min(removal_cap(kind, k, inner), pool):
+        if k + len(labels) - n > removal_cap(kind, k, inner):
             continue
-        for removed in itertools.combinations(labels, r):
-            kept = [m for m in labels if m not in removed]
-            base = graph_code(Graph(n, tuple(_attach_outer(inner, kept))))
-            out.update([base | f for f in free])
-    return out
+        for kept in itertools.permutations(labels, n - k):
+            adj = _attach_outer(inner, kept)
+            patterns.add(sum(1 << s for s, (i, j) in enumerate(incident) if adj[i] >> j & 1))
+            if list(kept) == sorted(kept):
+                base = graph_code(Graph(n, tuple(adj)))
+                ascending.update([base | f for f in free])
+    return patterns, ascending
 
 
 def _free_edge_codes(n: int, k: int, perm: Sequence[int] = ()) -> list[int]:
@@ -430,7 +441,7 @@ def _invariant_key(g: Graph) -> tuple:
     return (tuple(sorted(degs)), tuple(profile))
 
 
-def _iso_class_reps(codes: list[int], n: int) -> list[Graph]:
+def _iso_class_reps(codes: Iterable[int], n: int) -> list[Graph]:
     buckets: dict[tuple, list[Graph]] = defaultdict(list)
     for code in sorted(codes):
         g = graph_from_code(n, code)
@@ -440,28 +451,11 @@ def _iso_class_reps(codes: list[int], n: int) -> list[Graph]:
     return [rep for _, bucket in sorted(buckets.items()) for rep in bucket]
 
 
-def _expand_labelings(reps: list[Graph], n: int) -> set[int]:
-    pos = [[0] * n for _ in range(n)]
-    for t, (i, j) in enumerate(edge_bit_pairs(n)):
-        pos[i][j] = pos[j][i] = t
-    out: set[int] = set()
-    for rep in reps:
-        edges = rep.edges()
-        for perm in itertools.permutations(range(n)):
-            code = 0
-            for i, j in edges:
-                code |= 1 << pos[perm[i]][perm[j]]
-            out.add(code)
-    return out
-
-
 def _c0_patterns(kind_name: str, n: int, k: int, lo: int, hi: int) -> list[int]:
     """Patterns in [lo, hi) of the edges meeting C0 = {0..k-1} under which
-    C0 is a kind-code. Bit s of a pattern is the s-th such edge in edge-code
-    order; the edges among the other vertices are left out, as no code test
-    reads them."""
+    C0 is a kind-code."""
     kind = CodeKind[kind_name]
-    incident = [(i, j) for i, j in edge_bit_pairs(n) if i < k]
+    incident = _c0_edges(n, k)
     bits = [1 << v for v in range(n)]
     c0 = (1 << k) - 1
     empty = [0] * n
@@ -490,36 +484,35 @@ def _c0_patterns(kind_name: str, n: int, k: int, lo: int, hi: int) -> list[int]:
     return out
 
 
-def _attaining_codes(kind: CodeKind, n: int, k: int, jobs: int = 1) -> set[int]:
-    """Edge codes of every labeled graph of order n that has a kind-code of
-    size k: for each k-set C, the good patterns of C0 = {0..k-1} carried to
-    C by the relabeling that maps C0 onto C and the rest onto the rest, both
-    in ascending order, each with every setting of the edges among the
-    other n - k vertices, which no code test of C reads."""
-    pairs = edge_bit_pairs(n)
-    incident = [(i, j) for i, j in pairs if i < k]
-    parts = scan(partial(_c0_patterns, kind.name, n, k), 1 << len(incident), jobs)
-    patterns = [p for part in parts for p in part]
+def _label_closure(patterns: Iterable[int], n: int, k: int) -> set[int]:
+    """Edge codes of the labeled graphs of order n that carry a C0-pattern in
+    `patterns` on some k-set C: each pattern moved to C by the relabeling
+    that maps C0 onto C and the rest onto the rest, both in ascending order,
+    with every setting of the edges among the other n - k vertices. Any
+    relabeling is one of these after one within C0 and one within the rest,
+    so for patterns closed under those two this is the closure under all n!."""
     bit_of = [[0] * n for _ in range(n)]
-    for t, (i, j) in enumerate(pairs):
+    for t, (i, j) in enumerate(edge_bit_pairs(n)):
         bit_of[i][j] = bit_of[j][i] = 1 << t
-    attaining: set[int] = set()
+    incident = _c0_edges(n, k)
+    supports = [members(p) for p in patterns]
+    closure: set[int] = set()
     for code_set in itertools.combinations(range(n), k):
         perm = code_set + tuple(v for v in range(n) if v not in code_set)
         images = [bit_of[perm[i]][perm[j]] for i, j in incident]
-        moved = []
-        for pattern in patterns:
-            code = 0
-            s = 0
-            while pattern:
-                if pattern & 1:
-                    code |= images[s]
-                pattern >>= 1
-                s += 1
-            moved.append(code)
+        # the images are distinct single bits, so their sum is their union
+        moved = [sum(map(images.__getitem__, bits)) for bits in supports]
         for f in _free_edge_codes(n, k, perm):
-            attaining.update([code | f for code in moved])
-    return attaining
+            closure.update([code | f for code in moved])
+    return closure
+
+
+def _attaining_codes(kind: CodeKind, n: int, k: int, jobs: int = 1) -> set[int]:
+    """Edge codes of every labeled graph of order n that has a kind-code of
+    size k: the label closure of the C0-patterns under which C0 is a
+    kind-code, which are closed under relabeling within C0 and the rest."""
+    parts = scan(partial(_c0_patterns, kind.name, n, k), 1 << len(_c0_edges(n, k)), jobs)
+    return _label_closure([p for part in parts for p in part], n, k)
 
 
 def audit_characterization(
@@ -532,22 +525,23 @@ def audit_characterization(
 ) -> AuditReport:
     """Check the extremal characterization at order n.
 
-    Exhaustive mode collects every labeled graph whose kind-number attains
-    the logarithmic bound k and verifies exact equality with the
-    label-closure of the characterization family (both directions, up to
-    isomorphism). As no code is smaller than k, a graph attains k exactly
-    when some k-set is a code. A code test reads only the edges meeting the
-    candidate set, so the attaining graphs are found by projection
-    (_attaining_codes): the patterns of the edges meeting {0..k-1} are
-    tested once with the definitional mask test, moved to every other k-set
-    by relabeling, and combined with every setting of the edges the test
-    never reads. This is exact, not a sample: it yields the same set as
-    testing every k-set on each of the 2^(n(n-1)/2) labeled graphs, and it
-    uses nothing of the construction, so the two sides stay independent.
-    `jobs` (clamped to [1, os.cpu_count()]) shards the pattern scan; the
-    result does not depend on it. Sampled mode solves seeded random graphs
-    and structurally checks every attaining one against the
-    construction."""
+    Exhaustive mode checks that the labeled graphs whose kind-number attains
+    the logarithmic bound k are exactly the relabelings of the
+    characterization family. Each side is a set of patterns of the edges
+    meeting C0 = {0..k-1}, closed under relabeling within C0 and within the
+    rest, and the one _label_closure carries both to every k-set and adds
+    every setting of the edges among the other vertices, which no code test
+    of the k-set reads. The attaining side keeps the patterns under which C0
+    is a code, each tested once with the definitional mask test; as no code
+    is smaller than k, a graph attains k exactly when some k-set is a code.
+    It uses nothing of the construction, so the two sides stay independent.
+    The family side takes every admissible inner graph, allowed removal set
+    and order of the kept outer labels. Two tests check the shared carry:
+    the attaining side against `is_code` on every labeled graph, the family
+    side against all n! relabelings of each family graph. `jobs` (clamped
+    to [1, os.cpu_count()]) shards the pattern scan; the result does not
+    depend on it. Sampled mode solves seeded random graphs and structurally
+    checks every attaining one against the construction."""
     k = lower_bound(kind, n)
     if k < 1:
         raise GuardError(f"no attainment theory at order {n} (bound is {k})")
@@ -558,9 +552,9 @@ def audit_characterization(
             )
         # before the family side, so that a pool forks a small process
         attaining = _attaining_codes(kind, n, k, jobs)
-        family = _family_labeled_codes(kind, n, k)
-        reps = _iso_class_reps(sorted(family), n)
-        closure = _expand_labelings(reps, n)
+        patterns, ascending = _family_patterns(kind, n, k)
+        closure = _label_closure(patterns, n, k)
+        reps = _iso_class_reps(ascending, n)
         missing = sorted(closure - attaining)
         unexpected = sorted(attaining - closure)
 

@@ -111,28 +111,29 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(order, tuple(adj))
 
 
+# The presets hand build_graph lazy edges, so it checks the order before
+# anything of that size is built.
 def empty_graph(order: int) -> Graph:
-    return Graph(order, (0,) * order)
+    return build_graph(order, ())
 
 
 def complete_graph(order: int) -> Graph:
-    full = (1 << order) - 1
-    return Graph(order, tuple(full ^ (1 << v) for v in range(order)))
+    return build_graph(order, ((u, v) for v in range(order) for u in range(v)))
 
 
 def path_graph(order: int) -> Graph:
-    return build_graph(order, [(v, v + 1) for v in range(order - 1)])
+    return build_graph(order, ((v, v + 1) for v in range(order - 1)))
 
 
 def cycle_graph(order: int) -> Graph:
     if order < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    return build_graph(order, [(v, (v + 1) % order) for v in range(order)])
+    return build_graph(order, ((v, (v + 1) % order) for v in range(order)))
 
 
 def matching_graph(order: int) -> Graph:
     """Disjoint edges (2v, 2v+1); a final odd vertex stays isolated."""
-    return build_graph(order, [(v, v + 1) for v in range(0, order - 1, 2)])
+    return build_graph(order, ((v, v + 1) for v in range(0, order - 1, 2)))
 
 
 def complement(g: Graph) -> Graph:

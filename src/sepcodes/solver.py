@@ -16,6 +16,7 @@ from .codes import ALL_KINDS, CodeKind, Separation, is_admissible, is_code
 from .errors import BudgetError, GuardError
 from .graphs import (
     ENUMERATION_GUARD,
+    MAX_VERTICES,
     Graph,
     decode_edges,
     edge_bit_pairs,
@@ -50,6 +51,8 @@ def max_order(kind: CodeKind, k: int) -> int:
     minimum = 4 if kind in (CodeKind.FD, CodeKind.FTD) else 2
     if k < minimum:
         raise ValueError(f"{kind.name} requires k >= {minimum}, got {k}")
+    if k > MAX_VERTICES:  # no graph holds a larger code
+        raise ValueError(f"{kind.name} requires k <= {MAX_VERTICES}, got {k}")
     if kind in (CodeKind.LD, CodeKind.LTD):
         return (1 << k) + k - 1
     if kind is CodeKind.OD:

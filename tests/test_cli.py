@@ -4,9 +4,13 @@ byte-identical deterministic output."""
 from __future__ import annotations
 
 import json
+import tracemalloc
+
+import pytest
 
 from sepcodes import cycle_graph, emit_graph6, path_graph
 from sepcodes.cli import main
+from sepcodes.extremal import INNER_PRESETS
 
 K3_G6 = "Bw"
 BLUEPRINT_I3 = "sep=I\nk=3\ninner=empty\nouter=empty\n"
@@ -118,6 +122,26 @@ def test_construct_blueprint_error(tmp_path, capsys):
     assert "k >= 4" in err
 
 
+@pytest.mark.parametrize("preset", ["empty", "complete", "path", "matching"])
+def test_construct_rejects_oversized_preset_before_building_it(tmp_path, capsys, preset):
+    # at a bounded order first, so that a preset which builds its input
+    # before checking the order fails here, not on the blueprint below
+    # (about 125 GB for complete at k = 1000000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="order must be in"):
+            INNER_PRESETS[preset](32000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    path = tmp_path / "bp.txt"
+    path.write_text(f"sep=I\nk=1000000\ninner={preset}\n")
+    status, out, err = run(capsys, ["construct", str(path)])
+    assert status == 2
+    assert "order must be in [1, 62]" in err and not out
+
+
 def test_verify(tmp_path, capsys):
     path = tmp_path / "bp.txt"
     path.write_text(BLUEPRINT_I3)
@@ -174,6 +198,10 @@ def test_bounds_guard(capsys):
     status, _, err = run(capsys, ["bounds", "--kind", "fd", "--k", "3"])
     assert status == 4
     assert "k >= 4" in err
+    # 2^k has about 6000 digits here, more than json or str will print
+    status, out, err = run(capsys, ["bounds", "--kind", "ld", "--k", "20000"])
+    assert status == 4
+    assert "k <= 62" in err and not out
 
 
 def test_jobs_below_one_is_rejected(capsys):

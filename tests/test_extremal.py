@@ -38,6 +38,7 @@ from sepcodes import (
     lower_bound,
     materialize,
     matching_graph,
+    members,
     min_code,
     od_disconnection_case,
     open_signature,
@@ -49,7 +50,7 @@ from sepcodes import (
     verify_extremal,
     vset,
 )
-from sepcodes.extremal import _attaining_codes
+from sepcodes.extremal import _attaining_codes, _family_patterns, _label_closure
 
 PATH_PLUS_ISOLATE_5 = Graph(5, tuple(path_graph(4).adj) + (0,))
 
@@ -385,6 +386,46 @@ def test_structure_check_accepts_every_attaining_graph(kind, n):
         g = graph_from_code(n, code)
         check = extremal_structure_check(g, min_code(g, kind).witness, kind)
         assert check.ok, (emit_graph6(g), check.reason)
+
+
+def _fixed_partition_family(kind, n, k):
+    """Every family graph of order n with the code on 0..k-1, the kept outer
+    labels in ascending order on k..n-1, and every setting of the edges
+    among the outer vertices."""
+    outer_pairs = list(itertools.combinations(range(k, n), 2))
+    out = []
+    for inner in enumerate_labeled_graphs(k):
+        if not is_admissible(inner, kind):
+            continue
+        labels = eligible_outer_labels(kind.separation, inner)
+        if not 0 <= k + len(labels) - n <= removal_cap(kind, k, inner):
+            continue
+        for kept in itertools.combinations(labels, n - k):
+            edges = list(inner.edges())
+            edges += [(u, k + idx) for idx, label in enumerate(kept) for u in members(label)]
+            for chosen in range(1 << len(outer_pairs)):
+                extra = [pair for t, pair in enumerate(outer_pairs) if chosen >> t & 1]
+                out.append(build_graph(n, edges + extra))
+    return out
+
+
+FAMILY_CASES = [
+    (kind, n) for kind in CodeKind for n in range(1, 7) if lower_bound(kind, n) >= 1
+]
+
+
+@pytest.mark.parametrize("kind,n", FAMILY_CASES)
+def test_family_closure_matches_relabeling(kind, n):
+    # the projected closure against every family graph relabeled by all n!
+    # permutations; the outer orders are what make the projection complete
+    k = lower_bound(kind, n)
+    expected = {
+        graph_code(relabeled(g, perm))
+        for g in _fixed_partition_family(kind, n, k)
+        for perm in itertools.permutations(range(n))
+    }
+    patterns, _ = _family_patterns(kind, n, k)
+    assert _label_closure(patterns, n, k) == expected
 
 
 def test_audit_parallel_matches_serial(monkeypatch):

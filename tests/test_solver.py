@@ -8,7 +8,7 @@ import random
 from math import comb
 
 import pytest
-from conftest import k1, k2, k3, p3, p4, random_graph, two_k1
+from conftest import k1, k2, k3, p3, p4, random_graph, relabeled, two_k1
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -38,8 +38,8 @@ from sepcodes.solver import make_mask_checker, resolve_jobs
 
 
 @st.composite
-def graphs(draw):
-    n = draw(st.integers(1, 12))
+def graphs(draw, max_order=12):
+    n = draw(st.integers(1, max_order))
     return graph_from_code(n, draw(st.integers(0, (1 << comb(n, 2)) - 1)))
 
 
@@ -82,6 +82,8 @@ def test_max_order_guards():
         max_order(CodeKind.LD, 1)
     with pytest.raises(ValueError, match="k >= 4"):
         max_order(CodeKind.FD, 3)
+    with pytest.raises(ValueError, match="k <= 62"):
+        max_order(CodeKind.LD, 20000)
 
 
 def test_min_code_point_values():
@@ -185,6 +187,13 @@ def test_family_hitting_agrees_with_is_code(g, data):
         for _ in range(8):
             mask = data.draw(st.integers(0, (1 << g.order) - 1))
             assert all(s & mask for s in family) == is_code(g, mask, kind)
+
+
+@given(graphs(max_order=10), st.data())
+def test_number_is_unchanged_under_relabeling(g, data):
+    h = relabeled(g, data.draw(st.permutations(range(g.order))))
+    for kind in ALL_KINDS:
+        assert min_code(h, kind).number == min_code(g, kind).number
 
 
 def _assert_solved(g, kind, number):
