@@ -45,6 +45,7 @@ from .graphs import (
     Graph,
     TwinReport,
     build_graph,
+    canonical_form,
     closed_neighborhood,
     complement,
     complete_graph,
@@ -53,6 +54,7 @@ from .graphs import (
     empty_graph,
     enumerate_labeled_graphs,
     family_membership,
+    graph_classes,
     graph_code,
     graph_from_code,
     induced_subgraph,

@@ -185,7 +185,7 @@ def _audit_payload(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 def _census_payload(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     kind = CodeKind.parse(args.kind)
     jobs = _at_least_one(args, "jobs")
-    report = census(kind, args.n, jobs=jobs, allow_large=args.allow_large)
+    report = census(kind, args.n, jobs=jobs)
     payload = {
         "command": "census",
         "kind": kind.name,
@@ -274,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
-    p.add_argument("--allow-large", action="store_true")
     add_common(p)
     p.set_defaults(run=_census_payload)
 

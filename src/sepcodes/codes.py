@@ -45,7 +45,7 @@ class CodeKind(enum.Enum):
 
     @cached_property
     def separation(self) -> Separation:
-        # cached: the census reads it once per graph
+        # cached: min_code reads it twice per graph (is_admissible, separation_family)
         return Separation(self.name[0])
 
     @property

@@ -193,12 +193,14 @@ def _validate_blueprint(bp: ExtremalBlueprint) -> tuple[int, ...]:
                 Separation.FULL: "twin-free",
             }[bp.separation]
             raise BlueprintError(f"inner graph must be {condition}")
-    labels = eligible_outer_labels(bp.separation, bp.inner)
-    order0 = bp.k + len(labels)
+    # from the formula, before the up to 2^k - 1 labels are listed
+    order0 = expected_order(bp.separation, bp.k, inner_has_isolated(bp.inner))
     if order0 > MAX_VERTICES:
         raise BlueprintError(
             f"construction order {order0} exceeds capacity {MAX_VERTICES}"
         )
+    labels = eligible_outer_labels(bp.separation, bp.inner)
+    assert bp.k + len(labels) == order0, "expected_order disagrees with the eligible labels"
     if bp.outer.mode == "explicit" and bp.outer.graph.order != len(labels):
         raise BlueprintError(
             f"explicit outer graph has order {bp.outer.graph.order}, "

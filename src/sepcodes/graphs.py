@@ -17,6 +17,9 @@ from .errors import GuardError
 
 MAX_VERTICES = 62
 ENUMERATION_GUARD = 7
+# canonical_form visits every leaf of its search tree, n! of them on the
+# empty and complete graphs (40320 at 8, 362880 at 9)
+CENSUS_GUARD = 8
 ISOMORPHISM_GUARD = 10
 PARTITION_GUARD = 20
 
@@ -311,6 +314,117 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
         return False
 
     return place(0)
+
+
+def _refine(adj: Sequence[int], cells: list[int], splitters: list[int]) -> list[int]:
+    """Split the ordered partition `cells` (vertex masks) until it is
+    equitable: the vertices of each cell have equally many neighbours in
+    every cell. `cells` must be equitable except with respect to the
+    splitters. A cell that splits is replaced in place by its parts in
+    ascending neighbour count, and each part becomes a splitter, so the
+    result does not depend on the labeling."""
+    n = len(adj)
+    queue = list(splitters)
+    while queue and len(cells) < n:
+        w = queue.pop()
+        out = []
+        for cell in cells:
+            if cell & (cell - 1):
+                parts: dict[int, int] = {}
+                rest = cell
+                while rest:
+                    low = rest & -rest
+                    key = (adj[low.bit_length() - 1] & w).bit_count()
+                    parts[key] = parts.get(key, 0) | low
+                    rest ^= low
+                if len(parts) > 1:
+                    split = [parts[key] for key in sorted(parts)]
+                    out += split
+                    queue += split
+                    continue
+            out.append(cell)
+        cells = out
+    return cells
+
+
+def _canonical(n: int, adj: Sequence[int]) -> tuple[int, int]:
+    """canonical_form on an adjacency table, unguarded."""
+    best = -1
+    count = 0
+    shifts = [j * (j - 1) // 2 for j in range(n)]
+
+    def visit(cells: list[int]) -> None:
+        nonlocal best, count
+        for i, cell in enumerate(cells):
+            if cell & (cell - 1):
+                break
+        else:
+            # a leaf: cell p holds the vertex that gets label p
+            order = [c.bit_length() - 1 for c in cells]
+            code = 0
+            for j in range(1, n):
+                row = adj[order[j]]
+                for p in range(j):
+                    if row >> order[p] & 1:
+                        code |= 1 << (shifts[j] + p)
+            if code > best:
+                best, count = code, 1
+            elif code == best:
+                count += 1
+            return
+        rest = cell
+        while rest:
+            low = rest & -rest
+            visit(_refine(adj, cells[:i] + [low, cell ^ low] + cells[i + 1:], [low]))
+            rest ^= low
+
+    full = (1 << n) - 1
+    visit(_refine(adj, [full], [full]))
+    return best, count
+
+
+def _check_census_order(order: int) -> None:
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    if order > CENSUS_GUARD:
+        raise GuardError(f"canonical forms are guarded at order {CENSUS_GUARD}")
+
+
+def canonical_form(g: Graph) -> tuple[int, int]:
+    """(certificate, |Aut(g)|) by equitable refinement and individualization
+    (McKay 1981). The search refines the unit partition to an equitable one,
+    then individualizes each vertex of the first non-singleton cell in turn
+    and refines again, down to discrete partitions, with no automorphism
+    pruning. Each leaf orders the vertices; the certificate is the largest
+    edge code (graph_code numbering) over the leaves, so two graphs are
+    isomorphic exactly when their certificates are equal, and
+    graph_from_code(order, certificate) is a canonical representative.
+    Automorphisms map leaves to leaves and act freely on them, so the leaves
+    reaching the certificate number |Aut(g)|. Guarded at CENSUS_GUARD."""
+    _check_census_order(g.order)
+    return _canonical(g.order, g.adj)
+
+
+def graph_classes(order: int) -> dict[int, int]:
+    """{certificate: |Aut|} for every isomorphism class of graphs on `order`
+    vertices. Each class at order m - 1 is extended by a new vertex with
+    each of the 2^(m-1) neighbourhoods, and the extensions are deduplicated
+    by certificate (the simplest orderly generation; Read 1978, Faradzev
+    1978). The class of a graph holds order!/|Aut| labeled graphs. Guarded
+    at CENSUS_GUARD, checked before any work."""
+    _check_census_order(order)
+    classes = {0: 1}
+    for m in range(2, order + 1):
+        # the new vertex is m - 1, so its edges are the top m - 1 code bits
+        shift = comb(m - 1, 2)
+        pairs = edge_bit_pairs(m)
+        extended: dict[int, int] = {}
+        for code in classes:
+            for neighbours in range(1 << (m - 1)):
+                cert, aut = _canonical(m, decode_edges(m, code | neighbours << shift, pairs))
+                extended[cert] = aut
+        classes = extended
+    return classes
 
 
 @dataclass(frozen=True)

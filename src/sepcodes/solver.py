@@ -4,25 +4,17 @@ checks between the eight code numbers."""
 
 from __future__ import annotations
 
-import itertools
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from math import factorial
 from typing import Callable, TypeVar
 
 from .codes import ALL_KINDS, CodeKind, Separation, is_admissible, is_code
 from .errors import BudgetError, GuardError
-from .graphs import (
-    ENUMERATION_GUARD,
-    MAX_VERTICES,
-    Graph,
-    decode_edges,
-    edge_bit_pairs,
-    labeled_graph_count,
-    members,
-)
+from .graphs import MAX_VERTICES, Graph, graph_classes, graph_from_code, members
 
 DEFAULT_BUDGET = 5_000_000
 ORACLE_GUARD = 20
@@ -310,48 +302,31 @@ class CensusReport:
     inadmissible: int
 
 
-def _census_range(kind_name: str, n: int, lo: int, hi: int) -> tuple[dict[int, int], int]:
+def _census_classes(
+    kind_name: str, n: int, classes: list[tuple[int, int]], lo: int, hi: int
+) -> tuple[dict[int, int], int]:
     kind = CodeKind[kind_name]
-    pairs = edge_bit_pairs(n)
-    bits = [1 << v for v in range(n)]
-    masks_by_size = [
-        [sum(bits[v] for v in combo) for combo in itertools.combinations(range(n), size)]
-        for size in range(n + 1)
-    ]
-    full = (1 << n) - 1
-    lb = max(1, lower_bound(kind, n))
+    labelings = factorial(n)
     hist: Counter[int] = Counter()
     inadmissible = 0
-    for code in range(lo, hi):
-        adj = decode_edges(n, code, pairs)
-        closed = [adj[v] | bits[v] for v in range(n)]
-        check = make_mask_checker(n, adj, closed, kind)
-        # every superset of a code is a code, so a graph has one exactly
-        # when its whole vertex set is one
-        if not check(full):
-            inadmissible += 1
-            continue
-        number = None
-        for size in range(lb, n + 1):
-            if any(check(m) for m in masks_by_size[size]):
-                number = size
-                break
-        hist[number] += 1
+    for cert, aut in classes[lo:hi]:
+        weight = labelings // aut
+        number = min_code(graph_from_code(n, cert), kind).number
+        if number is None:
+            inadmissible += weight
+        else:
+            hist[number] += weight
     return dict(hist), inadmissible
 
 
-def census(
-    kind: CodeKind, n: int, jobs: int = 1, allow_large: bool = False
-) -> CensusReport:
-    """Kind-number histogram over every labeled graph on n vertices."""
-    if n < 1:
-        raise ValueError("order must be at least 1")
-    if n > ENUMERATION_GUARD and not allow_large:
-        raise GuardError(
-            f"census enumeration is guarded at order {ENUMERATION_GUARD}; "
-            f"pass allow_large=True to override"
-        )
-    results = scan(partial(_census_range, kind.name, n), labeled_graph_count(n), jobs)
+def census(kind: CodeKind, n: int, jobs: int = 1) -> CensusReport:
+    """Kind-number histogram over every labeled graph on n vertices. The
+    graphs are taken one isomorphism class at a time (graphs.graph_classes):
+    min_code solves the class representative, and the class counts
+    n!/|Aut| labeled graphs, all with the same kind-number. The classes are
+    sharded by `scan`. Guarded at CENSUS_GUARD."""
+    classes = list(graph_classes(n).items())
+    results = scan(partial(_census_classes, kind.name, n, classes), len(classes), jobs)
     hist: Counter[int] = Counter()
     inadmissible = 0
     for part_hist, part_inadm in results:

@@ -8,8 +8,9 @@ from math import comb
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
-from sepcodes import Graph, build_graph, graph_from_code
+from sepcodes import Graph, build_graph, graph_classes, graph_from_code
 
 # Property tests draw the same examples on every run and stay bounded, so
 # the suite is deterministic and fast; no example database is written.
@@ -47,12 +48,24 @@ def random_graph(rng: random.Random, n: int) -> Graph:
     return graph_from_code(n, rng.getrandbits(comb(n, 2)))
 
 
+@st.composite
+def graphs(draw, max_order=12):
+    n = draw(st.integers(1, max_order))
+    return graph_from_code(n, draw(st.integers(0, (1 << comb(n, 2)) - 1)))
+
+
 def relabeled(g: Graph, perm: list[int]) -> Graph:
     adj = [0] * g.order
     for u, v in g.edges():
         adj[perm[u]] |= 1 << perm[v]
         adj[perm[v]] |= 1 << perm[u]
     return Graph(g.order, tuple(adj))
+
+
+@pytest.fixture(scope="session")
+def classes_by_order() -> dict[int, dict[int, int]]:
+    """graph_classes(n) for n = 1..7, built once per test run."""
+    return {n: graph_classes(n) for n in range(1, 8)}
 
 
 @pytest.fixture

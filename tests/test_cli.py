@@ -8,7 +8,16 @@ import tracemalloc
 
 import pytest
 
-from sepcodes import cycle_graph, emit_graph6, path_graph
+from sepcodes import (
+    BlueprintError,
+    ExtremalBlueprint,
+    Separation,
+    cycle_graph,
+    emit_graph6,
+    empty_graph,
+    materialize,
+    path_graph,
+)
 from sepcodes.cli import main
 from sepcodes.extremal import INNER_PRESETS
 
@@ -142,6 +151,25 @@ def test_construct_rejects_oversized_preset_before_building_it(tmp_path, capsys,
     assert "order must be in [1, 62]" in err and not out
 
 
+def test_construct_rejects_oversized_order_before_listing_labels(tmp_path, capsys):
+    # at k = 20 first, so that a check which lists the 2^20 - 1 labels
+    # before the order fails here, not on the blueprint below (about 10^12
+    # labels at k = 40)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BlueprintError, match="exceeds capacity"):
+            materialize(ExtremalBlueprint(Separation.LOCATION, 20, empty_graph(20)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    path = tmp_path / "bp.txt"
+    path.write_text("sep=L\nk=40\ninner=empty\n")
+    status, out, err = run(capsys, ["construct", str(path)])
+    assert status == 2
+    assert "exceeds capacity 62" in err and not out
+
+
 def test_verify(tmp_path, capsys):
     path = tmp_path / "bp.txt"
     path.write_text(BLUEPRINT_I3)
@@ -172,7 +200,7 @@ def test_census(capsys):
 
 
 def test_census_guard(capsys):
-    status, _, _ = run(capsys, ["census", "--kind", "ld", "--n", "8"])
+    status, _, _ = run(capsys, ["census", "--kind", "ld", "--n", "9"])
     assert status == 4
 
 

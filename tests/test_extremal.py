@@ -50,7 +50,12 @@ from sepcodes import (
     verify_extremal,
     vset,
 )
-from sepcodes.extremal import _attaining_codes, _family_patterns, _label_closure
+from sepcodes.extremal import (
+    _attaining_codes,
+    _family_patterns,
+    _label_closure,
+    inner_has_isolated,
+)
 
 PATH_PLUS_ISOLATE_5 = Graph(5, tuple(path_graph(4).adj) + (0,))
 
@@ -131,6 +136,21 @@ def test_order_formulas_over_random_policies():
             isolated = any(inner.adj[v] == 0 for v in range(k))
             assert me.graph.order == expected_order(sep, k, isolated)
             done += 1
+
+
+def test_expected_order_agrees_with_the_eligible_labels(classes_by_order):
+    # _validate_blueprint rejects an oversized order from the formula and only
+    # then lists the labels. Both sides depend only on the isomorphism class
+    # of the inner graph, so one representative per class covers every inner
+    # graph of order k.
+    for k in range(1, 7):
+        for cert in classes_by_order[k]:
+            inner = graph_from_code(k, cert)
+            isolated = inner_has_isolated(inner)
+            for sep in Separation:
+                if sep is Separation.LOCATION or is_admissible(inner, CodeKind(sep.value + "D")):
+                    labels = eligible_outer_labels(sep, inner)
+                    assert k + len(labels) == expected_order(sep, k, isolated)
 
 
 def test_blueprint_validation_errors():

@@ -4,15 +4,19 @@ partition-family membership."""
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
+from math import factorial
 
 import pytest
-from conftest import k1, k2, k3, p3, p4, random_graph, relabeled, two_k1
+from conftest import graphs, k1, k2, k3, p3, p4, random_graph, relabeled, two_k1
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sepcodes import (
     Graph,
     GuardError,
     build_graph,
+    canonical_form,
     closed_neighborhood,
     complement,
     complete_graph,
@@ -21,6 +25,7 @@ from sepcodes import (
     empty_graph,
     enumerate_labeled_graphs,
     family_membership,
+    graph_classes,
     graph_code,
     graph_from_code,
     induced_subgraph,
@@ -32,6 +37,7 @@ from sepcodes import (
     twin_report,
     vset,
 )
+from sepcodes.graphs import CENSUS_GUARD
 
 
 def test_vset_members_roundtrip():
@@ -199,6 +205,81 @@ def test_is_isomorphic_against_networkx():
         H.add_nodes_from(range(n))
         H.add_edges_from(h.edges())
         assert is_isomorphic(g, h) == nx.is_isomorphic(G, H)
+
+
+def test_canonical_form_guard(monkeypatch):
+    # rejected before the search starts: a stand-in search fails if reached
+    def no_search(n, adj):
+        raise AssertionError("the search ran past the guard")
+
+    monkeypatch.setattr("sepcodes.graphs._canonical", no_search)
+    with pytest.raises(GuardError):
+        canonical_form(path_graph(CENSUS_GUARD + 1))
+    with pytest.raises(GuardError):
+        graph_classes(CENSUS_GUARD + 1)
+    with pytest.raises(ValueError):
+        graph_classes(0)
+
+
+def test_canonical_form_examples():
+    # a path's certificate labels its ends 0 and 1: edges (1,2), (0,3), (2,3)
+    assert canonical_form(p4()) == (0b101100, 2)
+    assert canonical_form(empty_graph(5)) == (0, 120)
+    assert canonical_form(complete_graph(5)) == ((1 << 10) - 1, 120)
+    assert canonical_form(cycle_graph(6))[1] == 12
+    assert canonical_form(k1()) == (0, 1)
+
+
+# graphs on n unlabeled vertices, OEIS A000088
+CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+
+
+def test_graph_classes_match_the_networkx_atlas(classes_by_order):
+    nx = pytest.importorskip("networkx")
+    atlas: dict[int, set[int]] = {}
+    for G in nx.graph_atlas_g()[1:]:  # every graph on 1 to 7 vertices
+        n = G.number_of_nodes()
+        atlas.setdefault(n, set()).add(canonical_form(build_graph(n, G.edges()))[0])
+    for n, count in CLASS_COUNTS.items():
+        assert len(classes_by_order[n]) == count
+        assert set(classes_by_order[n]) == atlas[n]
+
+
+def test_class_weights_count_every_labeled_graph(classes_by_order):
+    for n, classes in classes_by_order.items():
+        assert all(factorial(n) % aut == 0 for aut in classes.values())
+        assert sum(factorial(n) // aut for aut in classes.values()) == labeled_graph_count(n)
+
+
+def test_automorphism_counts_match_brute_force(classes_by_order):
+    for n in range(1, 7):
+        for cert, aut in classes_by_order[n].items():
+            g = graph_from_code(n, cert)
+            assert canonical_form(g) == (cert, aut)  # the representative is canonical
+            edges = set(g.edges())
+            fixing = sum(
+                {(min(p[u], p[v]), max(p[u], p[v])) for u, v in edges} == edges
+                for p in permutations(range(n))
+            )
+            assert aut == fixing
+
+
+@given(graphs(max_order=7), st.data())
+def test_certificate_decides_isomorphism(g, data):
+    h = relabeled(g, data.draw(st.permutations(range(g.order))))
+    assert canonical_form(h) == canonical_form(g)
+    # move one edge of h: same order and edge count, isomorphic or not
+    edges = set(h.edges())
+    non_edges = [e for e in combinations(range(g.order), 2) if e not in edges]
+    if edges and non_edges:
+        edges.remove(data.draw(st.sampled_from(sorted(edges))))
+        edges.add(data.draw(st.sampled_from(non_edges)))
+    f = build_graph(g.order, edges)
+    nx = pytest.importorskip("networkx")
+    F, G = nx.empty_graph(g.order), nx.empty_graph(g.order)
+    F.add_edges_from(f.edges())
+    G.add_edges_from(g.edges())
+    assert (canonical_form(f)[0] == canonical_form(g)[0]) == nx.is_isomorphic(F, G)
 
 
 def _partition_membership_oracle(g: Graph) -> tuple[bool, bool, bool]:

@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import os
 import random
-from math import comb
 
 import pytest
-from conftest import k1, k2, k3, p3, p4, random_graph, relabeled, two_k1
+from conftest import graphs, k1, k2, k3, p3, p4, random_graph, relabeled, two_k1
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -22,9 +21,9 @@ from sepcodes import (
     disjoint_union,
     empty_graph,
     enumerate_labeled_graphs,
-    graph_from_code,
     is_admissible,
     is_code,
+    labeled_graph_count,
     lower_bound,
     max_order,
     min_code,
@@ -34,13 +33,7 @@ from sepcodes import (
     separation_family,
     vset,
 )
-from sepcodes.solver import make_mask_checker, resolve_jobs
-
-
-@st.composite
-def graphs(draw, max_order=12):
-    n = draw(st.integers(1, max_order))
-    return graph_from_code(n, draw(st.integers(0, (1 << comb(n, 2)) - 1)))
+from sepcodes.solver import _census_classes, make_mask_checker, resolve_jobs
 
 
 @pytest.mark.parametrize(
@@ -273,6 +266,51 @@ def test_census_matches_oracle():
 
 def test_census_parallel_matches_serial():
     assert census(CodeKind.LD, 4, jobs=2) == census(CodeKind.LD, 4, jobs=1)
+    assert census(CodeKind.ID, 6, jobs=2) == census(CodeKind.ID, 6, jobs=1)
+
+
+# (histogram, inadmissible) at order 6, as the labeled scan of all 2^15
+# graphs gave them before census went over isomorphism classes
+CENSUS_ORDER_SIX = {
+    CodeKind.LD: ({3: 28644, 4: 3910, 5: 213, 6: 1}, 0),
+    CodeKind.LTD: ({3: 23952, 4: 3400, 5: 82, 6: 15}, 5319),
+    CodeKind.OD: ({3: 10422, 4: 8020, 5: 3034}, 11292),
+    CodeKind.OTD: ({3: 2700, 4: 13807, 5: 1726, 6: 555}, 13980),
+    CodeKind.ID: ({3: 7470, 4: 12619, 5: 1386, 6: 1}, 11292),
+    CodeKind.ITD: ({3: 4770, 4: 12187, 5: 1311, 6: 90}, 14410),
+    CodeKind.FD: ({4: 7872, 5: 5952}, 18944),
+    CodeKind.FTD: ({4: 7872, 5: 4080, 6: 360}, 20456),
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_census_order_six_matches_the_labeled_scan(kind):
+    report = census(kind, 6)
+    assert (report.histogram, report.inadmissible) == CENSUS_ORDER_SIX[kind]
+
+
+# attaining_count of the exhaustive audit at order 7 (test_extremal pins the
+# same figures, from the audit's own pattern scan)
+AUDIT_ORDER_SEVEN = {
+    CodeKind.LD: 0,
+    CodeKind.LTD: 0,
+    CodeKind.OD: 351960,
+    CodeKind.OTD: 43260,
+    CodeKind.ID: 137130,
+    CodeKind.ITD: 93030,
+    CodeKind.FD: 0,
+    CodeKind.FTD: 395160,
+}
+
+
+def test_census_order_seven_counts_the_audit_attaining_graphs(classes_by_order):
+    # the census worker over classes built once, rather than census(kind, 7)
+    # building them again for each kind
+    classes = list(classes_by_order[7].items())
+    for kind, attaining in AUDIT_ORDER_SEVEN.items():
+        hist, inadmissible = _census_classes(kind.name, 7, classes, 0, len(classes))
+        assert hist.get(lower_bound(kind, 7), 0) == attaining
+        assert sum(hist.values()) + inadmissible == labeled_graph_count(7)
 
 
 def test_resolve_jobs_clamps_to_cpu_count(monkeypatch):
@@ -292,4 +330,4 @@ def test_census_jobs_are_clamped(spy_pools):
 
 def test_census_guard():
     with pytest.raises(GuardError):
-        census(CodeKind.LD, 8)
+        census(CodeKind.LD, 9)
