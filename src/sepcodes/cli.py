@@ -158,8 +158,9 @@ def _at_least_one(args: argparse.Namespace, name: str) -> int:
 def _audit_payload(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     kind = CodeKind.parse(args.kind)
     jobs = _at_least_one(args, "jobs")
+    trials = _at_least_one(args, "trials")
     report = audit_characterization(
-        kind, args.n, mode=args.mode, seed=args.seed, trials=args.trials, jobs=jobs
+        kind, args.n, mode=args.mode, seed=args.seed, trials=trials, jobs=jobs
     )
     payload: dict[str, Any] = {
         "command": "audit",

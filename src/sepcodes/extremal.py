@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from functools import partial
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .codes import CodeKind, Separation, is_admissible, is_code
 from .errors import BlueprintError, FormatError, GuardError
@@ -29,11 +29,11 @@ from .graphs import (
     Graph,
     build_graph,
     complete_graph,
+    decode_edges,
     disjoint_union,
     edge_bit_pairs,
     empty_graph,
     enumerate_labeled_graphs,
-    graph_code,
     graph_from_code,
     induced_subgraph,
     is_isomorphic,
@@ -232,17 +232,6 @@ def _outer_edges(policy: OuterPolicy, count: int) -> list[tuple[int, int]]:
     return out
 
 
-def _attach_outer(inner: Graph, labels: Sequence[int]) -> list[int]:
-    """Adjacency of `inner` on vertices 0..k-1 plus one outer vertex k + idx
-    per label, adjacent to exactly the members of its label."""
-    k = inner.order
-    adj = list(inner.adj) + list(labels)
-    for idx, label in enumerate(labels):
-        for u in members(label):
-            adj[u] |= 1 << (k + idx)
-    return adj
-
-
 def materialize(bp: ExtremalBlueprint) -> MaterializedExtremal:
     """Build the construction: code vertices 0..k-1 carry the inner graph,
     outer vertices follow in ascending label order, each adjacent to exactly
@@ -251,7 +240,10 @@ def materialize(bp: ExtremalBlueprint) -> MaterializedExtremal:
     labels = _validate_blueprint(bp)
     k = bp.k
     pool = len(labels)
-    adj = _attach_outer(bp.inner, labels)
+    adj = list(bp.inner.adj) + list(labels)
+    for idx, label in enumerate(labels):
+        for u in members(label):
+            adj[u] |= 1 << (k + idx)
     for a, b in _outer_edges(bp.outer, pool):
         adj[k + a] |= 1 << (k + b)
         adj[k + b] |= 1 << (k + a)
@@ -389,8 +381,11 @@ class AuditReport:
 
 def _c0_edges(n: int, k: int) -> list[tuple[int, int]]:
     """The edges meeting C0 = {0..k-1} in edge-code order: bit s of a
-    C0-pattern is edge s. The edges among the other vertices are left out,
-    as no code test of C0 reads them."""
+    C0-pattern is edge s. As edge codes are column-major, the low C(k, 2)
+    bits are the edge code of the inner graph on C0, and after them come k
+    bits per outer vertex j = k..n-1: bit C(k, 2) + (j - k)k + i is the
+    edge (i, j), so the k bits are j's signature on C0. The edges among the
+    outer vertices are left out, as no code test of C0 reads them."""
     return [(i, j) for i, j in edge_bit_pairs(n) if i < k]
 
 
@@ -399,38 +394,37 @@ def _family_patterns(kind: CodeKind, n: int, k: int) -> tuple[set[int], set[int]
     admissible inner graph on C0, allowed removal set, and order of the kept
     labels on the outer vertices k..n-1; and, for the isomorphism classing,
     the edge codes of the family graphs with kept labels in ascending order
-    and every setting of the edges among the outer vertices."""
-    incident = _c0_edges(n, k)
-    free = _free_edge_codes(n, k)
+    and every setting of the edges among the outer vertices. Outer vertex
+    k + i has its label at bit C(k, 2) + ik of a pattern and at bit
+    C(k + i, 2) of an edge code."""
+    inner_bits = comb(k, 2)
+    free = _free_edge_codes(1 << t for t, (i, _) in enumerate(edge_bit_pairs(n)) if i >= k)
     patterns: set[int] = set()
     ascending: set[int] = set()
-    for inner in enumerate_labeled_graphs(k):
+    # ascending by edge code, so the index is the inner graph's edge code
+    for inner_code, inner in enumerate(enumerate_labeled_graphs(k)):
         if not is_admissible(inner, kind):
             continue
         labels = eligible_outer_labels(kind.separation, inner)
         if k + len(labels) - n > removal_cap(kind, k, inner):
             continue
         for kept in itertools.permutations(labels, n - k):
-            adj = _attach_outer(inner, kept)
-            patterns.add(sum(1 << s for s, (i, j) in enumerate(incident) if adj[i] >> j & 1))
-            if list(kept) == sorted(kept):
-                base = graph_code(Graph(n, tuple(adj)))
-                ascending.update([base | f for f in free])
+            patterns.add(
+                inner_code | sum(label << (inner_bits + i * k) for i, label in enumerate(kept))
+            )
+        for kept in itertools.combinations(labels, n - k):
+            base = inner_code | sum(label << comb(k + i, 2) for i, label in enumerate(kept))
+            ascending.update([base | f for f in free])
     return patterns, ascending
 
 
-def _free_edge_codes(n: int, k: int, perm: Sequence[int] = ()) -> list[int]:
-    """Edge codes of every setting of the edges among vertices k..n-1, which
-    no code test of {0..k-1} reads; with `perm`, of those edges carried to
-    (perm[i], perm[j])."""
-    pairs = edge_bit_pairs(n)
-    bit = {pair: 1 << t for t, pair in enumerate(pairs)}
-    perm = perm or range(n)
+def _free_edge_codes(bits: Iterable[int]) -> list[int]:
+    """Every union of the single-bit edge codes `bits`: given the edges among
+    the vertices outside a k-set, every setting of them, which no code test
+    of the k-set reads."""
     free = [0]
-    for i, j in pairs:
-        if i >= k:
-            edge = bit[min(perm[i], perm[j]), max(perm[i], perm[j])]
-            free += [f | edge for f in free]
+    for bit in bits:
+        free += [f | bit for f in free]
     return free
 
 
@@ -455,32 +449,26 @@ def _iso_class_reps(codes: Iterable[int], n: int) -> list[Graph]:
 
 def _c0_patterns(kind_name: str, n: int, k: int, lo: int, hi: int) -> list[int]:
     """Patterns in [lo, hi) of the edges meeting C0 = {0..k-1} under which
-    C0 is a kind-code."""
+    C0 is a kind-code, read by the layout of `_c0_edges`."""
     kind = CodeKind[kind_name]
-    incident = _c0_edges(n, k)
-    bits = [1 << v for v in range(n)]
     c0 = (1 << k) - 1
-    empty = [0] * n
-    adj = empty.copy()
-    closed = bits.copy()
-    # the checker reads adj and closed when called; each pattern refills them
+    inner_bits = comb(k, 2)
+    inner_mask = (1 << inner_bits) - 1
+    shifts = [inner_bits + i * k for i in range(n - k)]
+    inners = [decode_edges(k, code, edge_bit_pairs(k)) for code in range(inner_mask + 1)]
+    closeds = [[nb | 1 << u for u, nb in enumerate(adj)] for adj in inners]
+    adj = [0] * n
+    closed = [0] * n
+    # the checker reads adj and closed when called, and only their bits in
+    # C0: each pattern refills a code vertex with its inner adjacency and an
+    # outer vertex with its signature
     check = make_mask_checker(n, adj, closed, kind)
     out: list[int] = []
     for pattern in range(lo, hi):
-        # decode_edges fused with the refill of closed (the ID n = 7 audit ran 5% slower unfused)
-        adj[:] = empty
-        closed[:] = bits
-        p = pattern
-        s = 0
-        while p:
-            if p & 1:
-                i, j = incident[s]
-                adj[i] |= bits[j]
-                adj[j] |= bits[i]
-                closed[i] |= bits[j]
-                closed[j] |= bits[i]
-            p >>= 1
-            s += 1
+        inner = pattern & inner_mask
+        adj[:k] = inners[inner]
+        closed[:k] = closeds[inner]
+        adj[k:] = closed[k:] = [pattern >> s & c0 for s in shifts]
         if check(c0):
             out.append(pattern)
     return out
@@ -497,6 +485,7 @@ def _label_closure(patterns: Iterable[int], n: int, k: int) -> set[int]:
     for t, (i, j) in enumerate(edge_bit_pairs(n)):
         bit_of[i][j] = bit_of[j][i] = 1 << t
     incident = _c0_edges(n, k)
+    outer_pairs = list(itertools.combinations(range(k, n), 2))
     supports = [members(p) for p in patterns]
     closure: set[int] = set()
     for code_set in itertools.combinations(range(n), k):
@@ -504,7 +493,7 @@ def _label_closure(patterns: Iterable[int], n: int, k: int) -> set[int]:
         images = [bit_of[perm[i]][perm[j]] for i, j in incident]
         # the images are distinct single bits, so their sum is their union
         moved = [sum(map(images.__getitem__, bits)) for bits in supports]
-        for f in _free_edge_codes(n, k, perm):
+        for f in _free_edge_codes(bit_of[perm[i]][perm[j]] for i, j in outer_pairs):
             closure.update([code | f for code in moved])
     return closure
 
@@ -534,7 +523,7 @@ def audit_characterization(
     rest, and the one _label_closure carries both to every k-set and adds
     every setting of the edges among the other vertices, which no code test
     of the k-set reads. The attaining side keeps the patterns under which C0
-    is a code, each tested once with the definitional mask test; as no code
+    is a code, each tested once with `make_mask_checker`; as no code
     is smaller than k, a graph attains k exactly when some k-set is a code.
     It uses nothing of the construction, so the two sides stay independent.
     The family side takes every admissible inner graph, allowed removal set

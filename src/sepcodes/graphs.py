@@ -261,16 +261,13 @@ def graph_code(g: Graph) -> int:
     return code
 
 
-def enumerate_labeled_graphs(order: int, allow_large: bool = False) -> Iterator[Graph]:
+def enumerate_labeled_graphs(order: int) -> Iterator[Graph]:
     """Yield every labeled graph on `order` vertices exactly once, ascending
-    by edge code. Guarded at ENUMERATION_GUARD vertices unless overridden."""
+    by edge code. Guarded at ENUMERATION_GUARD vertices."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    if order > ENUMERATION_GUARD and not allow_large:
-        raise GuardError(
-            f"exhaustive enumeration is guarded at order {ENUMERATION_GUARD}; "
-            f"pass allow_large=True to override"
-        )
+    if order > ENUMERATION_GUARD:
+        raise GuardError(f"exhaustive enumeration is guarded at order {ENUMERATION_GUARD}")
     for code in range(labeled_graph_count(order)):
         yield graph_from_code(order, code)
 

@@ -61,8 +61,8 @@ def make_mask_checker(
 ) -> Callable[[int], bool]:
     """Fused separation+domination test over a candidate code mask.
 
-    Specialized per kind for the solver's hot loops; agrees with
-    codes.is_code on every input (property-tested exhaustively). The
+    Specialized per kind; agrees with codes.is_code on every input
+    (property-tested exhaustively). The
     checker reads adj and closed when called, so a caller may refill them
     in place and keep the checker."""
     total = kind.total_domination

@@ -240,6 +240,14 @@ def test_jobs_below_one_is_rejected(capsys):
             assert "--jobs must be at least 1" in err and not out
 
 
+def test_trials_below_one_is_rejected(capsys):
+    for trials in ("0", "-3"):
+        command = ["audit", "--kind", "id", "--n", "5", "--mode", "sampled", "--trials", trials]
+        status, out, err = run(capsys, command)
+        assert status == 2
+        assert "--trials must be at least 1" in err and not out
+
+
 def test_count(capsys):
     status, out, _ = run(capsys, ["count", "--k", "2", "--format", "json"])
     assert status == 0

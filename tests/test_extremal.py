@@ -52,10 +52,13 @@ from sepcodes import (
 )
 from sepcodes.extremal import (
     _attaining_codes,
+    _c0_edges,
+    _c0_patterns,
     _family_patterns,
     _label_closure,
     inner_has_isolated,
 )
+from sepcodes.graphs import edge_bit_pairs
 
 PATH_PLUS_ISOLATE_5 = Graph(5, tuple(path_graph(4).adj) + (0,))
 
@@ -446,6 +449,29 @@ def test_family_closure_matches_relabeling(kind, n):
     }
     patterns, _ = _family_patterns(kind, n, k)
     assert _label_closure(patterns, n, k) == expected
+
+
+def test_c0_pattern_layout():
+    # the inner graph's edge code, then k signature bits per outer vertex
+    for n in range(2, 9):
+        for k in range(1, n):
+            outer = [(i, j) for j in range(k, n) for i in range(k)]
+            assert _c0_edges(n, k) == list(edge_bit_pairs(k)) + outer
+
+
+PATTERN_CASES = FAMILY_CASES + [(CodeKind.ID, 7)]
+
+
+@pytest.mark.parametrize("kind,n", PATTERN_CASES)
+def test_family_patterns_equal_attaining_patterns(kind, n):
+    # the audit's claim before any relabeling: the family writes exactly the
+    # C0-patterns under which the scan finds C0 a code
+    k = lower_bound(kind, n)
+    attaining = _c0_patterns(kind.name, n, k, 0, 1 << len(_c0_edges(n, k)))
+    patterns, _ = _family_patterns(kind, n, k)
+    assert patterns == set(attaining)
+    if (kind, n) == (CodeKind.ID, 7):
+        assert len(patterns) == 96
 
 
 def test_audit_parallel_matches_serial(monkeypatch):

@@ -140,9 +140,6 @@ def test_enumeration_counts(n, count):
 def test_enumeration_guard():
     with pytest.raises(GuardError):
         next(enumerate_labeled_graphs(8))
-    # explicit override streams fine
-    stream = enumerate_labeled_graphs(8, allow_large=True)
-    assert next(stream).order == 8
 
 
 def test_enumeration_order_is_ascending_code():
