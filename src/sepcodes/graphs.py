@@ -17,8 +17,8 @@ from .errors import GuardError
 
 MAX_VERTICES = 62
 ENUMERATION_GUARD = 7
-# canonical_form visits every leaf of its search tree, n! of them on the
-# empty and complete graphs (40320 at 8, 362880 at 9)
+# graph_classes(9) builds 274668 classes in about 165 s on a 2-vCPU host,
+# and census then solves each of them, once per call
 CENSUS_GUARD = 8
 ISOMORPHISM_GUARD = 10
 PARTITION_GUARD = 20
@@ -344,40 +344,119 @@ def _refine(adj: Sequence[int], cells: list[int], splitters: list[int]) -> list[
     return cells
 
 
-def _canonical(n: int, adj: Sequence[int]) -> tuple[int, int]:
-    """canonical_form on an adjacency table, unguarded."""
-    best = -1
-    count = 0
+def _canonical(n: int, adj: Sequence[int]) -> tuple[int, int, list[tuple[int, ...]]]:
+    """canonical_form on an adjacency table, unguarded, together with the
+    automorphisms the search found, written in the canonical labeling: p
+    maps to a[p] in graph_from_code(n, certificate). They generate the
+    automorphism group."""
     shifts = [j * (j - 1) // 2 for j in range(n)]
+    best = first_code = -1
+    best_order: list[int] = []
+    first_order: list[int] = []
+    # vertex images, first_order[p] -> order[p] of a leaf with the first
+    # leaf's code; one found below a first-path node fixes the vertices
+    # individualized above it, so all those found by the time the node
+    # searches its other children lie in the node's stabilizer
+    autos: list[list[int]] = []
 
-    def visit(cells: list[int]) -> None:
-        nonlocal best, count
+    def child(cells: list[int], i: int, low: int) -> list[int]:
+        cell = cells[i]
+        return _refine(adj, cells[:i] + [low, cell ^ low] + cells[i + 1:], [low])
+
+    def target(cells: list[int]) -> int:
+        """Index of the first non-singleton cell, -1 at a leaf."""
         for i, cell in enumerate(cells):
             if cell & (cell - 1):
-                break
-        else:
-            # a leaf: cell p holds the vertex that gets label p
-            order = [c.bit_length() - 1 for c in cells]
-            code = 0
-            for j in range(1, n):
-                row = adj[order[j]]
-                for p in range(j):
-                    if row >> order[p] & 1:
-                        code |= 1 << (shifts[j] + p)
-            if code > best:
-                best, count = code, 1
-            elif code == best:
-                count += 1
-            return
-        rest = cell
+                return i
+        return -1
+
+    def leaf(cells: list[int]) -> list[int] | None:
+        """Score a leaf, whose cell p holds the vertex that gets label p; if
+        its code equals the first leaf's, return the automorphism."""
+        nonlocal best, best_order
+        order = [c.bit_length() - 1 for c in cells]
+        code = 0
+        for j in range(1, n):
+            row = adj[order[j]]
+            for p in range(j):
+                if row >> order[p] & 1:
+                    code |= 1 << (shifts[j] + p)
+        if code > best:
+            best, best_order = code, order
+        if code != first_code:
+            return None
+        image = [0] * n
+        for v, w in zip(first_order, order):
+            image[v] = w
+        return image
+
+    def explore(cells: list[int]) -> list[int] | None:
+        """Search a subtree off the first path until a leaf equivalent to
+        the first leaf; the rest of the subtree is then an automorphic image
+        of the first path's subtree and is abandoned."""
+        i = target(cells)
+        if i < 0:
+            return leaf(cells)
+        rest = cells[i]
         while rest:
             low = rest & -rest
-            visit(_refine(adj, cells[:i] + [low, cell ^ low] + cells[i + 1:], [low]))
+            image = explore(child(cells, i, low))
+            if image is not None:
+                return image
             rest ^= low
+        return None
+
+    def first_path(cells: list[int]) -> int:
+        """Search the subtree of a first-path node, first child first, and
+        return the order of the stabilizer of the vertices individualized
+        above it: the orbit of its first child times the child's own."""
+        nonlocal first_code, first_order
+        i = target(cells)
+        if i < 0:
+            leaf(cells)
+            first_code, first_order = best, best_order
+            return 1
+        cell = cells[i]
+        low = cell & -cell
+        below = first_path(child(cells, i, low))
+        # union-find over the orbits of this node's stabilizer, each root
+        # the least vertex of its orbit
+        root = list(range(n))
+
+        def find(v: int) -> int:
+            while root[v] != v:
+                root[v] = root[root[v]]
+                v = root[v]
+            return v
+
+        def join(image: list[int]) -> None:
+            for v, w in enumerate(image):
+                a, b = find(v), find(w)
+                if a != b:
+                    root[max(a, b)] = min(a, b)
+
+        for image in autos:
+            join(image)
+        rest = cell ^ low
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            w = bit.bit_length() - 1
+            # a smaller root means the orbit holds a child already explored
+            if find(w) == w:
+                image = explore(child(cells, i, bit))
+                if image is not None:
+                    autos.append(image)
+                    join(image)
+        v = find(low.bit_length() - 1)
+        return below * sum(find(w) == v for w in members(cell))
 
     full = (1 << n) - 1
-    visit(_refine(adj, [full], [full]))
-    return best, count
+    aut = first_path(_refine(adj, [full], [full]))
+    label = [0] * n
+    for p, v in enumerate(best_order):
+        label[v] = p
+    return best, aut, [tuple(label[image[v]] for v in best_order) for image in autos]
 
 
 def _check_census_order(order: int) -> None:
@@ -391,37 +470,73 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     """(certificate, |Aut(g)|) by equitable refinement and individualization
     (McKay 1981). The search refines the unit partition to an equitable one,
     then individualizes each vertex of the first non-singleton cell in turn
-    and refines again, down to discrete partitions, with no automorphism
-    pruning. Each leaf orders the vertices; the certificate is the largest
-    edge code (graph_code numbering) over the leaves, so two graphs are
-    isomorphic exactly when their certificates are equal, and
-    graph_from_code(order, certificate) is a canonical representative.
-    Automorphisms map leaves to leaves and act freely on them, so the leaves
-    reaching the certificate number |Aut(g)|. Guarded at CENSUS_GUARD."""
+    and refines again, down to discrete partitions. Each leaf orders the
+    vertices; the certificate is the largest edge code (graph_code
+    numbering) over the leaves, so two graphs are isomorphic exactly when
+    their certificates are equal, and graph_from_code(order, certificate) is
+    a canonical representative. The search is pruned by the automorphisms
+    it finds (McKay and Piperno 2014): a leaf with the first leaf's code
+    gives one; at a node on the first path, a child in the orbit of an
+    explored child is skipped; and a subtree off the first path is left at
+    its first leaf equivalent to the first leaf. What is skipped or left is
+    an automorphic image of what was searched, so the certificate is that of
+    the full search. |Aut(g)| is the product, along the first path, of the
+    orbit sizes of the first child. Guarded at CENSUS_GUARD."""
     _check_census_order(g.order)
-    return _canonical(g.order, g.adj)
+    return _canonical(g.order, g.adj)[:2]
+
+
+def _subset_orbits(k: int, automorphisms: list[tuple[int, ...]]) -> list[int]:
+    """The least vertex subset of 0..k-1 (as a mask) in each orbit of the
+    group the automorphisms generate, ascending."""
+    size = 1 << k
+    images = []
+    for a in automorphisms:
+        image = [0] * size
+        for s in range(1, size):
+            low = s & -s
+            image[s] = image[s ^ low] | 1 << a[low.bit_length() - 1]
+        images.append(image)
+    seen = bytearray(size)
+    reps = []
+    for s in range(size):
+        if seen[s]:
+            continue
+        reps.append(s)
+        seen[s] = 1
+        stack = [s]
+        while stack:
+            t = stack.pop()
+            for image in images:
+                u = image[t]
+                if not seen[u]:
+                    seen[u] = 1
+                    stack.append(u)
+    return reps
 
 
 def graph_classes(order: int) -> dict[int, int]:
     """{certificate: |Aut|} for every isomorphism class of graphs on `order`
-    vertices. Each class at order m - 1 is extended by a new vertex with
-    each of the 2^(m-1) neighbourhoods, and the extensions are deduplicated
-    by certificate (the simplest orderly generation; Read 1978, Faradzev
-    1978). The class of a graph holds order!/|Aut| labeled graphs. Guarded
-    at CENSUS_GUARD, checked before any work."""
+    vertices. Each class at order m - 1 is extended by a new vertex with one
+    neighbourhood from each orbit of its automorphism group on vertex
+    subsets, as automorphic neighbourhoods give isomorphic extensions, and
+    the extensions are deduplicated by certificate (orderly generation; Read
+    1978, Faradzev 1978). The class of a graph holds order!/|Aut| labeled
+    graphs. Guarded at CENSUS_GUARD, checked before any work."""
     _check_census_order(order)
-    classes = {0: 1}
+    # certificate -> (|Aut|, automorphisms in the canonical labeling)
+    classes: dict[int, tuple[int, list[tuple[int, ...]]]] = {0: (1, [])}
     for m in range(2, order + 1):
         # the new vertex is m - 1, so its edges are the top m - 1 code bits
         shift = comb(m - 1, 2)
         pairs = edge_bit_pairs(m)
-        extended: dict[int, int] = {}
-        for code in classes:
-            for neighbours in range(1 << (m - 1)):
-                cert, aut = _canonical(m, decode_edges(m, code | neighbours << shift, pairs))
-                extended[cert] = aut
+        extended: dict[int, tuple[int, list[tuple[int, ...]]]] = {}
+        for code, (_, automorphisms) in classes.items():
+            for neighbours in _subset_orbits(m - 1, automorphisms):
+                cert, aut, found = _canonical(m, decode_edges(m, code | neighbours << shift, pairs))
+                extended.setdefault(cert, (aut, found))
         classes = extended
-    return classes
+    return {cert: aut for cert, (aut, _) in classes.items()}
 
 
 @dataclass(frozen=True)

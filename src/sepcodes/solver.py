@@ -324,7 +324,9 @@ def census(kind: CodeKind, n: int, jobs: int = 1) -> CensusReport:
     graphs are taken one isomorphism class at a time (graphs.graph_classes):
     min_code solves the class representative, and the class counts
     n!/|Aut| labeled graphs, all with the same kind-number. The classes are
-    sharded by `scan`. Guarded at CENSUS_GUARD."""
+    built in the calling process and only their solving is sharded by
+    `scan`, so `jobs` does not speed up class generation, the larger part of
+    a call. Guarded at CENSUS_GUARD."""
     classes = list(graph_classes(n).items())
     results = scan(partial(_census_classes, kind.name, n, classes), len(classes), jobs)
     hist: Counter[int] = Counter()

@@ -11,6 +11,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from sepcodes import Graph, build_graph, graph_classes, graph_from_code
+from sepcodes.graphs import _refine
 
 # Property tests draw the same examples on every run and stay bounded, so
 # the suite is deterministic and fast; no example database is written.
@@ -60,6 +61,45 @@ def relabeled(g: Graph, perm: list[int]) -> Graph:
         adj[perm[u]] |= 1 << perm[v]
         adj[perm[v]] |= 1 << perm[u]
     return Graph(g.order, tuple(adj))
+
+
+def unpruned_canonical_form(g: Graph) -> tuple[int, int]:
+    """canonical_form by the search tree with no automorphism pruning: every
+    leaf is visited, the certificate is the largest leaf code, and |Aut| is
+    the number of leaves that reach it. An oracle for the pruned search,
+    which must give the same pair; n! leaves on the empty graph."""
+    n, adj = g.order, g.adj
+    best = -1
+    count = 0
+    shifts = [j * (j - 1) // 2 for j in range(n)]
+
+    def visit(cells: list[int]) -> None:
+        nonlocal best, count
+        for i, cell in enumerate(cells):
+            if cell & (cell - 1):
+                break
+        else:
+            order = [c.bit_length() - 1 for c in cells]
+            code = 0
+            for j in range(1, n):
+                row = adj[order[j]]
+                for p in range(j):
+                    if row >> order[p] & 1:
+                        code |= 1 << (shifts[j] + p)
+            if code > best:
+                best, count = code, 1
+            elif code == best:
+                count += 1
+            return
+        rest = cell
+        while rest:
+            low = rest & -rest
+            visit(_refine(adj, cells[:i] + [low, cell ^ low] + cells[i + 1:], [low]))
+            rest ^= low
+
+    full = (1 << n) - 1
+    visit(_refine(adj, [full], [full]))
+    return best, count
 
 
 @pytest.fixture(scope="session")

@@ -5,10 +5,21 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial
 
 import pytest
-from conftest import graphs, k1, k2, k3, p3, p4, random_graph, relabeled, two_k1
+from conftest import (
+    graphs,
+    k1,
+    k2,
+    k3,
+    p3,
+    p4,
+    random_graph,
+    relabeled,
+    two_k1,
+    unpruned_canonical_form,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -31,13 +42,14 @@ from sepcodes import (
     induced_subgraph,
     is_isomorphic,
     labeled_graph_count,
+    matching_graph,
     members,
     open_neighborhood,
     path_graph,
     twin_report,
     vset,
 )
-from sepcodes.graphs import CENSUS_GUARD
+from sepcodes.graphs import CENSUS_GUARD, _canonical
 
 
 def test_vset_members_roundtrip():
@@ -225,6 +237,74 @@ def test_canonical_form_examples():
     assert canonical_form(complete_graph(5)) == ((1 << 10) - 1, 120)
     assert canonical_form(cycle_graph(6))[1] == 12
     assert canonical_form(k1()) == (0, 1)
+
+
+def test_canonical_form_matches_the_unpruned_search_exhaustively():
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            assert canonical_form(g) == unpruned_canonical_form(g)
+
+
+@given(graphs(max_order=7))
+def test_canonical_form_matches_the_unpruned_search(g):
+    assert canonical_form(g) == unpruned_canonical_form(g)
+
+
+def test_automorphism_counts_at_order_eight_in_closed_form():
+    # the unpruned search visits 8! leaves on the first two
+    cube = build_graph(8, [(u, u | 1 << b) for u in range(8) for b in range(3) if not u >> b & 1])
+    k44 = build_graph(8, [(u, v) for u in range(4) for v in range(4, 8)])
+    cases = [
+        (empty_graph(8), 40320),
+        (complete_graph(8), 40320),
+        (cycle_graph(8), 16),
+        (k44, 1152),
+        (cube, 48),
+        (matching_graph(8), 384),
+        (disjoint_union(complete_graph(4), complete_graph(4)), 1152),
+    ]
+    for g, aut in cases:
+        assert canonical_form(g)[1] == aut
+
+
+def _closure(n: int, generators: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        p = frontier.pop()
+        for a in generators:
+            q = tuple(a[v] for v in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return group
+
+
+def test_found_automorphisms_generate_the_group(classes_by_order):
+    # found on a relabeled copy, they are written in the canonical labeling
+    rng = random.Random(8)
+    for n in range(1, 7):
+        for cert, aut in classes_by_order[n].items():
+            g = graph_from_code(n, cert)
+            edges = set(g.edges())
+            found = _canonical(n, relabeled(g, rng.sample(range(n), n)).adj)[2]
+            for a in found:
+                assert sorted(a) == list(range(n))
+                assert {(min(a[u], a[v]), max(a[u], a[v])) for u, v in edges} == edges
+            assert len(_closure(n, found)) == aut
+
+
+def test_orbit_extension_matches_full_extension(classes_by_order):
+    # the reference extends each class by every neighbourhood of the new vertex
+    classes = {0: 1}
+    for m in range(2, 7):
+        extended = {}
+        for code in classes:
+            for neighbours in range(1 << (m - 1)):
+                cert, aut = canonical_form(graph_from_code(m, code | neighbours << comb(m - 1, 2)))
+                extended[cert] = aut
+        classes = extended
+        assert classes == classes_by_order[m]
 
 
 # graphs on n unlabeled vertices, OEIS A000088

@@ -289,6 +289,19 @@ def test_census_order_six_matches_the_labeled_scan(kind):
     assert (report.histogram, report.inadmissible) == CENSUS_ORDER_SIX[kind]
 
 
+# (histogram, inadmissible) at order 7, as census gave them with the
+# unpruned canonical search
+CENSUS_ORDER_SEVEN = {
+    CodeKind.LD: ({3: 1690380, 4: 383866, 5: 22386, 6: 519, 7: 1}, 0),
+    CodeKind.LTD: ({3: 1467168, 4: 404470, 5: 15092, 6: 554}, 209868),
+    CodeKind.OD: ({3: 351960, 4: 909247, 5: 274193, 6: 12083, 7: 3885}, 545784),
+    CodeKind.OTD: ({3: 43260, 4: 1104022, 5: 239011, 6: 33559}, 677300),
+    CodeKind.ID: ({3: 137130, 4: 1209904, 5: 194064, 6: 10269, 7: 1}, 545784),
+    CodeKind.ITD: ({3: 93030, 4: 1087180, 5: 221042, 6: 11137}, 684763),
+    CodeKind.FD: ({4: 395160, 5: 716208, 6: 33600, 7: 2520}, 949664),
+    CodeKind.FTD: ({4: 395160, 5: 621624, 6: 44520}, 1035848),
+}
+
 # attaining_count of the exhaustive audit at order 7 (test_extremal pins the
 # same figures, from the audit's own pattern scan)
 AUDIT_ORDER_SEVEN = {
@@ -309,6 +322,7 @@ def test_census_order_seven_counts_the_audit_attaining_graphs(classes_by_order):
     classes = list(classes_by_order[7].items())
     for kind, attaining in AUDIT_ORDER_SEVEN.items():
         hist, inadmissible = _census_classes(kind.name, 7, classes, 0, len(classes))
+        assert (hist, inadmissible) == CENSUS_ORDER_SEVEN[kind]
         assert hist.get(lower_bound(kind, 7), 0) == attaining
         assert sum(hist.values()) + inadmissible == labeled_graph_count(7)
 
