@@ -31,7 +31,6 @@ from .extremal import (
     characterization_family,
     counting,
     eligible_outer_labels,
-    expected_order,
     extremal_structure_check,
     materialize,
     od_disconnection_case,
@@ -73,6 +72,7 @@ from .solver import (
     RelationReport,
     SolveReport,
     census,
+    expected_order,
     lower_bound,
     max_order,
     min_code,

@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import Graph, members
+from .graphs import Graph, closed_neighborhood, members, open_neighborhood, twin_report
 
 
 class Separation(enum.Enum):
@@ -66,16 +66,12 @@ ALL_KINDS = tuple(CodeKind)
 
 def open_signature(g: Graph, v: int, code: int) -> int:
     """Open neighborhood of v intersected with the code."""
-    if not 0 <= v < g.order:
-        raise ValueError(f"vertex {v} out of range for order {g.order}")
-    return g.adj[v] & code
+    return open_neighborhood(g, v) & code
 
 
 def closed_signature(g: Graph, v: int, code: int) -> int:
     """Closed neighborhood of v intersected with the code."""
-    if not 0 <= v < g.order:
-        raise ValueError(f"vertex {v} out of range for order {g.order}")
-    return (g.adj[v] | (1 << v)) & code
+    return closed_neighborhood(g, v) & code
 
 
 @dataclass(frozen=True)
@@ -108,37 +104,16 @@ def is_total_dominating(g: Graph, code: int) -> bool:
 
 
 def is_separating(g: Graph, code: int, separation: Separation) -> bool:
-    """Signature-distinctness test for one separation property. Pure
-    distinctness: domination is checked separately."""
-    if separation is Separation.LOCATION:
-        seen = set()
-        for v in range(g.order):
-            if code >> v & 1:
-                continue
-            s = g.adj[v] & code
-            if s in seen:
-                return False
-            seen.add(s)
-        return True
-    if separation is Separation.OPEN:
-        seen = set()
-        for v in range(g.order):
-            s = g.adj[v] & code
-            if s in seen:
-                return False
-            seen.add(s)
-        return True
-    if separation is Separation.CLOSED:
-        seen = set()
-        for v in range(g.order):
-            s = (g.adj[v] | (1 << v)) & code
-            if s in seen:
-                return False
-            seen.add(s)
-        return True
-    return is_separating(g, code, Separation.OPEN) and is_separating(
-        g, code, Separation.CLOSED
-    )
+    """Signature-distinctness test for one separation property, one loop for
+    all four: open or closed signatures, location skipping the code's own
+    vertices, and full separation the open and the closed test together.
+    Pure distinctness: domination is checked separately."""
+    if separation is Separation.FULL:
+        return all(is_separating(g, code, sep) for sep in (Separation.OPEN, Separation.CLOSED))
+    signature = closed_signature if separation is Separation.CLOSED else open_signature
+    skip = code if separation is Separation.LOCATION else 0
+    sigs = [signature(g, v, code) for v in range(g.order) if not skip >> v & 1]
+    return len(set(sigs)) == len(sigs)
 
 
 def is_code(g: Graph, code: int, kind: CodeKind) -> bool:
@@ -153,24 +128,13 @@ def is_code(g: Graph, code: int, kind: CodeKind) -> bool:
 
 def is_admissible(g: Graph, kind: CodeKind) -> bool:
     """Structural admissibility: a graph has a kind-code iff it avoids the
-    kind's blockers (isolated vertices for TD, open twins for open
-    separation, closed twins for closed separation)."""
-    n = g.order
-    adj = g.adj
-    if kind.total_domination and any(nb == 0 for nb in adj):
-        return False
+    kind's blockers, read off graphs.twin_report: an isolated vertex for a
+    TD kind, open twins for open and full separation, closed twins for
+    closed and full separation."""
+    twins = twin_report(g)
     sep = kind.separation
-    if sep in (Separation.OPEN, Separation.FULL):
-        for u in range(n):
-            au = adj[u]
-            for v in range(u + 1, n):
-                if not au >> v & 1 and au == adj[v]:
-                    return False
-    if sep in (Separation.CLOSED, Separation.FULL):
-        for u in range(n):
-            au = adj[u]
-            cu = au | (1 << u)
-            for v in range(u + 1, n):
-                if au >> v & 1 and cu == (adj[v] | (1 << v)):
-                    return False
-    return True
+    return not (
+        (kind.total_domination and twins.isolated)
+        or (sep in (Separation.OPEN, Separation.FULL) and twins.open_twins)
+        or (sep in (Separation.CLOSED, Separation.FULL) and twins.closed_twins)
+    )

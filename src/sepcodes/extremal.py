@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from collections import defaultdict
 # not used here: kept bound because bench/tracer.py patches this name
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
@@ -24,7 +25,7 @@ from typing import Iterable
 from .codes import CodeKind, Separation, is_admissible, is_code
 from .errors import BlueprintError, FormatError, GuardError
 from .graphs import (
-    ENUMERATION_GUARD,
+    ISOMORPHISM_GUARD,
     MAX_VERTICES,
     Graph,
     build_graph,
@@ -34,6 +35,7 @@ from .graphs import (
     edge_bit_pairs,
     empty_graph,
     enumerate_labeled_graphs,
+    family_membership,
     graph_from_code,
     induced_subgraph,
     is_isomorphic,
@@ -46,13 +48,17 @@ from .serialize import emit_graph6, parse_graph6
 from .solver import (
     DEFAULT_BUDGET,
     SolveReport,
+    expected_order,
     lower_bound,
     make_mask_checker,
     min_code,
     scan,
+    smallest_k,
 )
 
-AUDIT_EXHAUSTIVE_GUARD = ENUMERATION_GUARD
+# at n = 8 the attaining side scans 2^22 C0-patterns for k = 4, and each side
+# of the ID audit holds at least 16.2M labeled codes
+AUDIT_EXHAUSTIVE_GUARD = 7
 AUDIT_SAMPLED_GUARD = 10
 
 INNER_PRESETS = {
@@ -149,34 +155,19 @@ def eligible_outer_labels(separation: Separation, inner: Graph) -> tuple[int, ..
     return tuple(m for m in range(1, 1 << k) if m not in excluded)
 
 
-def expected_order(separation: Separation, k: int, inner_isolated: bool) -> int:
-    """Order of the construction before removals."""
-    if separation is Separation.LOCATION:
-        return (1 << k) - 1 + k
-    if separation is Separation.OPEN:
-        return (1 << k) if inner_isolated else (1 << k) - 1
-    if separation is Separation.CLOSED:
-        return (1 << k) - 1
-    return (1 << k) - k if inner_isolated else (1 << k) - 1 - k
-
-
 def removal_cap(kind: CodeKind, k: int, inner: Graph) -> int:
     """Largest number of outer vertices whose removal keeps the code
-    minimum at the logarithmic bound."""
-    isolated = inner_has_isolated(inner)
-    if kind in (CodeKind.LD, CodeKind.LTD):
-        return k - 1
-    if kind is CodeKind.OD:
-        return (1 << (k - 1)) - 1 if isolated else (1 << (k - 1)) - 2
-    if kind in (CodeKind.OTD, CodeKind.ID, CodeKind.ITD):
-        return (1 << (k - 1)) - 1
-    if kind is CodeKind.FD:
-        return (1 << (k - 1)) - k if isolated else (1 << (k - 1)) - 1 - k
-    return (1 << (k - 1)) - k  # FTD
+    minimum at the logarithmic bound: the construction's order (with an
+    isolated inner vertex counted only for a D kind) minus the smallest
+    order whose bound is k, found by bisection as lower_bound is
+    nondecreasing in n."""
+    isolated = inner_has_isolated(inner) and not kind.total_domination
+    order0 = expected_order(kind.separation, k, isolated)
+    return order0 - bisect_left(range(order0 + 1), k, lo=1, key=partial(lower_bound, kind))
 
 
 def _validate_blueprint(bp: ExtremalBlueprint) -> tuple[int, ...]:
-    minimum_k = 4 if bp.separation is Separation.FULL else 2
+    minimum_k = smallest_k(bp.separation)
     if bp.k < minimum_k:
         raise BlueprintError(
             f"separation {bp.separation.value} requires k >= {minimum_k}, got {bp.k}"
@@ -248,12 +239,13 @@ def materialize(bp: ExtremalBlueprint) -> MaterializedExtremal:
         adj[k + a] |= 1 << (k + b)
         adj[k + b] |= 1 << (k + a)
     graph = Graph(k + pool, tuple(adj))
-    kept = [m for m in labels if m not in set(bp.removals)]
-    if bp.removals:
-        removed_vertices = {k + labels.index(m) for m in bp.removals}
+    removed = set(bp.removals)
+    kept = [m for m in labels if m not in removed]
+    if removed:
         keep_mask = graph.vertex_mask
-        for v in removed_vertices:
-            keep_mask ^= 1 << v
+        for idx, label in enumerate(labels):
+            if label in removed:
+                keep_mask ^= 1 << (k + idx)
         graph = induced_subgraph(graph, keep_mask)
     outer_labels = tuple((k + idx, label) for idx, label in enumerate(kept))
     return MaterializedExtremal(bp.separation, k, graph, (1 << k) - 1, outer_labels)
@@ -283,9 +275,7 @@ def verify_extremal(
             f"kind {kind.name} does not match construction separation "
             f"{me.separation.value}"
         )
-    if kind.total_domination and any(
-        (me.graph.adj[v] & me.code) == 0 for v in members(me.code)
-    ):
+    if kind.total_domination and inner_has_isolated(me.inner()):
         raise BlueprintError(
             f"{kind.name} requires an isolate-free inner graph"
         )
@@ -639,7 +629,7 @@ def od_disconnection_case(k: int, inner: Graph | None = None) -> DisconnectionRe
     smaller = materialize(ExtremalBlueprint(Separation.OPEN, k - 1, rest_inner))
     expected = disjoint_union(build_graph(2, [(0, 1)]), smaller.graph)
     isomorphic: bool | None
-    if me.graph.order <= 10 and expected.order <= 10:
+    if me.graph.order <= ISOMORPHISM_GUARD and expected.order <= ISOMORPHISM_GUARD:
         isomorphic = is_isomorphic(me.graph, expected)
     else:
         isomorphic = None
@@ -666,25 +656,15 @@ class CountReport:
 
 
 def _sep_admitting_counts(m: int) -> tuple[dict[Separation, int], dict[Separation, int]]:
+    """Per separation, the labeled graphs on m vertices admissible for its
+    D kind and for its TD kind (the isolate-free ones among them), as
+    is_admissible decides."""
     totals = {sep: 0 for sep in Separation}
     isolate_free = {sep: 0 for sep in Separation}
-    if m == 0:
-        return totals, isolate_free
     for g in enumerate_labeled_graphs(m):
-        iso_free = all(nb != 0 for nb in g.adj)
-        open_ok = is_admissible(g, CodeKind.OD)
-        closed_ok = is_admissible(g, CodeKind.ID)
-        flags = {
-            Separation.LOCATION: True,
-            Separation.OPEN: open_ok,
-            Separation.CLOSED: closed_ok,
-            Separation.FULL: open_ok and closed_ok,
-        }
-        for sep, ok in flags.items():
-            if ok:
-                totals[sep] += 1
-                if iso_free:
-                    isolate_free[sep] += 1
+        for sep in Separation:
+            totals[sep] += is_admissible(g, CodeKind(sep.value + "D"))
+            isolate_free[sep] += is_admissible(g, CodeKind(sep.value + "TD"))
     return totals, isolate_free
 
 
@@ -705,14 +685,17 @@ def counting(k: int) -> CountReport:
     eta = labeled_graph_count(k)
     totals, iso_free = _sep_admitting_counts(k)
     _, iso_free_prev = _sep_admitting_counts(k - 1)
-    two_k = 1 << k
+
+    def free(sep: Separation, isolated: bool) -> int:
+        return expected_order(sep, k, isolated) - k
+
     family_counts = {
-        Separation.LOCATION: _product(eta, two_k - 1),
-        Separation.OPEN: _product(iso_free[Separation.OPEN], two_k - 1 - k)
-        + _product(iso_free_prev[Separation.OPEN], two_k - k),
-        Separation.CLOSED: _product(totals[Separation.CLOSED], two_k - 1 - k),
-        Separation.FULL: _product(iso_free[Separation.FULL], two_k - 1 - 2 * k)
-        + _product(iso_free_prev[Separation.FULL], two_k - 2 * k),
+        Separation.LOCATION: _product(eta, free(Separation.LOCATION, False)),
+        Separation.OPEN: _product(iso_free[Separation.OPEN], free(Separation.OPEN, False))
+        + _product(iso_free_prev[Separation.OPEN], free(Separation.OPEN, True)),
+        Separation.CLOSED: _product(totals[Separation.CLOSED], free(Separation.CLOSED, False)),
+        Separation.FULL: _product(iso_free[Separation.FULL], free(Separation.FULL, False))
+        + _product(iso_free_prev[Separation.FULL], free(Separation.FULL, True)),
     }
     return CountReport(k, eta, totals, iso_free, family_counts)
 
@@ -770,8 +753,6 @@ def tight_family_presets(kind: CodeKind, k: int) -> list[TightPreset]:
     if kind not in _TIGHT_RECIPES:
         allowed = ", ".join(kd.name for kd in _TIGHT_RECIPES)
         raise ValueError(f"no tight presets for {kind.name}; available for {allowed}")
-    from .graphs import family_membership  # deferred: only needed here
-
     out = []
     for family, inner_name, outer_name in _TIGHT_RECIPES[kind]:
         inner = INNER_PRESETS[inner_name](k)

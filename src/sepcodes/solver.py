@@ -1,6 +1,6 @@
 """Exact minimum-code computation, the brute-force cross-check oracle,
-the logarithmic lower bounds, the maximum-order formulas, and the relation
-checks between the eight code numbers."""
+the logarithmic lower bounds, the construction's order and the maximum
+orders read off it, and the relation checks between the eight numbers."""
 
 from __future__ import annotations
 
@@ -38,22 +38,34 @@ def lower_bound(kind: CodeKind, n: int) -> int:
     return (n + 1).bit_length()  # FTD: 1 + floor(log (n+1))
 
 
+def expected_order(separation: Separation, k: int, inner_isolated: bool) -> int:
+    """Order of the extremal construction on k code vertices before
+    removals: k plus one outer vertex per eligible label."""
+    if separation is Separation.LOCATION:
+        return (1 << k) - 1 + k
+    if separation is Separation.OPEN:
+        return (1 << k) if inner_isolated else (1 << k) - 1
+    if separation is Separation.CLOSED:
+        return (1 << k) - 1
+    return (1 << k) - k if inner_isolated else (1 << k) - 1 - k
+
+
+def smallest_k(separation: Separation) -> int:
+    """Smallest k the construction takes: 2, or 4 for full separation, whose
+    inner graph must be twin-free, and no graph on 2 or 3 vertices is."""
+    return 4 if separation is Separation.FULL else 2
+
+
 def max_order(kind: CodeKind, k: int) -> int:
-    """Largest order an admissible graph with kind-number k can have."""
-    minimum = 4 if kind in (CodeKind.FD, CodeKind.FTD) else 2
+    """Largest order an admissible graph with kind-number k can have: the
+    order of the construction, whose inner graph may have an isolated vertex
+    exactly for the D kinds."""
+    minimum = smallest_k(kind.separation)
     if k < minimum:
         raise ValueError(f"{kind.name} requires k >= {minimum}, got {k}")
     if k > MAX_VERTICES:  # no graph holds a larger code
         raise ValueError(f"{kind.name} requires k <= {MAX_VERTICES}, got {k}")
-    if kind in (CodeKind.LD, CodeKind.LTD):
-        return (1 << k) + k - 1
-    if kind is CodeKind.OD:
-        return 1 << k
-    if kind in (CodeKind.OTD, CodeKind.ID, CodeKind.ITD):
-        return (1 << k) - 1
-    if kind is CodeKind.FD:
-        return (1 << k) - k
-    return (1 << k) - k - 1  # FTD
+    return expected_order(kind.separation, k, not kind.total_domination)
 
 
 def make_mask_checker(

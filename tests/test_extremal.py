@@ -7,6 +7,7 @@ import itertools
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
+from math import comb
 
 import pytest
 from conftest import p4, random_graph, relabeled
@@ -22,6 +23,7 @@ from sepcodes import (
     Separation,
     audit_characterization,
     build_graph,
+    census,
     characterization_family,
     complete_graph,
     counting,
@@ -234,12 +236,20 @@ def test_characterization_family_members_attain_k():
 
 
 def test_removal_caps():
-    assert removal_cap(CodeKind.LD, 4, empty_graph(4)) == 3
-    assert removal_cap(CodeKind.OD, 3, build_graph(3, [(0, 1)])) == 3
-    assert removal_cap(CodeKind.OD, 3, complete_graph(3)) == 2
-    assert removal_cap(CodeKind.ID, 3, empty_graph(3)) == 3
-    assert removal_cap(CodeKind.FD, 5, PATH_PLUS_ISOLATE_5) == 11
-    assert removal_cap(CodeKind.FTD, 5, path_graph(5)) == 11
+    # every kind with an inner graph that has an isolated vertex and one that
+    # has none: isolation raises the cap of OD and FD only, never of a TD kind
+    edge_plus_isolate = build_graph(3, [(0, 1)])
+    for kind, k, isolated, isolate_free, caps in [
+        (CodeKind.LD, 4, empty_graph(4), path_graph(4), (3, 3)),
+        (CodeKind.LTD, 4, empty_graph(4), path_graph(4), (3, 3)),
+        (CodeKind.OD, 3, edge_plus_isolate, complete_graph(3), (3, 2)),
+        (CodeKind.OTD, 3, edge_plus_isolate, complete_graph(3), (3, 3)),
+        (CodeKind.ID, 3, empty_graph(3), path_graph(3), (3, 3)),
+        (CodeKind.ITD, 3, empty_graph(3), path_graph(3), (3, 3)),
+        (CodeKind.FD, 5, PATH_PLUS_ISOLATE_5, path_graph(5), (11, 10)),
+        (CodeKind.FTD, 5, PATH_PLUS_ISOLATE_5, path_graph(5), (11, 11)),
+    ]:
+        assert (removal_cap(kind, k, isolated), removal_cap(kind, k, isolate_free)) == caps, kind
 
 
 def test_structure_check_negative():
@@ -308,6 +318,22 @@ def test_counting_four_full():
     # the path is the only twin-free graph on four vertices: 12 labelings
     assert report.eta_by_sep[Separation.FULL] == 12
     assert report.eta_bar_by_sep[Separation.FULL] == 12
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_counting_matches_census(k):
+    """The labeled enumeration against the class census, whose inadmissible
+    count weighs each class by k!/|Aut|: the admitting graphs of a separation
+    are those admissible for its D kind, the isolate-free ones those
+    admissible for its TD kind."""
+    report = counting(k)
+    for sep in Separation:
+        for by_sep, suffix in ((report.eta_by_sep, "D"), (report.eta_bar_by_sep, "TD")):
+            kind = CodeKind(sep.value + suffix)
+            assert by_sep[sep] == 2 ** comb(k, 2) - census(kind, k).inadmissible, (sep, suffix)
+    if k == 5:
+        assert report.eta_by_sep[Separation.FULL] == 312
+        assert report.eta_bar_by_sep[Separation.FULL] == 252
 
 
 def test_counting_guard():

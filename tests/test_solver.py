@@ -64,6 +64,9 @@ def test_lower_bound_rejects_zero():
         (CodeKind.FTD, 4, 11),
         (CodeKind.OD, 5, 32),
         (CodeKind.FD, 5, 27),
+        (CodeKind.LTD, 3, 10),
+        (CodeKind.OTD, 4, 15),
+        (CodeKind.ITD, 5, 31),
     ],
 )
 def test_max_order(kind, k, expected):
