@@ -110,9 +110,11 @@ def is_separating(g: Graph, code: int, separation: Separation) -> bool:
     Pure distinctness: domination is checked separately."""
     if separation is Separation.FULL:
         return all(is_separating(g, code, sep) for sep in (Separation.OPEN, Separation.CLOSED))
-    signature = closed_signature if separation is Separation.CLOSED else open_signature
+    # the signatures of open_signature and closed_signature, read off g.adj
+    # as is_dominating does: every v here is a vertex of g
+    closed = separation is Separation.CLOSED
     skip = code if separation is Separation.LOCATION else 0
-    sigs = [signature(g, v, code) for v in range(g.order) if not skip >> v & 1]
+    sigs = [(nb | closed << v) & code for v, nb in enumerate(g.adj) if not skip >> v & 1]
     return len(set(sigs)) == len(sigs)
 
 

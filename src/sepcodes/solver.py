@@ -10,11 +10,19 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from math import factorial
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from .codes import ALL_KINDS, CodeKind, Separation, is_admissible, is_code
 from .errors import BudgetError, GuardError
-from .graphs import MAX_VERTICES, Graph, graph_classes, graph_from_code, members
+from .graphs import (
+    MAX_VERTICES,
+    ClassRecord,
+    Graph,
+    class_parents,
+    extend_classes,
+    graph_from_code,
+    members,
+)
 
 DEFAULT_BUDGET = 5_000_000
 ORACLE_GUARD = 20
@@ -315,13 +323,14 @@ class CensusReport:
 
 
 def _census_classes(
-    kind_name: str, n: int, classes: list[tuple[int, int]], lo: int, hi: int
+    kind: CodeKind, n: int, classes: Iterable[tuple[int, int]]
 ) -> tuple[dict[int, int], int]:
-    kind = CodeKind[kind_name]
+    """(histogram, inadmissible count) over the labeled graphs of the
+    classes, given as (certificate, |Aut|)."""
     labelings = factorial(n)
     hist: Counter[int] = Counter()
     inadmissible = 0
-    for cert, aut in classes[lo:hi]:
+    for cert, aut in classes:
         weight = labelings // aut
         number = min_code(graph_from_code(n, cert), kind).number
         if number is None:
@@ -331,16 +340,24 @@ def _census_classes(
     return dict(hist), inadmissible
 
 
+def _census_children(
+    kind: CodeKind, n: int, parents: list[ClassRecord], lo: int, hi: int
+) -> tuple[dict[int, int], int]:
+    children = extend_classes(n, parents[lo:hi])
+    return _census_classes(kind, n, ((cert, aut) for cert, aut, _, _ in children))
+
+
 def census(kind: CodeKind, n: int, jobs: int = 1) -> CensusReport:
     """Kind-number histogram over every labeled graph on n vertices. The
     graphs are taken one isomorphism class at a time (graphs.graph_classes):
     min_code solves the class representative, and the class counts
-    n!/|Aut| labeled graphs, all with the same kind-number. The classes are
-    built in the calling process and only their solving is sharded by
-    `scan`, so `jobs` does not speed up class generation, the larger part of
-    a call. Guarded at CENSUS_GUARD."""
-    classes = list(graph_classes(n).items())
-    results = scan(partial(_census_classes, kind.name, n, classes), len(classes), jobs)
+    n!/|Aut| labeled graphs, all with the same kind-number. The classes on
+    n - 1 vertices are built in the calling process; `scan` shards them,
+    and each chunk extends its parents to their classes on n vertices and
+    solves those, as no two parents share a class. Guarded at
+    CENSUS_GUARD."""
+    parents = class_parents(n)
+    results = scan(partial(_census_children, kind, n, parents), len(parents), jobs)
     hist: Counter[int] = Counter()
     inadmissible = 0
     for part_hist, part_inadm in results:

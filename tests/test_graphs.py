@@ -49,7 +49,7 @@ from sepcodes import (
     twin_report,
     vset,
 )
-from sepcodes.graphs import CENSUS_GUARD, _canonical
+from sepcodes.graphs import CENSUS_GUARD, _canonical, class_parents, extend_classes
 
 
 def test_vset_members_roundtrip():
@@ -292,6 +292,37 @@ def test_found_automorphisms_generate_the_group(classes_by_order):
                 assert sorted(a) == list(range(n))
                 assert {(min(a[u], a[v]), max(a[u], a[v])) for u, v in edges} == edges
             assert len(_closure(n, found)) == aut
+
+
+def test_canonical_labeling_maps_onto_the_representative(classes_by_order):
+    rng = random.Random(9)
+    for n in range(1, 7):
+        for cert in classes_by_order[n]:
+            g = relabeled(graph_from_code(n, cert), rng.sample(range(n), n))
+            label = _canonical(n, g.adj)[3]
+            assert sorted(label) == list(range(n))
+            assert relabeled(g, label) == graph_from_code(n, cert)
+
+
+def test_augmentation_emits_each_class_once(classes_by_order):
+    # listed as emitted: a dict would hide a class accepted twice
+    records = class_parents(1)
+    for m in range(1, 8):
+        records = list(extend_classes(m, records))
+        certs = [cert for cert, _, _, _ in records]
+        assert len(certs) == len(set(certs)) == CLASS_COUNTS[m]
+        assert {cert: aut for cert, aut, _, _ in records} == classes_by_order[m]
+        assert all(
+            low == min(nb.bit_count() for nb in graph_from_code(m, cert).adj)
+            for cert, _, _, low in records
+        )
+
+
+def test_graph_classes_at_order_eight():
+    records = list(extend_classes(8, class_parents(8)))
+    certs = [cert for cert, _, _, _ in records]
+    assert len(certs) == len(set(certs)) == 12346  # OEIS A000088
+    assert sum(factorial(8) // aut for _, aut, _, _ in records) == labeled_graph_count(8)
 
 
 def test_orbit_extension_matches_full_extension(classes_by_order):

@@ -324,7 +324,7 @@ def test_census_order_seven_counts_the_audit_attaining_graphs(classes_by_order):
     # building them again for each kind
     classes = list(classes_by_order[7].items())
     for kind, attaining in AUDIT_ORDER_SEVEN.items():
-        hist, inadmissible = _census_classes(kind.name, 7, classes, 0, len(classes))
+        hist, inadmissible = _census_classes(kind, 7, classes)
         assert (hist, inadmissible) == CENSUS_ORDER_SEVEN[kind]
         assert hist.get(lower_bound(kind, 7), 0) == attaining
         assert sum(hist.values()) + inadmissible == labeled_graph_count(7)
@@ -338,10 +338,11 @@ def test_resolve_jobs_clamps_to_cpu_count(monkeypatch):
 
 
 def test_census_jobs_are_clamped(spy_pools):
-    report = census(CodeKind.LD, 4, jobs=100_000)
+    # the 11 parent classes on 4 vertices are enough to shard over 4 workers
+    report = census(CodeKind.LD, 5, jobs=100_000)
     assert [pool.max_workers for pool in spy_pools] == [4]
     assert spy_pools[0].tasks > 1
-    assert report == census(CodeKind.LD, 4, jobs=1)
+    assert report == census(CodeKind.LD, 5, jobs=1)
     assert len(spy_pools) == 1  # the serial call made no pool
 
 
