@@ -42,7 +42,6 @@ from .extremal import (
 from .graphs import (
     FamilyMembership,
     Graph,
-    TwinReport,
     build_graph,
     canonical_form,
     closed_neighborhood,
@@ -63,7 +62,6 @@ from .graphs import (
     members,
     open_neighborhood,
     path_graph,
-    twin_report,
     vset,
 )
 from .serialize import emit_edge_list, emit_graph6, parse_edge_list, parse_graph6

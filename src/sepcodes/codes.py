@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import Graph, closed_neighborhood, members, open_neighborhood, twin_report
+from .graphs import Graph, closed_neighborhood, members, open_neighborhood
 
 
 class Separation(enum.Enum):
@@ -129,14 +129,7 @@ def is_code(g: Graph, code: int, kind: CodeKind) -> bool:
 
 
 def is_admissible(g: Graph, kind: CodeKind) -> bool:
-    """Structural admissibility: a graph has a kind-code iff it avoids the
-    kind's blockers, read off graphs.twin_report: an isolated vertex for a
-    TD kind, open twins for open and full separation, closed twins for
-    closed and full separation."""
-    twins = twin_report(g)
-    sep = kind.separation
-    return not (
-        (kind.total_domination and twins.isolated)
-        or (sep in (Separation.OPEN, Separation.FULL) and twins.open_twins)
-        or (sep in (Separation.CLOSED, Separation.FULL) and twins.closed_twins)
-    )
+    """True iff g has a kind-code. A superset of a kind-code is one too, as
+    more code vertices only refine the signatures and dominate more, so g
+    has a kind-code exactly when its whole vertex set is one."""
+    return is_code(g, g.vertex_mask, kind)

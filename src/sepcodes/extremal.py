@@ -167,7 +167,7 @@ def removal_cap(kind: CodeKind, k: int, inner: Graph) -> int:
 
 
 def _validate_blueprint(bp: ExtremalBlueprint) -> tuple[int, ...]:
-    minimum_k = smallest_k(bp.separation)
+    minimum_k = smallest_k(CodeKind(bp.separation.value + "D"))
     if bp.k < minimum_k:
         raise BlueprintError(
             f"separation {bp.separation.value} requires k >= {minimum_k}, got {bp.k}"

@@ -161,35 +161,6 @@ def closed_neighborhood(g: Graph, v: int) -> int:
     return g.adj[v] | (1 << v)
 
 
-@dataclass(frozen=True)
-class TwinReport:
-    """Open twins (non-adjacent, equal open neighborhoods), closed twins
-    (adjacent, equal closed neighborhoods), and isolated vertices."""
-
-    open_twins: tuple[tuple[int, int], ...]
-    closed_twins: tuple[tuple[int, int], ...]
-    isolated: int
-
-
-def twin_report(g: Graph) -> TwinReport:
-    open_pairs = []
-    closed_pairs = []
-    iso = 0
-    for v in range(g.order):
-        if g.adj[v] == 0:
-            iso |= 1 << v
-    for u in range(g.order):
-        au = g.adj[u]
-        cu = au | (1 << u)
-        for v in range(u + 1, g.order):
-            if au >> v & 1:
-                if cu == (g.adj[v] | (1 << v)):
-                    closed_pairs.append((u, v))
-            elif au == g.adj[v]:
-                open_pairs.append((u, v))
-    return TwinReport(tuple(open_pairs), tuple(closed_pairs), iso)
-
-
 def induced_subgraph(g: Graph, keep: int) -> Graph:
     """Subgraph induced by the vertex set `keep`, relabeled by ascending
     original index."""

@@ -58,22 +58,31 @@ def expected_order(separation: Separation, k: int, inner_isolated: bool) -> int:
     return (1 << k) - k if inner_isolated else (1 << k) - 1 - k
 
 
-def smallest_k(separation: Separation) -> int:
-    """Smallest k the construction takes: 2, or 4 for full separation, whose
-    inner graph must be twin-free, and no graph on 2 or 3 vertices is."""
-    return 4 if separation is Separation.FULL else 2
+def smallest_k(kind: CodeKind) -> int:
+    """Smallest k the construction takes: the least k >= 2 with a
+    kind-admissible graph on k vertices. That is 4 for full separation, as
+    no graph on 2 or 3 vertices is twin-free, and 3 for ITD, as K2 has
+    closed twins and 2K1 isolated vertices; 2 otherwise."""
+    if kind.separation is Separation.FULL:
+        return 4
+    return 3 if kind is CodeKind.ITD else 2
 
 
 def max_order(kind: CodeKind, k: int) -> int:
     """Largest order an admissible graph with kind-number k can have: the
-    order of the construction, whose inner graph may have an isolated vertex
-    exactly for the D kinds."""
-    minimum = smallest_k(kind.separation)
+    order of the construction on the kind-admissible inner graph with the
+    most eligible outer labels. An isolated inner vertex frees one more
+    label; a D kind may have one exactly when the other k - 1 inner
+    vertices can form a graph admissible for the TD kind of the same
+    separation, which exists for k - 1 >= that kind's smallest_k."""
+    minimum = smallest_k(kind)
     if k < minimum:
         raise ValueError(f"{kind.name} requires k >= {minimum}, got {k}")
     if k > MAX_VERTICES:  # no graph holds a larger code
         raise ValueError(f"{kind.name} requires k <= {MAX_VERTICES}, got {k}")
-    return expected_order(kind.separation, k, not kind.total_domination)
+    total = CodeKind(kind.separation.value + "TD")
+    isolated = not kind.total_domination and k > smallest_k(total)
+    return expected_order(kind.separation, k, isolated)
 
 
 def make_mask_checker(

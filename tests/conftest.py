@@ -10,7 +10,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from sepcodes import Graph, build_graph, graph_classes, graph_from_code
+from sepcodes import CodeKind, Graph, Separation, build_graph, graph_classes, graph_from_code
 from sepcodes.graphs import _refine
 
 # Property tests draw the same examples on every run and stay bounded, so
@@ -53,6 +53,26 @@ def random_graph(rng: random.Random, n: int) -> Graph:
 def graphs(draw, max_order=12):
     n = draw(st.integers(1, max_order))
     return graph_from_code(n, draw(st.integers(0, (1 << comb(n, 2)) - 1)))
+
+
+def twin_free_for(g: Graph, kind: CodeKind) -> bool:
+    """Structural oracle for is_admissible, stated pairwise: no isolated
+    vertex for a TD kind, no two non-adjacent vertices with equal open
+    neighbourhoods for open and full separation, and no two adjacent
+    vertices with equal closed neighbourhoods for closed and full
+    separation."""
+    sep = kind.separation
+    if kind.total_domination and 0 in g.adj:
+        return False
+    for u in range(g.order):
+        for v in range(u + 1, g.order):
+            if g.adj[u] >> v & 1:
+                twins = g.adj[u] | 1 << u == g.adj[v] | 1 << v
+                if twins and sep in (Separation.CLOSED, Separation.FULL):
+                    return False
+            elif g.adj[u] == g.adj[v] and sep in (Separation.OPEN, Separation.FULL):
+                return False
+    return True
 
 
 def relabeled(g: Graph, perm: list[int]) -> Graph:

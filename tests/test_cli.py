@@ -226,6 +226,9 @@ def test_bounds_guard(capsys):
     status, _, err = run(capsys, ["bounds", "--kind", "fd", "--k", "3"])
     assert status == 4
     assert "k >= 4" in err
+    status, out, err = run(capsys, ["bounds", "--kind", "itd", "--k", "2"])
+    assert status == 4
+    assert "k >= 3" in err and not out
     # 2^k has about 6000 digits here, more than json or str will print
     status, out, err = run(capsys, ["bounds", "--kind", "ld", "--k", "20000"])
     assert status == 4

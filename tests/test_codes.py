@@ -4,7 +4,8 @@ structural admissibility."""
 from __future__ import annotations
 
 import pytest
-from conftest import k1, k2, k3, p3, p4, two_k1
+from conftest import graphs, k1, k2, k3, p3, p4, twin_free_for, two_k1
+from hypothesis import given
 
 from sepcodes import (
     ALL_KINDS,
@@ -106,6 +107,19 @@ def test_is_admissible_examples():
     assert is_admissible(k2(), CodeKind.OD)
     for kind in ALL_KINDS:
         assert is_admissible(p4(), kind)
+
+
+def test_is_admissible_matches_the_twin_oracle():
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            for kind in ALL_KINDS:
+                assert is_admissible(g, kind) == twin_free_for(g, kind)
+
+
+@given(graphs(max_order=10))
+def test_is_admissible_matches_the_twin_oracle_on_random_graphs(g):
+    for kind in ALL_KINDS:
+        assert is_admissible(g, kind) == twin_free_for(g, kind)
 
 
 def test_full_separation_equals_open_and_closed():

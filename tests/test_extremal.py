@@ -13,6 +13,7 @@ import pytest
 from conftest import p4, random_graph, relabeled
 
 from sepcodes import (
+    ALL_KINDS,
     BlueprintError,
     CodeKind,
     ExtremalBlueprint,
@@ -40,6 +41,7 @@ from sepcodes import (
     lower_bound,
     materialize,
     matching_graph,
+    max_order,
     members,
     min_code,
     od_disconnection_case,
@@ -61,6 +63,7 @@ from sepcodes.extremal import (
     inner_has_isolated,
 )
 from sepcodes.graphs import edge_bit_pairs
+from sepcodes.solver import smallest_k
 
 PATH_PLUS_ISOLATE_5 = Graph(5, tuple(path_graph(4).adj) + (0,))
 
@@ -156,6 +159,23 @@ def test_expected_order_agrees_with_the_eligible_labels(classes_by_order):
                 if sep is Separation.LOCATION or is_admissible(inner, CodeKind(sep.value + "D")):
                     labels = eligible_outer_labels(sep, inner)
                     assert k + len(labels) == expected_order(sep, k, isolated)
+
+
+def test_max_order_is_the_largest_construction_on_an_admissible_inner_graph():
+    # max_order comes from the formula; here it is k plus the most eligible
+    # labels over every kind-admissible labeled inner graph on k vertices,
+    # and smallest_k is the least k >= 2 with such a graph
+    for kind in ALL_KINDS:
+        for k in range(2, 6):
+            orders = [
+                k + len(eligible_outer_labels(kind.separation, inner))
+                for inner in enumerate_labeled_graphs(k)
+                if is_admissible(inner, kind)
+            ]
+            if k < smallest_k(kind):
+                assert not orders, (kind, k)
+            else:
+                assert max_order(kind, k) == max(orders), (kind, k)
 
 
 def test_blueprint_validation_errors():

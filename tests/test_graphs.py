@@ -17,7 +17,6 @@ from conftest import (
     p4,
     random_graph,
     relabeled,
-    two_k1,
     unpruned_canonical_form,
 )
 from hypothesis import given
@@ -46,7 +45,6 @@ from sepcodes import (
     members,
     open_neighborhood,
     path_graph,
-    twin_report,
     vset,
 )
 from sepcodes.graphs import CENSUS_GUARD, _canonical, class_parents, extend_classes
@@ -98,23 +96,6 @@ def test_neighborhoods():
     assert closed_neighborhood(p3(), 0) == vset([0, 1])
     with pytest.raises(ValueError, match="out of range"):
         open_neighborhood(p3(), 3)
-
-
-def test_twin_report():
-    rep = twin_report(k2())
-    assert rep.open_twins == ()
-    assert rep.closed_twins == ((0, 1),)
-    assert rep.isolated == 0
-
-    rep = twin_report(two_k1())
-    assert rep.open_twins == ((0, 1),)
-    assert rep.closed_twins == ()
-    assert rep.isolated == vset([0, 1])
-
-    # direct check of the four neighborhoods: P4 has no twins at all
-    rep = twin_report(p4())
-    assert rep == twin_report(p4())
-    assert rep.open_twins == () and rep.closed_twins == () and rep.isolated == 0
 
 
 def test_induced_subgraph():

@@ -33,7 +33,7 @@ from sepcodes import (
     separation_family,
     vset,
 )
-from sepcodes.solver import _census_classes, make_mask_checker, resolve_jobs
+from sepcodes.solver import _census_classes, make_mask_checker, resolve_jobs, smallest_k
 
 
 @pytest.mark.parametrize(
@@ -60,6 +60,8 @@ def test_lower_bound_rejects_zero():
     "kind,k,expected",
     [
         (CodeKind.LD, 2, 5),
+        (CodeKind.OD, 2, 3),
+        (CodeKind.FD, 4, 11),
         (CodeKind.ID, 3, 7),
         (CodeKind.FTD, 4, 11),
         (CodeKind.OD, 5, 32),
@@ -78,6 +80,8 @@ def test_max_order_guards():
         max_order(CodeKind.LD, 1)
     with pytest.raises(ValueError, match="k >= 4"):
         max_order(CodeKind.FD, 3)
+    with pytest.raises(ValueError, match="k >= 3"):
+        max_order(CodeKind.ITD, 2)
     with pytest.raises(ValueError, match="k <= 62"):
         max_order(CodeKind.LD, 20000)
 
@@ -139,8 +143,7 @@ def test_witness_validity_and_bounds_on_samples():
             assert is_code(g, report.witness, kind)
             assert report.witness.bit_count() == report.number
             assert report.number >= report.lower_bound
-            minimum_k = 4 if kind in (CodeKind.FD, CodeKind.FTD) else 2
-            if report.number >= minimum_k:
+            if report.number >= smallest_k(kind):
                 assert g.order <= max_order(kind, report.number)
 
 
