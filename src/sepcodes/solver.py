@@ -187,23 +187,37 @@ def separation_family(g: Graph, kind: CodeKind) -> list[int]:
     - FULL: both of the above.
 
     The family is deduplicated, reduced to its inclusion-minimal sets and
-    sorted by largest vertex. It is [0] exactly when g is inadmissible."""
+    sorted by largest vertex. It is [0] exactly when g is inadmissible.
+
+    The sets are taken smallest first, and one is kept unless it contains a
+    kept set. The kept sets sit in (n+1)-bit fields of one int, each field
+    topped by a guard bit, so that one candidate is tested against all of
+    them at once: a field of kept & ~(s * ones) is zero exactly when its set
+    lies inside s, and adding fill (all n low bits of every field) carries
+    into the guard bit of every field that is not zero."""
+    n = g.order
     adj = g.adj
     closed = [nb | (1 << v) for v, nb in enumerate(adj)]
     sep = kind.separation
     sets = set(adj if kind.total_domination else closed)
-    for u in range(g.order):
-        for v in range(u + 1, g.order):
-            if sep is Separation.LOCATION:
-                sets.add(adj[u] ^ adj[v] | 1 << u | 1 << v)
-            if sep in (Separation.OPEN, Separation.FULL):
-                sets.add(adj[u] ^ adj[v])
-            if sep in (Separation.CLOSED, Separation.FULL):
-                sets.add(closed[u] ^ closed[v])
+    if sep is Separation.LOCATION:
+        sets.update(adj[u] ^ adj[v] | 1 << u | 1 << v for v in range(n) for u in range(v))
+    if sep in (Separation.OPEN, Separation.FULL):
+        sets.update(adj[u] ^ adj[v] for v in range(n) for u in range(v))
+    if sep in (Separation.CLOSED, Separation.FULL):
+        sets.update(closed[u] ^ closed[v] for v in range(n) for u in range(v))
     minimal: list[int] = []
+    kept = ones = fill = guards = 0
+    low = (1 << n) - 1
     for s in sorted(sets, key=lambda s: (s.bit_count(), s)):
-        if all(m & s != m for m in minimal):
-            minimal.append(s)
+        if ((kept & ~(s * ones)) + fill) & guards != guards:
+            continue  # s contains a kept set
+        shift = len(minimal) * (n + 1)
+        minimal.append(s)
+        kept |= s << shift
+        ones |= 1 << shift
+        fill |= low << shift
+        guards |= 1 << (shift + n)
     return sorted(minimal, key=int.bit_length)
 
 
@@ -224,7 +238,7 @@ def min_code(g: Graph, kind: CodeKind, budget: int = DEFAULT_BUDGET) -> SolveRep
 
     def search(unhit: list[int], start: int, left: int) -> int | None:
         """First set of `left` vertices from start.. that hits every set
-        in unhit (each cut to vertices >= start, sorted by largest vertex)."""
+        in unhit (sorted by largest vertex; each has a vertex >= start)."""
         nonlocal nodes
         last = n - left
         if unhit:
@@ -239,20 +253,21 @@ def min_code(g: Graph, kind: CodeKind, budget: int = DEFAULT_BUDGET) -> SolveRep
                     subsets_tested=nodes,
                 )
             bit = 1 << x
-            above = full ^ ((bit << 1) - 1)
-            rest = [s & above for s in unhit if not s & bit]
+            rest = [s for s in unhit if not s & bit]
             if left == 1:
                 if not rest:
                     return bit
                 continue
-            # greedy packing: disjoint sets not yet hit each need their own
-            # vertex, and left - 1 slots remain
+            # greedy packing: sets not yet hit, disjoint above x, each need
+            # their own vertex after x, and left - 1 slots remain; used holds
+            # only vertices above x, so s & used tests s cut to them
+            above = full ^ ((bit << 1) - 1)
             used = packed = 0
             for s in rest:
                 if not s & used:
-                    used |= s
+                    used |= s & above
                     packed += 1
-                    if not s or packed == left:
+                    if packed == left:
                         break
             else:
                 found = search(rest, x + 1, left - 1)

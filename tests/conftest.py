@@ -75,6 +75,29 @@ def twin_free_for(g: Graph, kind: CodeKind) -> bool:
     return True
 
 
+def reference_separation_family(g: Graph, kind: CodeKind) -> list[int]:
+    """Oracle for solver.separation_family: the same sets, built pair by
+    pair, and cut to the inclusion-minimal ones by testing each candidate,
+    smallest first, against every set kept so far."""
+    adj = g.adj
+    closed = [nb | (1 << v) for v, nb in enumerate(adj)]
+    sep = kind.separation
+    sets = set(adj if kind.total_domination else closed)
+    for u in range(g.order):
+        for v in range(u + 1, g.order):
+            if sep is Separation.LOCATION:
+                sets.add(adj[u] ^ adj[v] | 1 << u | 1 << v)
+            if sep in (Separation.OPEN, Separation.FULL):
+                sets.add(adj[u] ^ adj[v])
+            if sep in (Separation.CLOSED, Separation.FULL):
+                sets.add(closed[u] ^ closed[v])
+    minimal: list[int] = []
+    for s in sorted(sets, key=lambda s: (s.bit_count(), s)):
+        if all(m & s != m for m in minimal):
+            minimal.append(s)
+    return sorted(minimal, key=int.bit_length)
+
+
 def relabeled(g: Graph, perm: list[int]) -> Graph:
     adj = [0] * g.order
     for u, v in g.edges():

@@ -4,10 +4,15 @@ byte-identical deterministic output."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import sepcodes
 from sepcodes import (
     BlueprintError,
     ExtremalBlueprint,
@@ -278,3 +283,31 @@ def test_timing_goes_to_stderr(tmp_path, capsys):
     _, out, err = run(capsys, ["solve", str(path), "--kind", "od", "--timing"])
     assert "wall_time_ms" in err
     assert "wall_time_ms" not in out
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # main parses every call with one parser; each call of a sequence in one
+    # process must print what the same argv prints in a fresh interpreter
+    path = tmp_path / "p5.g6"
+    path.write_bytes(emit_graph6(path_graph(5)))
+    sequence = [
+        ["solve", str(path), "--kind", "id", "--format", "json", "--budget", "100"],
+        ["census", "--kind", "ld", "--n", "3", "--jobs", "0"],
+        ["bounds", "--kind", "ld", "--no-such-flag"],
+        ["bounds", "--kind", "ld", "--k", "3"],
+        ["solve", str(path), "--kind", "ld"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(sepcodes.__file__).parent.parent))
+    statuses = []
+    for argv in sequence:
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            status = exc.code
+        out = capsys.readouterr().out
+        fresh = subprocess.run(
+            [sys.executable, "-m", "sepcodes", *argv], env=env, capture_output=True, text=True
+        )
+        assert (status, out) == (fresh.returncode, fresh.stdout), argv
+        statuses.append(status)
+    assert statuses == [0, 2, 2, 0, 0]

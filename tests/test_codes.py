@@ -19,6 +19,7 @@ from sepcodes import (
     is_separating,
     is_total_dominating,
     open_signature,
+    separation_family,
     signature_families,
     vset,
 )
@@ -156,11 +157,12 @@ def test_admissibility_matches_exhaustive_code_search():
                 assert exists == is_admissible(g, kind)
 
 
-def test_admissibility_equals_full_vertex_set_being_a_code():
+def test_admissibility_equals_the_separation_family_having_no_empty_set():
+    # the family is [0] exactly when some set C must hit is empty
     for n in range(1, 6):
         for g in enumerate_labeled_graphs(n):
             for kind in ALL_KINDS:
-                assert is_admissible(g, kind) == is_code(g, g.vertex_mask, kind)
+                assert is_admissible(g, kind) == (separation_family(g, kind) != [0])
 
 
 def test_empty_code_is_never_a_code():

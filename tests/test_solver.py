@@ -7,7 +7,18 @@ import os
 import random
 
 import pytest
-from conftest import graphs, k1, k2, k3, p3, p4, random_graph, relabeled, two_k1
+from conftest import (
+    graphs,
+    k1,
+    k2,
+    k3,
+    p3,
+    p4,
+    random_graph,
+    reference_separation_family,
+    relabeled,
+    two_k1,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -168,6 +179,46 @@ def test_solver_is_deterministic():
 def test_budget_is_enforced():
     with pytest.raises(BudgetError):
         min_code(p3(), CodeKind.LD, budget=1)
+
+
+MAKERS = {"path": path_graph, "cycle": cycle_graph}
+# Search nodes (subsets_tested) per kind, in ALL_KINDS order. The search
+# order and its prunes decide them, so a rework of the search that should
+# visit the same nodes must leave them as they are.
+SEARCH_NODES = {
+    ("path", 10): (28, 15, 39, 34, 17, 13, 26, 17),
+    ("path", 15): (84, 24, 161, 87, 31, 27, 84, 47),
+    ("path", 20): (236, 31, 450, 191, 96, 52, 248, 91),
+    ("cycle", 10): (17, 20, 72, 62, 24, 20, 76, 50),
+    ("cycle", 15): (59, 31, 277, 115, 116, 51, 317, 139),
+    ("cycle", 20): (150, 36, 1225, 405, 116, 100, 963, 276),
+}
+
+
+@pytest.mark.parametrize("family,n", SEARCH_NODES)
+def test_search_nodes_are_pinned_and_are_the_least_budget(family, n):
+    g = MAKERS[family](n)
+    pinned = SEARCH_NODES[family, n]
+    assert tuple(min_code(g, kind).subsets_tested for kind in ALL_KINDS) == pinned
+    for kind, nodes in zip(ALL_KINDS, pinned):
+        assert min_code(g, kind, budget=nodes).number is not None
+        budget = nodes - 1
+        with pytest.raises(BudgetError) as exc:
+            min_code(g, kind, budget=budget)
+        assert exc.value.subsets_tested == budget + 1
+
+
+def test_family_matches_the_reference_filter_exhaustively():
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            for kind in ALL_KINDS:
+                assert separation_family(g, kind) == reference_separation_family(g, kind)
+
+
+@given(graphs(max_order=20))
+def test_family_matches_the_reference_filter_on_random_graphs(g):
+    for kind in ALL_KINDS:
+        assert separation_family(g, kind) == reference_separation_family(g, kind)
 
 
 @given(graphs())
