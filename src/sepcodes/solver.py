@@ -209,7 +209,9 @@ def separation_family(g: Graph, kind: CodeKind) -> list[int]:
     minimal: list[int] = []
     kept = ones = fill = guards = 0
     low = (1 << n) - 1
-    for s in sorted(sets, key=lambda s: (s.bit_count(), s)):
+    ordered = sorted(sets)
+    ordered.sort(key=int.bit_count)  # stable: by size, then by value
+    for s in ordered:
         if ((kept & ~(s * ones)) + fill) & guards != guards:
             continue  # s contains a kept set
         shift = len(minimal) * (n + 1)
@@ -227,24 +229,38 @@ def min_code(g: Graph, kind: CodeKind, budget: int = DEFAULT_BUDGET) -> SolveRep
     lexicographically first set of that cardinality that hits every set of
     the separation family, which is what testing the k-sets in
     itertools.combinations order would return. subsets_tested counts search
-    nodes, and budget caps them."""
+    nodes, and budget caps them.
+
+    The search holds the unhit sets as a bitmask over family indices. Two
+    tables are built once: miss[y] has bit i set when family[i] lacks
+    vertex y, and tops[i] is the largest vertex of family[i]. Choosing x
+    then leaves unhit & miss[x] unhit, one AND per node."""
     lb = lower_bound(kind, g.order)
     if not is_admissible(g, kind):
         return SolveReport(kind, None, None, 0, lb)
     family = separation_family(g, kind)
     n = g.order
-    full = (1 << n) - 1
+    every = (1 << len(family)) - 1
+    miss = [every] * n
+    tops = []
+    for i, s in enumerate(family):
+        tops.append(s.bit_length() - 1)
+        while s:
+            low = s & -s
+            miss[low.bit_length() - 1] ^= 1 << i
+            s ^= low
     nodes = 0
 
-    def search(unhit: list[int], start: int, left: int) -> int | None:
+    def search(unhit: int, start: int, left: int) -> int | None:
         """First set of `left` vertices from start.. that hits every set
-        in unhit (sorted by largest vertex; each has a vertex >= start)."""
+        whose bit is in unhit (each such set has a vertex >= start)."""
         nonlocal nodes
         last = n - left
         if unhit:
             # vertices after x are larger, so x may not pass the largest
-            # vertex of the first set not yet hit (the smallest such vertex)
-            last = min(last, unhit[0].bit_length() - 1)
+            # vertex of the first set not yet hit (the family is sorted by
+            # largest vertex, so the lowest bit of unhit has the smallest)
+            last = min(last, tops[(unhit & -unhit).bit_length() - 1])
         for x in range(start, last + 1):
             nodes += 1
             if nodes > budget:
@@ -252,31 +268,36 @@ def min_code(g: Graph, kind: CodeKind, budget: int = DEFAULT_BUDGET) -> SolveRep
                     f"budget of {budget} search nodes exhausted at cardinality {size}",
                     subsets_tested=nodes,
                 )
-            bit = 1 << x
-            rest = [s for s in unhit if not s & bit]
+            rest = unhit & miss[x]
             if left == 1:
                 if not rest:
-                    return bit
+                    return 1 << x
                 continue
             # greedy packing: sets not yet hit, disjoint above x, each need
-            # their own vertex after x, and left - 1 slots remain; used holds
-            # only vertices above x, so s & used tests s cut to them
-            above = full ^ ((bit << 1) - 1)
-            used = packed = 0
-            for s in rest:
-                if not s & used:
-                    used |= s & above
-                    packed += 1
-                    if packed == left:
-                        break
+            # their own vertex after x, and left - 1 slots remain. The sets
+            # are taken in family order; free holds those not yet taken that
+            # miss every vertex above x of the ones taken so far
+            free = rest
+            packed = 0
+            while free:
+                low = free & -free
+                free ^= low
+                packed += 1
+                if packed == left:
+                    break
+                above = family[low.bit_length() - 1] >> (x + 1)
+                while above:
+                    y = above & -above
+                    free &= miss[x + y.bit_length()]
+                    above ^= y
             else:
                 found = search(rest, x + 1, left - 1)
                 if found is not None:
-                    return found | bit
+                    return found | 1 << x
         return None
 
     for size in range(max(1, lb), n + 1):
-        witness = search(family, 0, size)
+        witness = search(every, 0, size)
         if witness is not None:
             return SolveReport(kind, size, witness, nodes, lb)
     raise AssertionError("admissible graph has no code; admissibility test is wrong")

@@ -10,7 +10,18 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from sepcodes import CodeKind, Graph, Separation, build_graph, graph_classes, graph_from_code
+from sepcodes import (
+    BudgetError,
+    CodeKind,
+    Graph,
+    Separation,
+    build_graph,
+    graph_classes,
+    graph_from_code,
+    is_admissible,
+    lower_bound,
+    separation_family,
+)
 from sepcodes.graphs import _refine
 
 # Property tests draw the same examples on every run and stay bounded, so
@@ -55,6 +66,16 @@ def graphs(draw, max_order=12):
     return graph_from_code(n, draw(st.integers(0, (1 << comb(n, 2)) - 1)))
 
 
+@st.composite
+def sparse_graphs(draw, max_order=62) -> Graph:
+    """Graphs of any order 1..max_order with at most twice as many edges."""
+    n = draw(st.integers(1, max_order))
+    if n == 1:
+        return build_graph(1, ())
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return build_graph(n, draw(st.lists(pairs, max_size=2 * n)))
+
+
 def twin_free_for(g: Graph, kind: CodeKind) -> bool:
     """Structural oracle for is_admissible, stated pairwise: no isolated
     vertex for a TD kind, no two non-adjacent vertices with equal open
@@ -96,6 +117,56 @@ def reference_separation_family(g: Graph, kind: CodeKind) -> list[int]:
         if all(m & s != m for m in minimal):
             minimal.append(s)
     return sorted(minimal, key=int.bit_length)
+
+
+def reference_min_code(
+    g: Graph, kind: CodeKind, budget: int
+) -> tuple[int | None, int | None, int]:
+    """Oracle for solver.min_code's search: the same lex-first hitting-set
+    search, holding the unhit sets as a list and packing greedily by testing
+    each one against the vertices used so far. Returns (number, witness,
+    nodes); raises BudgetError past `budget` nodes, as min_code does."""
+    if not is_admissible(g, kind):
+        return None, None, 0
+    n = g.order
+    full = (1 << n) - 1
+    nodes = 0
+
+    def search(unhit: list[int], start: int, left: int) -> int | None:
+        nonlocal nodes
+        last = n - left
+        if unhit:
+            last = min(last, unhit[0].bit_length() - 1)
+        for x in range(start, last + 1):
+            nodes += 1
+            if nodes > budget:
+                raise BudgetError("budget exhausted", subsets_tested=nodes)
+            bit = 1 << x
+            rest = [s for s in unhit if not s & bit]
+            if left == 1:
+                if not rest:
+                    return bit
+                continue
+            above = full ^ ((bit << 1) - 1)
+            used = packed = 0
+            for s in rest:
+                if not s & used:
+                    used |= s & above
+                    packed += 1
+                    if packed == left:
+                        break
+            else:
+                found = search(rest, x + 1, left - 1)
+                if found is not None:
+                    return found | bit
+        return None
+
+    family = separation_family(g, kind)
+    for size in range(max(1, lower_bound(kind, n)), n + 1):
+        witness = search(family, 0, size)
+        if witness is not None:
+            return size, witness, nodes
+    raise AssertionError("admissible graph has no code")
 
 
 def relabeled(g: Graph, perm: list[int]) -> Graph:

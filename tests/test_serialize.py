@@ -5,14 +5,11 @@ from __future__ import annotations
 import random
 
 import pytest
-from conftest import k1, k2, k3, random_graph
+from conftest import k1, k2, k3, random_graph, sparse_graphs
 from hypothesis import given
-from hypothesis import strategies as st
 
 from sepcodes import (
     FormatError,
-    Graph,
-    build_graph,
     emit_edge_list,
     emit_graph6,
     enumerate_labeled_graphs,
@@ -85,16 +82,6 @@ def test_edge_list_roundtrip():
     for _ in range(100):
         g = random_graph(rng, rng.randint(1, 10))
         assert parse_edge_list(emit_edge_list(g)) == g
-
-
-@st.composite
-def sparse_graphs(draw) -> Graph:
-    """Graphs of any order 1..62 with at most twice as many edges."""
-    n = draw(st.integers(1, 62))
-    if n == 1:
-        return build_graph(1, ())
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
-    return build_graph(n, draw(st.lists(pairs, max_size=2 * n)))
 
 
 @given(sparse_graphs())

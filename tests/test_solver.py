@@ -15,8 +15,10 @@ from conftest import (
     p3,
     p4,
     random_graph,
+    reference_min_code,
     reference_separation_family,
     relabeled,
+    sparse_graphs,
     two_k1,
 )
 from hypothesis import given
@@ -44,7 +46,13 @@ from sepcodes import (
     separation_family,
     vset,
 )
-from sepcodes.solver import _census_classes, make_mask_checker, resolve_jobs, smallest_k
+from sepcodes.solver import (
+    DEFAULT_BUDGET,
+    _census_classes,
+    make_mask_checker,
+    resolve_jobs,
+    smallest_k,
+)
 
 
 @pytest.mark.parametrize(
@@ -192,6 +200,8 @@ SEARCH_NODES = {
     ("cycle", 10): (17, 20, 72, 62, 24, 20, 76, 50),
     ("cycle", 15): (59, 31, 277, 115, 116, 51, 317, 139),
     ("cycle", 20): (150, 36, 1225, 405, 116, 100, 963, 276),
+    ("path", 30): (1763, 53, 16522, 1416, 390, 271, 3003, 407),
+    ("cycle", 30): (1134, 67, 41890, 2434, 466, 592, 11529, 1339),
 }
 
 
@@ -206,6 +216,30 @@ def test_search_nodes_are_pinned_and_are_the_least_budget(family, n):
         with pytest.raises(BudgetError) as exc:
             min_code(g, kind, budget=budget)
         assert exc.value.subsets_tested == budget + 1
+
+
+def assert_search_matches_the_reference(g):
+    """min_code gives the reference search's number, witness and node
+    count for every kind, and one node less of budget raises BudgetError
+    at that node."""
+    for kind in ALL_KINDS:
+        number, witness, nodes = reference_min_code(g, kind, DEFAULT_BUDGET)
+        report = min_code(g, kind)
+        assert (report.number, report.witness, report.subsets_tested) == (number, witness, nodes)
+        if nodes:
+            with pytest.raises(BudgetError) as exc:
+                min_code(g, kind, budget=nodes - 1)
+            assert exc.value.subsets_tested == nodes
+
+
+@given(graphs(max_order=20))
+def test_search_matches_the_reference_search(g):
+    assert_search_matches_the_reference(g)
+
+
+@given(sparse_graphs(max_order=24))
+def test_search_matches_the_reference_search_on_sparse_graphs(g):
+    assert_search_matches_the_reference(g)
 
 
 def test_family_matches_the_reference_filter_exhaustively():
