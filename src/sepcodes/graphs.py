@@ -295,9 +295,16 @@ def _refine(adj: Sequence[int], cells: list[int], splitters: list[int]) -> list[
     queue = list(splitters)
     while queue and len(cells) < n:
         w = queue.pop()
+        # a cell no vertex of w touches has no neighbour in w anywhere
+        touched = 0
+        rest = w
+        while rest:
+            low = rest & -rest
+            touched |= adj[low.bit_length() - 1]
+            rest ^= low
         out = []
         for cell in cells:
-            if cell & (cell - 1):
+            if cell & (cell - 1) and cell & touched:
                 parts: dict[int, int] = {}
                 rest = cell
                 while rest:
@@ -348,7 +355,10 @@ def _canonical(
     automorphisms the search found, written in the canonical labeling: p
     maps to a[p] in graph_from_code(n, certificate). They generate the
     automorphism group. Last comes the canonical labeling: vertex v is
-    vertex label[v] of graph_from_code(n, certificate)."""
+    vertex label[v] of graph_from_code(n, certificate). Class generation
+    calls it for every class it emits; census only for a child whose new
+    vertex ties with another on the augmentation invariant (see
+    accepted_children)."""
     shifts = [j * (j - 1) // 2 for j in range(n)]
     best = first_code = -1
     best_order: list[int] = []
@@ -356,8 +366,10 @@ def _canonical(
     # vertex images, first_order[p] -> order[p] of a leaf with the first
     # leaf's code; one found below a first-path node fixes the vertices
     # individualized above it, so all those found by the time the node
-    # searches its other children lie in the node's stabilizer
+    # searches its other children lie in the node's stabilizer. root is the
+    # union-find of their orbits, joined as each one is found
     autos: list[list[int]] = []
+    root = list(range(n))
 
     def child(cells: list[int], i: int, low: int) -> list[int]:
         cell = cells[i]
@@ -419,8 +431,6 @@ def _canonical(
         cell = cells[i]
         low = cell & -cell
         below = first_path(child(cells, i, low))
-        # the orbits of this node's stabilizer
-        root = _orbits(n, autos)
         rest = cell ^ low
         while rest:
             bit = rest & -rest
@@ -471,9 +481,9 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     return _canonical(g.order, g.adj)[:2]
 
 
-def _subset_orbits(k: int, automorphisms: list[tuple[int, ...]]) -> list[int]:
-    """The least vertex subset of 0..k-1 (as a mask) in each orbit of the
-    group the automorphisms generate, ascending."""
+def _subset_orbits(k: int, automorphisms: list[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """(least member, size) of each orbit on the vertex subsets of 0..k-1
+    (as masks) of the group the automorphisms generate, ascending."""
     size = 1 << k
     images = []
     for a in automorphisms:
@@ -487,16 +497,18 @@ def _subset_orbits(k: int, automorphisms: list[tuple[int, ...]]) -> list[int]:
     for s in range(size):
         if seen[s]:
             continue
-        reps.append(s)
         seen[s] = 1
         stack = [s]
+        orbit = 0
         while stack:
             t = stack.pop()
+            orbit += 1
             for image in images:
                 u = image[t]
                 if not seen[u]:
                     seen[u] = 1
                     stack.append(u)
+        reps.append((s, orbit))
     return reps
 
 
@@ -504,18 +516,31 @@ def _subset_orbits(k: int, automorphisms: list[tuple[int, ...]]) -> list[int]:
 # labeling, minimum degree). Generation starts from the graph on no vertices.
 ClassRecord = tuple[int, int, list[tuple[int, ...]], int]
 _ROOT: ClassRecord = (0, 1, [], 0)
+# What _canonical returns: certificate, |Aut|, automorphisms, labeling.
+Canonical = tuple[int, int, list[tuple[int, ...]], list[int]]
 
 
-def extend_classes(m: int, parents: Iterable[ClassRecord]) -> Iterator[ClassRecord]:
-    """The class records on m vertices that canonical augmentation accepts
-    from `parents`, classes on m - 1 vertices: given all of them, each class
-    on m vertices comes out exactly once; see graph_classes."""
+def accepted_children(
+    m: int, parents: Iterable[ClassRecord]
+) -> Iterator[tuple[list[int], int, Canonical | None, int]]:
+    """(adjacency, |Aut|, canonical result or None, minimum degree) for
+    each child on m vertices that canonical augmentation accepts from
+    `parents`, classes on m - 1 vertices: given all of them, each class on
+    m vertices comes out exactly once; see graph_classes. The adjacency is
+    the parent's canonical labeling with the new vertex m - 1 added.
+
+    The canonical form is computed only where the acceptance test needs
+    it, when other vertices tie with the new one on the invariant. When
+    none does, every automorphism of the child fixes the new vertex, so
+    Aut(child) is the stabilizer of its neighbourhood S in Aut(parent),
+    and |Aut(child)| = |Aut(parent)| / |orbit of S| (orbit-stabilizer);
+    the canonical result is then None."""
     new = m - 1
     top = 1 << new
     pairs = edge_bit_pairs(new)
-    for code, _, automorphisms, low in parents:
+    for code, parent_aut, automorphisms, low in parents:
         base = decode_edges(new, code, pairs)
-        for s in _subset_orbits(new, automorphisms):
+        for s, orbit in _subset_orbits(new, automorphisms):
             d = s.bit_count()
             # the new vertex must have the least degree, so d is the child's
             # minimum degree, and the parent has a vertex of degree low,
@@ -540,16 +565,30 @@ def extend_classes(m: int, parents: Iterable[ClassRecord]) -> Iterator[ClassReco
             tied = [v for v in range(new) if degree[v] == d and rank[v] <= mine]
             if any(rank[v] < mine for v in tied):
                 continue
-            cert, aut, found, label = _canonical(m, adj)
-            if tied:
-                # the canonical deletion: the tied vertex, the new one
-                # included, of largest canonical label, up to automorphism
-                pick = max(label[v] for v in tied)
-                if pick > label[new]:
-                    root = _orbits(m, found)
-                    if _find(root, pick) != _find(root, label[new]):
-                        continue
-            yield cert, aut, found, d
+            if not tied:
+                yield adj, parent_aut // orbit, None, d
+                continue
+            canon = _canonical(m, adj)
+            _, aut, found, label = canon
+            # the canonical deletion: the tied vertex, the new one included,
+            # of largest canonical label, up to automorphism
+            pick = max(label[v] for v in tied)
+            if pick > label[new]:
+                root = _orbits(m, found)
+                if _find(root, pick) != _find(root, label[new]):
+                    continue
+            yield adj, aut, canon, d
+
+
+def extend_classes(m: int, parents: Iterable[ClassRecord]) -> Iterator[ClassRecord]:
+    """The class records on m vertices that canonical augmentation accepts
+    from `parents`, classes on m - 1 vertices: given all of them, each class
+    on m vertices comes out exactly once; see graph_classes."""
+    for adj, _, canon, d in accepted_children(m, parents):
+        if canon is None:
+            canon = _canonical(m, adj)
+        cert, aut, found, _ = canon
+        yield cert, aut, found, d
 
 
 def class_parents(order: int) -> list[ClassRecord]:
@@ -577,8 +616,10 @@ def graph_classes(order: int) -> dict[int, int]:
     canonical deletion is removed, and no certificates are compared. A
     neighbourhood larger than the parent's minimum degree plus one, or a
     new vertex that does not minimise the invariant, is rejected before any
-    canonical form is computed. The class of a graph holds order!/|Aut|
-    labeled graphs. Guarded at CENSUS_GUARD, checked before any work."""
+    canonical form is computed, and a new vertex that alone minimises it is
+    accepted without one (accepted_children); graph_classes then computes
+    the certificate. The class of a graph holds order!/|Aut| labeled
+    graphs. Guarded at CENSUS_GUARD, checked before any work."""
     return {cert: aut for cert, aut, _, _ in extend_classes(order, class_parents(order))}
 
 

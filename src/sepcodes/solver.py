@@ -18,9 +18,8 @@ from .graphs import (
     MAX_VERTICES,
     ClassRecord,
     Graph,
+    accepted_children,
     class_parents,
-    extend_classes,
-    graph_from_code,
     members,
 )
 
@@ -368,16 +367,17 @@ class CensusReport:
 
 
 def _census_classes(
-    kind: CodeKind, n: int, classes: Iterable[tuple[int, int]]
+    kind: CodeKind, n: int, classes: Iterable[tuple[Graph, int]]
 ) -> tuple[dict[int, int], int]:
     """(histogram, inadmissible count) over the labeled graphs of the
-    classes, given as (certificate, |Aut|)."""
+    classes, given as (any graph of the class, |Aut|): the kind-number does
+    not depend on the labeling."""
     labelings = factorial(n)
     hist: Counter[int] = Counter()
     inadmissible = 0
-    for cert, aut in classes:
+    for g, aut in classes:
         weight = labelings // aut
-        number = min_code(graph_from_code(n, cert), kind).number
+        number = min_code(g, kind).number
         if number is None:
             inadmissible += weight
         else:
@@ -388,19 +388,23 @@ def _census_classes(
 def _census_children(
     kind: CodeKind, n: int, parents: list[ClassRecord], lo: int, hi: int
 ) -> tuple[dict[int, int], int]:
-    children = extend_classes(n, parents[lo:hi])
-    return _census_classes(kind, n, ((cert, aut) for cert, aut, _, _ in children))
+    children = accepted_children(n, parents[lo:hi])
+    classes = ((Graph(n, tuple(adj)), aut) for adj, aut, _, _ in children)
+    return _census_classes(kind, n, classes)
 
 
 def census(kind: CodeKind, n: int, jobs: int = 1) -> CensusReport:
     """Kind-number histogram over every labeled graph on n vertices. The
     graphs are taken one isomorphism class at a time (graphs.graph_classes):
-    min_code solves the class representative, and the class counts
-    n!/|Aut| labeled graphs, all with the same kind-number. The classes on
-    n - 1 vertices are built in the calling process; `scan` shards them,
-    and each chunk extends its parents to their classes on n vertices and
-    solves those, as no two parents share a class. Guarded at
-    CENSUS_GUARD."""
+    min_code solves one graph of the class, in the labeling augmentation
+    gives it, and the class counts n!/|Aut| labeled graphs, all with the
+    same kind-number. The classes on n - 1 vertices are built in the
+    calling process; `scan` shards them, and each chunk takes its parents'
+    accepted children on n vertices (graphs.accepted_children) and solves
+    those, as no two parents share a class. No certificate is read, so a
+    child gets a canonical form only when the acceptance test needs one;
+    otherwise |Aut| comes from the parent's group by orbit-stabilizer.
+    Guarded at CENSUS_GUARD."""
     parents = class_parents(n)
     results = scan(partial(_census_children, kind, n, parents), len(parents), jobs)
     hist: Counter[int] = Counter()

@@ -76,6 +76,25 @@ def sparse_graphs(draw, max_order=62) -> Graph:
     return build_graph(n, draw(st.lists(pairs, max_size=2 * n)))
 
 
+@st.composite
+def connected_sparse_graphs(draw, min_order=10, max_order=20) -> Graph:
+    """A random spanning tree, path or cycle on min_order..max_order
+    vertices, randomly labeled, plus 0-3 chords. Being connected, these are
+    admissible more often than sparse_graphs' draws, and their searches are
+    longer. The order is drawn down from max_order, so the examples
+    Hypothesis favours are the largest."""
+    n = max_order - draw(st.integers(0, max_order - min_order))
+    shape = draw(st.sampled_from(("tree", "path", "cycle")))
+    if shape == "tree":
+        edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    else:
+        edges = [(v - 1, v) for v in range(1, n)] + [(n - 1, 0)] * (shape == "cycle")
+    label = draw(st.permutations(range(n)))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    chords = draw(st.lists(pairs, max_size=3))
+    return build_graph(n, [(label[u], label[v]) for u, v in edges + chords])
+
+
 def twin_free_for(g: Graph, kind: CodeKind) -> bool:
     """Structural oracle for is_admissible, stated pairwise: no isolated
     vertex for a TD kind, no two non-adjacent vertices with equal open

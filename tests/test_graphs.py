@@ -4,6 +4,7 @@ partition-family membership."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -47,7 +48,14 @@ from sepcodes import (
     path_graph,
     vset,
 )
-from sepcodes.graphs import CENSUS_GUARD, _canonical, class_parents, extend_classes
+from sepcodes.graphs import (
+    CENSUS_GUARD,
+    _canonical,
+    _subset_orbits,
+    accepted_children,
+    class_parents,
+    extend_classes,
+)
 
 
 def test_vset_members_roundtrip():
@@ -304,6 +312,72 @@ def test_graph_classes_at_order_eight():
     certs = [cert for cert, _, _, _ in records]
     assert len(certs) == len(set(certs)) == 12346  # OEIS A000088
     assert sum(factorial(8) // aut for _, aut, _, _ in records) == labeled_graph_count(8)
+
+
+@pytest.fixture(scope="module")
+def class_records() -> list[list[tuple]]:
+    """The class records at orders 0..7, as extend_classes gives them."""
+    records = [class_parents(1)]
+    for m in range(1, 8):
+        records.append(list(extend_classes(m, records[-1])))
+    return records
+
+
+def _ties_with_the_new_vertex(adj: list[int]) -> bool:
+    """Whether a vertex other than the last has the last vertex's degree and
+    sum of neighbour degrees."""
+    degree = [a.bit_count() for a in adj]
+    rank = [sum(degree[u] for u in members(a)) for a in adj]
+    new = len(adj) - 1
+    return any((degree[v], rank[v]) == (degree[new], rank[new]) for v in range(new))
+
+
+def test_accepted_children_are_the_classes_of_extend_classes(class_records):
+    for m in range(1, 9):
+        parents = class_records[m - 1]
+        children = list(accepted_children(m, parents))
+        forms = [canonical_form(Graph(m, tuple(adj))) for adj, _, _, _ in children]
+        records = extend_classes(m, parents)
+        assert Counter(forms) == Counter((cert, aut) for cert, aut, _, _ in records)
+        for (adj, aut, canon, low), form in zip(children, forms):
+            # the canonical search runs exactly when the new vertex has a tie
+            assert (canon is not None) == _ties_with_the_new_vertex(adj)
+            assert canon is None or canon[:2] == form
+            # without a tie, |Aut| is |Aut(parent)| / |orbit of S|
+            assert aut == form[1]
+            assert low == min(a.bit_count() for a in adj)
+        assert sum(canon is None for _, _, canon, _ in children) == TIE_FREE_CLASSES[m]
+
+
+# classes on m vertices whose new vertex alone minimises (degree, sum of
+# neighbour degrees), so that no canonical form is computed for them
+TIE_FREE_CLASSES = {1: 1, 2: 0, 3: 1, 4: 3, 5: 15, 6: 80, 7: 686, 8: 9236}
+
+
+def test_subset_orbit_sizes_cover_every_subset(class_records):
+    for k in range(1, 8):
+        for _, aut, automorphisms, _ in class_records[k]:
+            orbits = _subset_orbits(k, automorphisms)
+            assert sum(size for _, size in orbits) == 1 << k
+            assert all(aut % size == 0 for _, size in orbits)
+            assert [s for s, _ in orbits] == sorted(s for s, _ in orbits)
+
+
+def test_census_path_weights_every_labeled_graph_at_order_eight(class_records, monkeypatch):
+    # the census path computes a canonical form only for children with a tie
+    calls = 0
+    search = _canonical
+
+    def counted(n, adj):
+        nonlocal calls
+        calls += 1
+        return search(n, adj)
+
+    monkeypatch.setattr("sepcodes.graphs._canonical", counted)
+    children = list(accepted_children(8, class_records[7]))
+    assert len(children) == 12346
+    assert sum(factorial(8) // aut for _, aut, _, _ in children) == 1 << 28
+    assert calls == 4038
 
 
 def test_orbit_extension_matches_full_extension(classes_by_order):

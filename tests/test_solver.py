@@ -8,6 +8,7 @@ import random
 
 import pytest
 from conftest import (
+    connected_sparse_graphs,
     graphs,
     k1,
     k2,
@@ -34,6 +35,7 @@ from sepcodes import (
     disjoint_union,
     empty_graph,
     enumerate_labeled_graphs,
+    graph_from_code,
     is_admissible,
     is_code,
     labeled_graph_count,
@@ -242,6 +244,13 @@ def test_search_matches_the_reference_search_on_sparse_graphs(g):
     assert_search_matches_the_reference(g)
 
 
+@given(connected_sparse_graphs())
+def test_search_matches_the_reference_search_on_connected_sparse_graphs(g):
+    # sparse_graphs mostly draws inadmissible graphs and short searches;
+    # these reach searches of a thousand nodes and more
+    assert_search_matches_the_reference(g)
+
+
 def test_family_matches_the_reference_filter_exhaustively():
     for n in range(1, 6):
         for g in enumerate_labeled_graphs(n):
@@ -356,8 +365,11 @@ def test_census_matches_oracle():
 
 
 def test_census_parallel_matches_serial():
+    # the workers solve the children in the labeling augmentation gives them
     assert census(CodeKind.LD, 4, jobs=2) == census(CodeKind.LD, 4, jobs=1)
-    assert census(CodeKind.ID, 6, jobs=2) == census(CodeKind.ID, 6, jobs=1)
+    for kind in ALL_KINDS:
+        assert census(kind, 6, jobs=2) == census(kind, 6, jobs=1)
+    assert census(CodeKind.FTD, 7, jobs=2) == census(CodeKind.FTD, 7, jobs=1)
 
 
 # (histogram, inadmissible) at order 6, as the labeled scan of all 2^15
@@ -410,7 +422,7 @@ AUDIT_ORDER_SEVEN = {
 def test_census_order_seven_counts_the_audit_attaining_graphs(classes_by_order):
     # the census worker over classes built once, rather than census(kind, 7)
     # building them again for each kind
-    classes = list(classes_by_order[7].items())
+    classes = [(graph_from_code(7, cert), aut) for cert, aut in classes_by_order[7].items()]
     for kind, attaining in AUDIT_ORDER_SEVEN.items():
         hist, inadmissible = _census_classes(kind, 7, classes)
         assert (hist, inadmissible) == CENSUS_ORDER_SEVEN[kind]
