@@ -15,7 +15,7 @@ import time
 from typing import Any
 
 from .codes import CodeKind
-from .errors import BlueprintError, FormatError, GuardError
+from .errors import FormatError, GuardError
 from .extremal import (
     audit_characterization,
     counting,
@@ -303,13 +303,10 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         payload, status = args.run(args)
-    except (FormatError, BlueprintError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except GuardError as exc:  # BudgetError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except ValueError as exc:
+    except ValueError as exc:  # FormatError and BlueprintError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     _emit(payload, args.format)

@@ -381,12 +381,12 @@ def _c0_edges(n: int, k: int) -> list[tuple[int, int]]:
 
 def _family_patterns(kind: CodeKind, n: int, k: int) -> tuple[set[int], set[int]]:
     """C0-patterns of the characterization family at order n, for every
-    admissible inner graph on C0, allowed removal set, and order of the kept
-    labels on the outer vertices k..n-1; and, for the isomorphism classing,
-    the edge codes of the family graphs with kept labels in ascending order
-    and every setting of the edges among the outer vertices. Outer vertex
-    k + i has its label at bit C(k, 2) + ik of a pattern and at bit
-    C(k + i, 2) of an edge code."""
+    admissible inner graph on C0 and every ordered choice of n - k of its
+    eligible labels for the outer vertices k..n-1; and, for the isomorphism
+    classing, the edge codes of the family graphs with kept labels in
+    ascending order and every setting of the edges among the outer vertices.
+    Outer vertex k + i has its label at bit C(k, 2) + ik of a pattern and at
+    bit C(k + i, 2) of an edge code."""
     inner_bits = comb(k, 2)
     free = _free_edge_codes(1 << t for t, (i, _) in enumerate(edge_bit_pairs(n)) if i >= k)
     patterns: set[int] = set()
@@ -395,9 +395,8 @@ def _family_patterns(kind: CodeKind, n: int, k: int) -> tuple[set[int], set[int]
     for inner_code, inner in enumerate(enumerate_labeled_graphs(k)):
         if not is_admissible(inner, kind):
             continue
+        # no removal cap is read: it binds only at orders whose bound is below k
         labels = eligible_outer_labels(kind.separation, inner)
-        if k + len(labels) - n > removal_cap(kind, k, inner):
-            continue
         for kept in itertools.permutations(labels, n - k):
             patterns.add(
                 inner_code | sum(label << (inner_bits + i * k) for i, label in enumerate(kept))
@@ -419,28 +418,25 @@ def _free_edge_codes(bits: Iterable[int]) -> list[int]:
 
 
 def _invariant_key(g: Graph) -> tuple:
+    """Each vertex's degree and its neighbours' sorted degrees, sorted."""
     degs = [nb.bit_count() for nb in g.adj]
-    profile = sorted(
-        (degs[v], tuple(sorted(degs[u] for u in members(g.adj[v]))))
-        for v in range(g.order)
-    )
-    return (tuple(sorted(degs)), tuple(profile))
+    return tuple(sorted((d, tuple(sorted(degs[u] for u in members(nb))))
+                        for d, nb in zip(degs, g.adj)))
 
 
-def _iso_class_reps(codes: Iterable[int], n: int) -> list[Graph]:
+def _iso_class_count(codes: Iterable[int], n: int) -> int:
     buckets: dict[tuple, list[Graph]] = defaultdict(list)
     for code in sorted(codes):
         g = graph_from_code(n, code)
         bucket = buckets[_invariant_key(g)]
         if not any(is_isomorphic(g, rep) for rep in bucket):
             bucket.append(g)
-    return [rep for _, bucket in sorted(buckets.items()) for rep in bucket]
+    return sum(map(len, buckets.values()))
 
 
-def _c0_patterns(kind_name: str, n: int, k: int, lo: int, hi: int) -> list[int]:
+def _c0_patterns(kind: CodeKind, n: int, k: int, lo: int, hi: int) -> list[int]:
     """Patterns in [lo, hi) of the edges meeting C0 = {0..k-1} under which
     C0 is a kind-code, read by the layout of `_c0_edges`."""
-    kind = CodeKind[kind_name]
     c0 = (1 << k) - 1
     inner_bits = comb(k, 2)
     inner_mask = (1 << inner_bits) - 1
@@ -492,7 +488,7 @@ def _attaining_codes(kind: CodeKind, n: int, k: int, jobs: int = 1) -> set[int]:
     """Edge codes of every labeled graph of order n that has a kind-code of
     size k: the label closure of the C0-patterns under which C0 is a
     kind-code, which are closed under relabeling within C0 and the rest."""
-    parts = scan(partial(_c0_patterns, kind.name, n, k), 1 << len(_c0_edges(n, k)), jobs)
+    parts = scan(partial(_c0_patterns, kind, n, k), 1 << len(_c0_edges(n, k)), jobs)
     return _label_closure([p for part in parts for p in part], n, k)
 
 
@@ -516,12 +512,12 @@ def audit_characterization(
     is a code, each tested once with `make_mask_checker`; as no code
     is smaller than k, a graph attains k exactly when some k-set is a code.
     It uses nothing of the construction, so the two sides stay independent.
-    The family side takes every admissible inner graph, allowed removal set
-    and order of the kept outer labels. Two tests check the shared carry:
-    the attaining side against `is_code` on every labeled graph, the family
-    side against all n! relabelings of each family graph. `jobs` (clamped
-    to [1, os.cpu_count()]) shards the pattern scan; the result does not
-    depend on it. Sampled mode solves seeded random graphs and structurally
+    The family side takes every admissible inner graph and every ordered
+    choice of n - k of its eligible outer labels. Two tests check the
+    shared carry: the attaining side against `is_code` on every labeled
+    graph, the family side against all n! relabelings of each family graph.
+    `jobs` (clamped to [1, os.cpu_count()]) shards the pattern scan; the
+    result does not depend on it. Sampled mode solves seeded random graphs and structurally
     checks every attaining one against the construction."""
     k = lower_bound(kind, n)
     if k < 1:
@@ -535,7 +531,7 @@ def audit_characterization(
         attaining = _attaining_codes(kind, n, k, jobs)
         patterns, ascending = _family_patterns(kind, n, k)
         closure = _label_closure(patterns, n, k)
-        reps = _iso_class_reps(ascending, n)
+        classes = _iso_class_count(ascending, n)
         missing = sorted(closure - attaining)
         unexpected = sorted(attaining - closure)
 
@@ -552,7 +548,7 @@ def audit_characterization(
             passed=not missing and not unexpected,
             attaining_count=len(attaining),
             family_count=len(closure),
-            family_class_count=len(reps),
+            family_class_count=classes,
             missing=sample(missing),
             unexpected=sample(unexpected),
         )

@@ -21,7 +21,6 @@ ENUMERATION_GUARD = 7
 # a 2-vCPU host, and census then solves each of them, once per call
 CENSUS_GUARD = 8
 ISOMORPHISM_GUARD = 10
-PARTITION_GUARD = 20
 
 
 def vset(vertices: Iterable[int]) -> int:
@@ -90,7 +89,7 @@ class Graph:
                 u = (rest & -rest).bit_length() - 1
                 out.append((v, u))
                 rest &= rest - 1
-        return tuple(sorted(out))
+        return tuple(out)
 
     def edge_count(self) -> int:
         return sum(nb.bit_count() for nb in self.adj) // 2
@@ -295,16 +294,9 @@ def _refine(adj: Sequence[int], cells: list[int], splitters: list[int]) -> list[
     queue = list(splitters)
     while queue and len(cells) < n:
         w = queue.pop()
-        # a cell no vertex of w touches has no neighbour in w anywhere
-        touched = 0
-        rest = w
-        while rest:
-            low = rest & -rest
-            touched |= adj[low.bit_length() - 1]
-            rest ^= low
         out = []
         for cell in cells:
-            if cell & (cell - 1) and cell & touched:
+            if cell & (cell - 1):
                 parts: dict[int, int] = {}
                 rest = cell
                 while rest:
@@ -668,8 +660,6 @@ def _is_split(g: Graph) -> bool:
 
 def family_membership(g: Graph) -> FamilyMembership:
     """Bipartite / cobipartite / split membership flags."""
-    if g.order > PARTITION_GUARD:
-        raise GuardError(f"family membership is guarded at order {PARTITION_GUARD}")
     return FamilyMembership(
         bipartite=_is_bipartite(g),
         cobipartite=_is_bipartite(complement(g)),

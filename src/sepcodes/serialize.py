@@ -10,23 +10,18 @@ from __future__ import annotations
 from math import comb
 
 from .errors import FormatError
-from .graphs import MAX_VERTICES, Graph, build_graph, edge_bit_pairs
+from .graphs import MAX_VERTICES, Graph, build_graph, graph_code, graph_from_code
+
+# Payload bit t is bit t of graph_code, as both walk edge_bit_pairs in
+# order; a six-bit group holds it at 5 - t % 6, so this table reverses a
+# group's bits, both ways.
+_REVERSED = [int(f"{v:06b}"[::-1], 2) for v in range(64)]
 
 
 def emit_graph6(g: Graph) -> bytes:
-    pairs = edge_bit_pairs(g.order)
-    nbytes = (len(pairs) + 5) // 6
-    out = bytearray([g.order + 63])
-    for b in range(nbytes):
-        val = 0
-        for r in range(6):
-            t = 6 * b + r
-            if t < len(pairs):
-                i, j = pairs[t]
-                if g.adj[i] >> j & 1:
-                    val |= 1 << (5 - r)
-        out.append(val + 63)
-    return bytes(out)
+    code = graph_code(g)
+    nbytes = (comb(g.order, 2) + 5) // 6
+    return bytes([g.order + 63] + [_REVERSED[code >> 6 * b & 63] + 63 for b in range(nbytes)])
 
 
 def parse_graph6(data: bytes | str) -> Graph:
@@ -53,19 +48,14 @@ def parse_graph6(data: bytes | str) -> Graph:
         raise FormatError(
             f"graph6 payload has {len(payload)} bytes, expected {nbytes} for order {order}"
         )
-    pairs = edge_bit_pairs(order)
-    edges = []
+    code = 0
     for b, byte in enumerate(payload):
         if not 63 <= byte <= 126:
             raise FormatError(f"graph6 payload byte {byte} outside [63, 126]")
-        val = byte - 63
-        for r in range(6):
-            t = 6 * b + r
-            if val >> (5 - r) & 1:
-                if t >= nbits:
-                    raise FormatError("nonzero padding bits in graph6 payload")
-                edges.append(pairs[t])
-    return build_graph(order, edges)
+        code |= _REVERSED[byte - 63] << 6 * b
+    if code >> nbits:
+        raise FormatError("nonzero padding bits in graph6 payload")
+    return graph_from_code(order, code)
 
 
 def emit_edge_list(g: Graph) -> str:

@@ -17,6 +17,7 @@ from sepcodes import (
     BlueprintError,
     ExtremalBlueprint,
     Separation,
+    build_graph,
     cycle_graph,
     emit_graph6,
     empty_graph,
@@ -24,7 +25,7 @@ from sepcodes import (
     path_graph,
 )
 from sepcodes.cli import main
-from sepcodes.extremal import INNER_PRESETS
+from sepcodes.extremal import INNER_PRESETS, StructureCheck
 
 K3_G6 = "Bw"
 BLUEPRINT_I3 = "sep=I\nk=3\ninner=empty\nouter=empty\n"
@@ -79,6 +80,16 @@ def test_solve_parse_error_exit_code(tmp_path, capsys):
     status, _, err = run(capsys, ["solve", str(path), "--kind", "ld"])
     assert status == 2
     assert "error" in err
+
+
+def test_solve_input_errors_exit_code(tmp_path, capsys):
+    status, out, err = run(capsys, ["solve", str(tmp_path / "missing.g6"), "--kind", "id"])
+    assert status == 2 and not out
+    assert err.startswith(f"error: cannot read {tmp_path / 'missing.g6'}: ")
+    path = tmp_path / "blank.txt"
+    path.write_text("  \n\n")
+    status, out, err = run(capsys, ["solve", str(path), "--kind", "id"])
+    assert (status, out, err) == (2, "", "error: empty graph input\n")
 
 
 def test_solve_budget_exit_code(tmp_path, capsys):
@@ -175,6 +186,19 @@ def test_construct_rejects_oversized_order_before_listing_labels(tmp_path, capsy
     assert "exceeds capacity 62" in err and not out
 
 
+def test_construct_explicit_outer_policy(tmp_path, capsys):
+    path = tmp_path / "bp.txt"
+    path.write_text("sep=L\nk=2\ninner=empty\nouter=Bg\n")
+    status, out, _ = run(capsys, ["construct", str(path), "--format", "json"])
+    payload = json.loads(out)
+    assert status == 0
+    assert payload["outer_policy"] == "explicit:Bg"
+    # the outer vertices 2, 3, 4 carry the labels 1, 2, 3 and the path 2-3-4
+    assert payload["graph6"] == emit_graph6(
+        build_graph(5, [(0, 2), (1, 3), (0, 4), (1, 4), (2, 3), (3, 4)])
+    ).decode()
+
+
 def test_verify(tmp_path, capsys):
     path = tmp_path / "bp.txt"
     path.write_text(BLUEPRINT_I3)
@@ -188,6 +212,33 @@ def test_audit(capsys):
     status, out, _ = run(capsys, ["audit", "--kind", "id", "--n", "3"])
     assert status == 0
     assert "passed = True" in out
+
+
+SAMPLED_AUDIT = ["audit", "--kind", "od", "--n", "8", "--mode", "sampled", "--seed", "7"]
+
+
+def test_audit_sampled_payload(capsys):
+    status, out, _ = run(capsys, SAMPLED_AUDIT + ["--trials", "150", "--format", "json"])
+    payload = json.loads(out)
+    assert status == 0
+    assert (payload["mode"], payload["k"], payload["passed"]) == ("sampled", 3, True)
+    assert payload["trials"] == 150 and payload["attained"] > 0
+    assert payload["failures"] == []
+
+
+def test_audit_sampled_reports_failing_graphs(capsys, monkeypatch):
+    checked = []
+
+    def failing(g, code, kind):
+        checked.append(g)
+        return StructureCheck(False, "planted")
+
+    monkeypatch.setattr("sepcodes.extremal.extremal_structure_check", failing)
+    status, out, _ = run(capsys, SAMPLED_AUDIT + ["--trials", "40", "--format", "json"])
+    payload = json.loads(out)
+    assert status == 1 and not payload["passed"]
+    assert payload["attained"] == len(checked) > 0
+    assert payload["failures"] == [emit_graph6(g).decode() for g in checked[:5]]
 
 
 def test_audit_guard_exit_code(capsys):

@@ -55,6 +55,8 @@ from sepcodes import (
     vset,
 )
 from sepcodes.extremal import (
+    _TIGHT_RECIPES,
+    StructureCheck,
     _attaining_codes,
     _c0_edges,
     _c0_patterns,
@@ -211,6 +213,12 @@ def test_materialize_removals():
     assert [label for _, label in me.outer_labels] == [2, 3]
 
 
+def test_random_outer_policy_rejects_a_probability_outside_the_unit_interval():
+    for probability in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="probability must lie in"):
+            OuterPolicy.random(1, probability)
+
+
 def test_random_outer_policy_is_deterministic():
     bp = ExtremalBlueprint(Separation.LOCATION, 3, empty_graph(3), OuterPolicy.random(42, 0.5))
     assert materialize(bp).graph == materialize(bp).graph
@@ -270,6 +278,37 @@ def test_removal_caps():
         (CodeKind.FTD, 5, PATH_PLUS_ISOLATE_5, path_graph(5), (11, 11)),
     ]:
         assert (removal_cap(kind, k, isolated), removal_cap(kind, k, isolate_free)) == caps, kind
+
+
+def test_no_removal_cap_binds_at_the_bound():
+    # the audit's family side reads no removal cap: at k = lower_bound(kind, n)
+    # keeping n - k of the eligible labels removes at most the cap, with
+    # equality at the smallest order whose bound is k
+    for kind in ALL_KINDS:
+        tight = 0
+        for n in range(1, 13):
+            k = lower_bound(kind, n)
+            for inner in enumerate_labeled_graphs(k) if k >= 1 else ():
+                if is_admissible(inner, kind):
+                    removed = k + len(eligible_outer_labels(kind.separation, inner)) - n
+                    cap = removal_cap(kind, k, inner)
+                    assert removed <= cap, (kind, n, inner)
+                    tight += removed == cap
+        assert tight, kind
+
+
+def test_structure_check_reasons():
+    for g, code, kind, reason in [
+        (empty_graph(3), vset([0, 1]), CodeKind.LD, "vertex 2 has an empty outer signature"),
+        (build_graph(4, [(0, 2), (0, 3)]), vset([0, 1]), CodeKind.LD,
+         "duplicate outer signature (0,)"),
+        # the inner edge gives 0 the open signature {1} and 1 the signature {0}
+        (build_graph(3, [(0, 1), (0, 2)]), vset([0, 1]), CodeKind.OD,
+         "outer signature (0,) collides with the code's own"),
+        # four eligible labels, none used, and order 4 is the least with bound 3
+        (empty_graph(3), vset([0, 1, 2]), CodeKind.ID, "4 outer labels unused, cap is 3"),
+    ]:
+        assert extremal_structure_check(g, code, kind) == StructureCheck(False, reason)
 
 
 def test_structure_check_negative():
@@ -376,6 +415,18 @@ def test_tight_presets_k3():
         assert {p.family for p in presets} == families
         for preset in presets:
             assert preset.passed, (kind, preset.family)
+
+
+@pytest.mark.parametrize("kind", list(_TIGHT_RECIPES))
+def test_tight_presets_up_to_capacity(kind):
+    # orders 31-36 at k = 5; at k = 6 every recipe's construction exceeds 62
+    for k in (4, 5):
+        presets = tight_family_presets(kind, k)
+        assert len(presets) == len(_TIGHT_RECIPES[kind])
+        for preset in presets:
+            assert preset.passed, (kind, k, preset.family)
+    with pytest.raises(BlueprintError, match="exceeds capacity 62"):
+        tight_family_presets(kind, 6)
 
 
 def test_tight_presets_rejects_full_kinds():
@@ -513,7 +564,7 @@ def test_family_patterns_equal_attaining_patterns(kind, n):
     # the audit's claim before any relabeling: the family writes exactly the
     # C0-patterns under which the scan finds C0 a code
     k = lower_bound(kind, n)
-    attaining = _c0_patterns(kind.name, n, k, 0, 1 << len(_c0_edges(n, k)))
+    attaining = _c0_patterns(kind, n, k, 0, 1 << len(_c0_edges(n, k)))
     patterns, _ = _family_patterns(kind, n, k)
     assert patterns == set(attaining)
     if (kind, n) == (CodeKind.ID, 7):
@@ -586,6 +637,11 @@ def test_parse_blueprint():
     bp = parse_blueprint(f"sep=F\nk=4\ninner={emit_graph6(p4()).decode()}\nouter=complete\n")
     assert bp.inner == p4()
 
+    # comment and blank lines are skipped; a graph6 outer policy is explicit
+    bp = parse_blueprint("# LD\n\nsep=L\n  \n  # next: k\nk=2\ninner=empty\nouter=Bg")
+    assert (bp.separation, bp.k, bp.inner) == (Separation.LOCATION, 2, empty_graph(2))
+    assert bp.outer == OuterPolicy.explicit(path_graph(3))
+
 
 def test_parse_blueprint_errors():
     with pytest.raises(FormatError, match="missing"):
@@ -600,3 +656,12 @@ def test_parse_blueprint_errors():
         parse_blueprint("sep=L\nk=2\ninner=empty\nouter=random:5\n")
     with pytest.raises(FormatError, match="duplicate"):
         parse_blueprint("sep=L\nsep=O\nk=2\ninner=empty\n")
+    with pytest.raises(FormatError, match="expected key=value, got 'k 2'"):
+        parse_blueprint("sep=L\nk 2\ninner=empty\n")
+    with pytest.raises(FormatError, match="k must be an integer, got 'two'"):
+        parse_blueprint("sep=L\nk=two\ninner=empty\n")
+    for outer in ("random:x:0.5", "random:1:y"):
+        with pytest.raises(FormatError, match="bad random outer policy"):
+            parse_blueprint(f"sep=L\nk=2\ninner=empty\nouter={outer}\n")
+    with pytest.raises(FormatError, match="probability must lie in"):
+        parse_blueprint("sep=L\nk=2\ninner=empty\nouter=random:1:1.5\n")

@@ -485,9 +485,15 @@ def test_family_membership_matches_oracle_exhaustively():
             assert (fm.bipartite, fm.cobipartite, fm.split) == _partition_membership_oracle(g)
 
 
-def test_family_membership_guard():
-    with pytest.raises(GuardError):
-        family_membership(empty_graph(21))
+def test_family_membership_answers_up_to_capacity():
+    # two colourings and a degree sum: no order guard, so orders past 20 answer
+    for g, flags in [
+        (empty_graph(21), (True, False, True)),
+        (complete_graph(62), (False, True, True)),
+        (matching_graph(62), (True, False, False)),
+    ]:
+        fm = family_membership(g)
+        assert (fm.bipartite, fm.cobipartite, fm.split) == flags
 
 
 def test_complement_and_presets():
