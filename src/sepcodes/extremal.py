@@ -19,7 +19,7 @@ from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from functools import partial
-from math import comb
+from math import comb, perm
 from typing import Iterable
 
 from .codes import CodeKind, Separation, is_admissible, is_code
@@ -56,8 +56,8 @@ from .solver import (
     smallest_k,
 )
 
-# at n = 8 the attaining side scans 2^22 C0-patterns for k = 4, and each side
-# of the ID audit holds at least 16.2M labeled codes
+# at n = 8 the ID attaining side scans 2^6 * 15*14*13*12 = 2.1M C0-patterns
+# for k = 4, and each side of the ID audit holds at least 16.2M labeled codes
 AUDIT_EXHAUSTIVE_GUARD = 7
 AUDIT_SAMPLED_GUARD = 10
 
@@ -435,28 +435,33 @@ def _iso_class_count(codes: Iterable[int], n: int) -> int:
 
 
 def _c0_patterns(kind: CodeKind, n: int, k: int, lo: int, hi: int) -> list[int]:
-    """Patterns in [lo, hi) of the edges meeting C0 = {0..k-1} under which
-    C0 is a kind-code, read by the layout of `_c0_edges`."""
+    """C0-patterns, read by the layout of `_c0_edges`, under which C0 =
+    {0..k-1} is a kind-code, among those at flat indices [lo, hi) of the
+    pairs (inner edge code, ordered choice of n - k distinct labels in
+    1..2^k - 1), inner edge code major. Each outer vertex lies outside C0,
+    so under every kind a code gives it a nonempty signature on C0
+    (domination) and any two of them different signatures (separation):
+    no other pattern can pass, and `make_mask_checker` decides these."""
     c0 = (1 << k) - 1
     inner_bits = comb(k, 2)
-    inner_mask = (1 << inner_bits) - 1
     shifts = [inner_bits + i * k for i in range(n - k)]
-    inners = [decode_edges(k, code, edge_bit_pairs(k)) for code in range(inner_mask + 1)]
-    closeds = [[nb | 1 << u for u, nb in enumerate(adj)] for adj in inners]
+    tuples = perm(c0, n - k)
     adj = [0] * n
     closed = [0] * n
     # the checker reads adj and closed when called, and only their bits in
-    # C0: each pattern refills a code vertex with its inner adjacency and an
-    # outer vertex with its signature
+    # C0: each inner code fills the code vertices with its adjacency, and
+    # each tuple the outer vertices with their signatures
     check = make_mask_checker(n, adj, closed, kind)
     out: list[int] = []
-    for pattern in range(lo, hi):
-        inner = pattern & inner_mask
-        adj[:k] = inners[inner]
-        closed[:k] = closeds[inner]
-        adj[k:] = closed[k:] = [pattern >> s & c0 for s in shifts]
-        if check(c0):
-            out.append(pattern)
+    for inner in range(lo // tuples, -(-hi // tuples)):
+        adj[:k] = decode_edges(k, inner, edge_bit_pairs(k))
+        closed[:k] = [nb | 1 << u for u, nb in enumerate(adj[:k])]
+        start = inner * tuples
+        signatures = itertools.permutations(range(1, c0 + 1), n - k)
+        for sigs in itertools.islice(signatures, max(lo - start, 0), min(hi - start, tuples)):
+            adj[k:] = closed[k:] = sigs
+            if check(c0):
+                out.append(inner | sum(sig << s for sig, s in zip(sigs, shifts)))
     return out
 
 
@@ -484,12 +489,20 @@ def _label_closure(patterns: Iterable[int], n: int, k: int) -> set[int]:
     return closure
 
 
+def _attaining_patterns(kind: CodeKind, n: int, k: int, jobs: int = 1) -> set[int]:
+    """The C0-patterns under which C0 is a kind-code, which are closed under
+    relabeling within C0 and within the rest; none when n < k."""
+    tuples = perm((1 << k) - 1, n - k) if n >= k else 0
+    if not tuples:
+        return set()
+    parts = scan(partial(_c0_patterns, kind, n, k), (1 << comb(k, 2)) * tuples, jobs)
+    return {p for part in parts for p in part}
+
+
 def _attaining_codes(kind: CodeKind, n: int, k: int, jobs: int = 1) -> set[int]:
     """Edge codes of every labeled graph of order n that has a kind-code of
-    size k: the label closure of the C0-patterns under which C0 is a
-    kind-code, which are closed under relabeling within C0 and the rest."""
-    parts = scan(partial(_c0_patterns, kind, n, k), 1 << len(_c0_edges(n, k)), jobs)
-    return _label_closure([p for part in parts for p in part], n, k)
+    size k: the label closure of `_attaining_patterns`."""
+    return _label_closure(_attaining_patterns(kind, n, k, jobs), n, k)
 
 
 def audit_characterization(
@@ -506,19 +519,24 @@ def audit_characterization(
     the logarithmic bound k are exactly the relabelings of the
     characterization family. Each side is a set of patterns of the edges
     meeting C0 = {0..k-1}, closed under relabeling within C0 and within the
-    rest, and the one _label_closure carries both to every k-set and adds
-    every setting of the edges among the other vertices, which no code test
-    of the k-set reads. The attaining side keeps the patterns under which C0
-    is a code, each tested once with `make_mask_checker`; as no code
-    is smaller than k, a graph attains k exactly when some k-set is a code.
+    rest, and _label_closure carries a set to every k-set and adds every
+    setting of the edges among the other vertices, which no code test of
+    the k-set reads. The attaining side keeps the patterns under which C0
+    is a code; as no code is smaller than k, a graph attains k exactly when
+    some k-set is a code. Every kind dominates and separates the vertices
+    outside a code, so it scans only patterns whose n - k outer signatures
+    are nonempty and distinct, and tests each with `make_mask_checker`.
     It uses nothing of the construction, so the two sides stay independent.
     The family side takes every admissible inner graph and every ordered
-    choice of n - k of its eligible outer labels. Two tests check the
-    shared carry: the attaining side against `is_code` on every labeled
-    graph, the family side against all n! relabelings of each family graph.
-    `jobs` (clamped to [1, os.cpu_count()]) shards the pattern scan; the
-    result does not depend on it. Sampled mode solves seeded random graphs and structurally
-    checks every attaining one against the construction."""
+    choice of n - k of its eligible outer labels. The closure depends only
+    on its pattern set, so when the two sets are equal one closure serves
+    both counts, and a second is built only when they differ. Two tests
+    check the shared carry: the attaining side against `is_code` on every
+    labeled graph, the family side against all n! relabelings of each
+    family graph. `jobs` (clamped to [1, os.cpu_count()]) shards the
+    pattern scan; the result does not depend on it. Sampled mode solves
+    seeded random graphs and structurally checks every attaining one
+    against the construction."""
     k = lower_bound(kind, n)
     if k < 1:
         raise GuardError(f"no attainment theory at order {n} (bound is {k})")
@@ -528,9 +546,13 @@ def audit_characterization(
                 f"exhaustive audit is guarded at order {AUDIT_EXHAUSTIVE_GUARD}"
             )
         # before the family side, so that a pool forks a small process
-        attaining = _attaining_codes(kind, n, k, jobs)
+        attaining_patterns = _attaining_patterns(kind, n, k, jobs)
         patterns, ascending = _family_patterns(kind, n, k)
         closure = _label_closure(patterns, n, k)
+        attaining = (
+            closure if attaining_patterns == patterns
+            else _label_closure(attaining_patterns, n, k)
+        )
         classes = _iso_class_count(ascending, n)
         missing = sorted(closure - attaining)
         unexpected = sorted(attaining - closure)

@@ -22,7 +22,9 @@ from sepcodes import (
     lower_bound,
     separation_family,
 )
-from sepcodes.graphs import _refine
+from sepcodes.extremal import _c0_edges, eligible_outer_labels
+from sepcodes.graphs import _refine, decode_edges, edge_bit_pairs
+from sepcodes.solver import make_mask_checker
 
 # Property tests draw the same examples on every run and stay bounded, so
 # the suite is deterministic and fast; no example database is written.
@@ -186,6 +188,40 @@ def reference_min_code(
         if witness is not None:
             return size, witness, nodes
     raise AssertionError("admissible graph has no code")
+
+
+def full_c0_patterns(kind: CodeKind, n: int, k: int) -> set[int]:
+    """Oracle for extremal._attaining_patterns: every one of the
+    2^|_c0_edges(n, k)| patterns of the edges meeting C0 = {0..k-1}, each
+    tested with make_mask_checker, with no filter on the outer signatures.
+    No k-set fits in fewer than k vertices, so there are none when n < k."""
+    if n < k:
+        return set()
+    c0 = (1 << k) - 1
+    inner_bits = comb(k, 2)
+    inner_mask = (1 << inner_bits) - 1
+    shifts = [inner_bits + i * k for i in range(n - k)]
+    adj = [0] * n
+    closed = [0] * n
+    check = make_mask_checker(n, adj, closed, kind)
+    out = set()
+    for pattern in range(1 << len(_c0_edges(n, k))):
+        adj[:k] = decode_edges(k, pattern & inner_mask, edge_bit_pairs(k))
+        closed[:k] = [nb | 1 << u for u, nb in enumerate(adj[:k])]
+        adj[k:] = closed[k:] = [pattern >> s & c0 for s in shifts]
+        if check(c0):
+            out.add(pattern)
+    return out
+
+
+def without_last_label(monkeypatch):
+    """Make the family side drop each inner graph's last eligible label; the
+    attaining side reads no label, so the two sides then differ."""
+    eligible = eligible_outer_labels
+    monkeypatch.setattr(
+        "sepcodes.extremal.eligible_outer_labels",
+        lambda separation, inner: eligible(separation, inner)[:-1],
+    )
 
 
 def relabeled(g: Graph, perm: list[int]) -> Graph:

@@ -11,6 +11,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from conftest import without_last_label
 
 import sepcodes
 from sepcodes import (
@@ -239,6 +240,25 @@ def test_audit_sampled_reports_failing_graphs(capsys, monkeypatch):
     assert status == 1 and not payload["passed"]
     assert payload["attained"] == len(checked) > 0
     assert payload["failures"] == [emit_graph6(g).decode() for g in checked[:5]]
+
+
+def test_audit_exhaustive_failure_exit_code(capsys, monkeypatch):
+    without_last_label(monkeypatch)
+    status, out, _ = run(capsys, ["audit", "--kind", "id", "--n", "5", "--format", "json"])
+    assert status == 1
+    assert json.loads(out) == {
+        "command": "audit",
+        "kind": "ID",
+        "n": 5,
+        "k": 3,
+        "mode": "exhaustive",
+        "passed": False,
+        "attaining_count": 382,
+        "family_count": 262,
+        "family_class_count": 6,
+        "missing": [],
+        "unexpected": ["D}_", "D|_", "DF_", "Dv_", "D}O"],
+    }
 
 
 def test_audit_guard_exit_code(capsys):

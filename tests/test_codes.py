@@ -165,6 +165,20 @@ def test_admissibility_equals_the_separation_family_having_no_empty_set():
                 assert is_admissible(g, kind) == (separation_family(g, kind) != [0])
 
 
+def test_code_gives_outer_vertices_distinct_nonempty_signatures():
+    # what the audit's C0-pattern scan relies on: under every kind a vertex
+    # outside a code is dominated by it, and separated from any other such
+    # vertex by a code vertex adjacent to exactly one of the two
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            for kind in ALL_KINDS:
+                for mask in range(1, 1 << n):
+                    if not is_code(g, mask, kind):
+                        continue
+                    outer = [g.adj[v] & mask for v in range(n) if not mask >> v & 1]
+                    assert 0 not in outer and len(set(outer)) == len(outer)
+
+
 def test_empty_code_is_never_a_code():
     for n in range(1, 5):
         for g in enumerate_labeled_graphs(n):

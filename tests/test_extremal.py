@@ -10,10 +10,11 @@ from concurrent.futures import ProcessPoolExecutor
 from math import comb
 
 import pytest
-from conftest import p4, random_graph, relabeled
+from conftest import full_c0_patterns, p4, random_graph, relabeled, without_last_label
 
 from sepcodes import (
     ALL_KINDS,
+    AuditReport,
     BlueprintError,
     CodeKind,
     ExtremalBlueprint,
@@ -58,8 +59,8 @@ from sepcodes.extremal import (
     _TIGHT_RECIPES,
     StructureCheck,
     _attaining_codes,
+    _attaining_patterns,
     _c0_edges,
-    _c0_patterns,
     _family_patterns,
     _label_closure,
     inner_has_isolated,
@@ -564,11 +565,41 @@ def test_family_patterns_equal_attaining_patterns(kind, n):
     # the audit's claim before any relabeling: the family writes exactly the
     # C0-patterns under which the scan finds C0 a code
     k = lower_bound(kind, n)
-    attaining = _c0_patterns(kind, n, k, 0, 1 << len(_c0_edges(n, k)))
+    attaining = _attaining_patterns(kind, n, k)
     patterns, _ = _family_patterns(kind, n, k)
-    assert patterns == set(attaining)
+    assert patterns == attaining
     if (kind, n) == (CodeKind.ID, 7):
         assert len(patterns) == 96
+
+
+FULL_SCAN_CASES = [
+    (kind, n) for kind in CodeKind for n in range(1, 8) if lower_bound(kind, n) >= 1
+]
+
+
+@pytest.mark.parametrize("kind,n", FULL_SCAN_CASES)
+def test_attaining_patterns_equal_the_full_scan(kind, n):
+    # the scan tests only distinct nonempty outer signatures; the full scan
+    # tests every setting of every edge meeting C0
+    k = lower_bound(kind, n)
+    assert _attaining_patterns(kind, n, k) == full_c0_patterns(kind, n, k)
+
+
+def test_audit_exhaustive_reports_a_family_short_of_the_attaining_graphs(monkeypatch):
+    without_last_label(monkeypatch)
+    report = audit_characterization(CodeKind.ID, 5)
+    assert report == AuditReport(
+        CodeKind.ID,
+        5,
+        3,
+        "exhaustive",
+        passed=False,
+        attaining_count=382,
+        family_count=262,
+        family_class_count=6,
+        missing=(),
+        unexpected=("D}_", "D|_", "DF_", "Dv_", "D}O"),
+    )
 
 
 def test_audit_parallel_matches_serial(monkeypatch):
