@@ -19,7 +19,7 @@ from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from functools import partial
-from math import comb, perm
+from math import comb, factorial, perm
 from typing import Iterable
 
 from .codes import CodeKind, Separation, is_admissible, is_code
@@ -29,6 +29,7 @@ from .graphs import (
     MAX_VERTICES,
     Graph,
     build_graph,
+    canonical_form,
     complete_graph,
     decode_edges,
     disjoint_union,
@@ -379,18 +380,12 @@ def _c0_edges(n: int, k: int) -> list[tuple[int, int]]:
     return [(i, j) for i, j in edge_bit_pairs(n) if i < k]
 
 
-def _family_patterns(kind: CodeKind, n: int, k: int) -> tuple[set[int], set[int]]:
+def _family_patterns(kind: CodeKind, n: int, k: int) -> set[int]:
     """C0-patterns of the characterization family at order n, for every
     admissible inner graph on C0 and every ordered choice of n - k of its
-    eligible labels for the outer vertices k..n-1; and, for the isomorphism
-    classing, the edge codes of the family graphs with kept labels in
-    ascending order and every setting of the edges among the outer vertices.
-    Outer vertex k + i has its label at bit C(k, 2) + ik of a pattern and at
-    bit C(k + i, 2) of an edge code."""
+    eligible labels for the outer vertices k..n-1."""
     inner_bits = comb(k, 2)
-    free = _free_edge_codes(1 << t for t, (i, _) in enumerate(edge_bit_pairs(n)) if i >= k)
     patterns: set[int] = set()
-    ascending: set[int] = set()
     # ascending by edge code, so the index is the inner graph's edge code
     for inner_code, inner in enumerate(enumerate_labeled_graphs(k)):
         if not is_admissible(inner, kind):
@@ -401,10 +396,29 @@ def _family_patterns(kind: CodeKind, n: int, k: int) -> tuple[set[int], set[int]
             patterns.add(
                 inner_code | sum(label << (inner_bits + i * k) for i, label in enumerate(kept))
             )
-        for kept in itertools.combinations(labels, n - k):
-            base = inner_code | sum(label << comb(k + i, 2) for i, label in enumerate(kept))
-            ascending.update([base | f for f in free])
-    return patterns, ascending
+    return patterns
+
+
+def _ascending_codes(patterns: Iterable[int], n: int, k: int) -> list[int]:
+    """Edge codes of the graphs that carry a C0-pattern in `patterns` whose
+    outer signatures ascend, with every setting of the edges among the outer
+    vertices. For patterns closed under relabeling of the outer vertices,
+    every graph with such a pattern on some k-set is isomorphic to one of
+    these. Outer vertex k + i has its signature at bit C(k, 2) + ik of a
+    pattern and at bit C(k + i, 2) of an edge code."""
+    c0 = (1 << k) - 1
+    inner_bits = comb(k, 2)
+    inner_mask = (1 << inner_bits) - 1
+    shifts = [inner_bits + i * k for i in range(n - k)]
+    free = _free_edge_codes(1 << t for t, (i, _) in enumerate(edge_bit_pairs(n)) if i >= k)
+    codes: list[int] = []
+    for pattern in patterns:
+        sigs = [pattern >> s & c0 for s in shifts]
+        if all(a < b for a, b in zip(sigs, sigs[1:])):
+            base = pattern & inner_mask
+            base |= sum(sig << comb(k + i, 2) for i, sig in enumerate(sigs))
+            codes += [base | f for f in free]
+    return codes
 
 
 def _free_edge_codes(bits: Iterable[int]) -> list[int]:
@@ -424,14 +438,18 @@ def _invariant_key(g: Graph) -> tuple:
                         for d, nb in zip(degs, g.adj)))
 
 
-def _iso_class_count(codes: Iterable[int], n: int) -> int:
+def _classes(codes: Iterable[int], n: int) -> dict[int, int]:
+    """{certificate: |Aut|} of the isomorphism classes of the graphs with
+    these edge codes: one representative per class, found by bucketing on
+    `_invariant_key` and testing `is_isomorphic` within a bucket, and its
+    `canonical_form`."""
     buckets: dict[tuple, list[Graph]] = defaultdict(list)
     for code in sorted(codes):
         g = graph_from_code(n, code)
         bucket = buckets[_invariant_key(g)]
         if not any(is_isomorphic(g, rep) for rep in bucket):
             bucket.append(g)
-    return sum(map(len, buckets.values()))
+    return dict(canonical_form(g) for bucket in buckets.values() for g in bucket)
 
 
 def _c0_patterns(kind: CodeKind, n: int, k: int, lo: int, hi: int) -> list[int]:
@@ -465,30 +483,6 @@ def _c0_patterns(kind: CodeKind, n: int, k: int, lo: int, hi: int) -> list[int]:
     return out
 
 
-def _label_closure(patterns: Iterable[int], n: int, k: int) -> set[int]:
-    """Edge codes of the labeled graphs of order n that carry a C0-pattern in
-    `patterns` on some k-set C: each pattern moved to C by the relabeling
-    that maps C0 onto C and the rest onto the rest, both in ascending order,
-    with every setting of the edges among the other n - k vertices. Any
-    relabeling is one of these after one within C0 and one within the rest,
-    so for patterns closed under those two this is the closure under all n!."""
-    bit_of = [[0] * n for _ in range(n)]
-    for t, (i, j) in enumerate(edge_bit_pairs(n)):
-        bit_of[i][j] = bit_of[j][i] = 1 << t
-    incident = _c0_edges(n, k)
-    outer_pairs = list(itertools.combinations(range(k, n), 2))
-    supports = [members(p) for p in patterns]
-    closure: set[int] = set()
-    for code_set in itertools.combinations(range(n), k):
-        perm = code_set + tuple(v for v in range(n) if v not in code_set)
-        images = [bit_of[perm[i]][perm[j]] for i, j in incident]
-        # the images are distinct single bits, so their sum is their union
-        moved = [sum(map(images.__getitem__, bits)) for bits in supports]
-        for f in _free_edge_codes(bit_of[perm[i]][perm[j]] for i, j in outer_pairs):
-            closure.update([code | f for code in moved])
-    return closure
-
-
 def _attaining_patterns(kind: CodeKind, n: int, k: int, jobs: int = 1) -> set[int]:
     """The C0-patterns under which C0 is a kind-code, which are closed under
     relabeling within C0 and within the rest; none when n < k."""
@@ -497,12 +491,6 @@ def _attaining_patterns(kind: CodeKind, n: int, k: int, jobs: int = 1) -> set[in
         return set()
     parts = scan(partial(_c0_patterns, kind, n, k), (1 << comb(k, 2)) * tuples, jobs)
     return {p for part in parts for p in part}
-
-
-def _attaining_codes(kind: CodeKind, n: int, k: int, jobs: int = 1) -> set[int]:
-    """Edge codes of every labeled graph of order n that has a kind-code of
-    size k: the label closure of `_attaining_patterns`."""
-    return _label_closure(_attaining_patterns(kind, n, k, jobs), n, k)
 
 
 def audit_characterization(
@@ -518,25 +506,27 @@ def audit_characterization(
     Exhaustive mode checks that the labeled graphs whose kind-number attains
     the logarithmic bound k are exactly the relabelings of the
     characterization family. Each side is a set of patterns of the edges
-    meeting C0 = {0..k-1}, closed under relabeling within C0 and within the
-    rest, and _label_closure carries a set to every k-set and adds every
-    setting of the edges among the other vertices, which no code test of
-    the k-set reads. The attaining side keeps the patterns under which C0
-    is a code; as no code is smaller than k, a graph attains k exactly when
-    some k-set is a code. Every kind dominates and separates the vertices
-    outside a code, so it scans only patterns whose n - k outer signatures
-    are nonempty and distinct, and tests each with `make_mask_checker`.
-    It uses nothing of the construction, so the two sides stay independent.
-    The family side takes every admissible inner graph and every ordered
-    choice of n - k of its eligible outer labels. The closure depends only
-    on its pattern set, so when the two sets are equal one closure serves
-    both counts, and a second is built only when they differ. Two tests
-    check the shared carry: the attaining side against `is_code` on every
-    labeled graph, the family side against all n! relabelings of each
-    family graph. `jobs` (clamped to [1, os.cpu_count()]) shards the
-    pattern scan; the result does not depend on it. Sampled mode solves
-    seeded random graphs and structurally checks every attaining one
-    against the construction."""
+    meeting C0 = {0..k-1}, closed under relabeling of the outer vertices
+    k..n-1, so every labeled graph with a pattern of the set on some k-set
+    is isomorphic to one from `_ascending_codes`: outer signatures in
+    ascending order, and every setting of the edges among the outer
+    vertices, which no code test of the k-set reads. `_classes` sorts those
+    into isomorphism classes, {certificate: |Aut|}, and a class stands for
+    n!/|Aut| labeled graphs. The attaining side keeps the patterns under
+    which C0 is a code; as no code is smaller than k, a graph attains k
+    exactly when some k-set is a code. Every kind dominates and separates
+    the vertices outside a code, so it scans only patterns whose n - k
+    outer signatures are nonempty and distinct, and tests each with
+    `make_mask_checker`. It uses nothing of the construction, so the two
+    sides stay independent. The family side takes every admissible inner
+    graph and every ordered choice of n - k of its eligible outer labels.
+    The classes depend only on the pattern set, so when the two sets are
+    equal one class dict serves both sides. The counts are the summed
+    class weights, and `missing` and `unexpected` hold the canonical
+    representatives of the classes on one side only. `jobs` (clamped to
+    [1, os.cpu_count()]) shards the pattern scan; the result does not
+    depend on it. Sampled mode solves seeded random graphs and structurally
+    checks every attaining one against the construction."""
     k = lower_bound(kind, n)
     if k < 1:
         raise GuardError(f"no attainment theory at order {n} (bound is {k})")
@@ -547,19 +537,21 @@ def audit_characterization(
             )
         # before the family side, so that a pool forks a small process
         attaining_patterns = _attaining_patterns(kind, n, k, jobs)
-        patterns, ascending = _family_patterns(kind, n, k)
-        closure = _label_closure(patterns, n, k)
+        patterns = _family_patterns(kind, n, k)
+        family = _classes(_ascending_codes(patterns, n, k), n)
         attaining = (
-            closure if attaining_patterns == patterns
-            else _label_closure(attaining_patterns, n, k)
+            family if attaining_patterns == patterns
+            else _classes(_ascending_codes(attaining_patterns, n, k), n)
         )
-        classes = _iso_class_count(ascending, n)
-        missing = sorted(closure - attaining)
-        unexpected = sorted(attaining - closure)
+        missing = sorted(family.keys() - attaining.keys())
+        unexpected = sorted(attaining.keys() - family.keys())
 
-        def sample(codes: list[int]) -> tuple[str, ...]:
+        def count(classes: dict[int, int]) -> int:
+            return sum(factorial(n) // aut for aut in classes.values())
+
+        def sample(certificates: list[int]) -> tuple[str, ...]:
             return tuple(
-                emit_graph6(graph_from_code(n, c)).decode("ascii") for c in codes[:5]
+                emit_graph6(graph_from_code(n, c)).decode("ascii") for c in certificates[:5]
             )
 
         return AuditReport(
@@ -568,9 +560,9 @@ def audit_characterization(
             k,
             mode,
             passed=not missing and not unexpected,
-            attaining_count=len(attaining),
-            family_count=len(closure),
-            family_class_count=classes,
+            attaining_count=count(attaining),
+            family_count=count(family),
+            family_class_count=len(family),
             missing=sample(missing),
             unexpected=sample(unexpected),
         )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 from math import comb
@@ -20,9 +21,15 @@ from sepcodes import (
     graph_from_code,
     is_admissible,
     lower_bound,
+    members,
     separation_family,
 )
-from sepcodes.extremal import _c0_edges, eligible_outer_labels
+from sepcodes.extremal import (
+    _attaining_patterns,
+    _c0_edges,
+    _free_edge_codes,
+    eligible_outer_labels,
+)
 from sepcodes.graphs import _refine, decode_edges, edge_bit_pairs
 from sepcodes.solver import make_mask_checker
 
@@ -214,14 +221,48 @@ def full_c0_patterns(kind: CodeKind, n: int, k: int) -> set[int]:
     return out
 
 
+def label_closure(patterns, n: int, k: int) -> set[int]:
+    """Labeled oracle for the audit's class weights: the edge codes of the
+    labeled graphs of order n that carry a C0-pattern in `patterns` on some
+    k-set C. Each pattern is moved to C by the relabeling that maps C0 onto
+    C and the rest onto the rest, both in ascending order, with every
+    setting of the edges among the other n - k vertices. Any relabeling is
+    one of these after one within C0 and one within the rest, so for
+    patterns closed under those two this is the closure under all n!."""
+    bit_of = [[0] * n for _ in range(n)]
+    for t, (i, j) in enumerate(edge_bit_pairs(n)):
+        bit_of[i][j] = bit_of[j][i] = 1 << t
+    incident = _c0_edges(n, k)
+    outer_pairs = list(itertools.combinations(range(k, n), 2))
+    supports = [members(p) for p in patterns]
+    closure: set[int] = set()
+    for code_set in itertools.combinations(range(n), k):
+        perm = code_set + tuple(v for v in range(n) if v not in code_set)
+        images = [bit_of[perm[i]][perm[j]] for i, j in incident]
+        # the images are distinct single bits, so their sum is their union
+        moved = [sum(map(images.__getitem__, bits)) for bits in supports]
+        for f in _free_edge_codes(bit_of[perm[i]][perm[j]] for i, j in outer_pairs):
+            closure.update([code | f for code in moved])
+    return closure
+
+
+def attaining_codes(kind: CodeKind, n: int, k: int) -> set[int]:
+    """Edge codes of every labeled graph of order n that has a kind-code of
+    size k: the label closure of the attaining C0-patterns."""
+    return label_closure(_attaining_patterns(kind, n, k), n, k)
+
+
 def without_last_label(monkeypatch):
-    """Make the family side drop each inner graph's last eligible label; the
-    attaining side reads no label, so the two sides then differ."""
+    """Make the family side drop each inner graph's last eligible label, and
+    return the replacement; the attaining side reads no label, so the two
+    sides then differ."""
     eligible = eligible_outer_labels
-    monkeypatch.setattr(
-        "sepcodes.extremal.eligible_outer_labels",
-        lambda separation, inner: eligible(separation, inner)[:-1],
-    )
+
+    def short(separation, inner):
+        return eligible(separation, inner)[:-1]
+
+    monkeypatch.setattr("sepcodes.extremal.eligible_outer_labels", short)
+    return short
 
 
 def relabeled(g: Graph, perm: list[int]) -> Graph:

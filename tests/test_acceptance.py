@@ -132,6 +132,12 @@ def test_criterion_05_audit_id_order_seven():
     report = audit_characterization(CodeKind.ID, 7, jobs=2)
     assert report.passed
     assert not report.missing and not report.unexpected
+    assert (report.attaining_count, report.family_count, report.family_class_count) == (
+        137130,
+        137130,
+        50,
+    )
+    assert audit_characterization(CodeKind.ID, 7, jobs=1) == report
     _report(
         5,
         f"ID attainment at order 7 = construction family "

@@ -7,10 +7,18 @@ import itertools
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from math import comb
+from math import comb, factorial
 
 import pytest
-from conftest import full_c0_patterns, p4, random_graph, relabeled, without_last_label
+from conftest import (
+    attaining_codes,
+    full_c0_patterns,
+    label_closure,
+    p4,
+    random_graph,
+    relabeled,
+    without_last_label,
+)
 
 from sepcodes import (
     ALL_KINDS,
@@ -58,14 +66,14 @@ from sepcodes import (
 from sepcodes.extremal import (
     _TIGHT_RECIPES,
     StructureCheck,
-    _attaining_codes,
+    _ascending_codes,
     _attaining_patterns,
     _c0_edges,
+    _classes,
     _family_patterns,
-    _label_closure,
     inner_has_isolated,
 )
-from sepcodes.graphs import edge_bit_pairs
+from sepcodes.graphs import canonical_form, edge_bit_pairs
 from sepcodes.solver import smallest_k
 
 PATH_PLUS_ISOLATE_5 = Graph(5, tuple(path_graph(4).adj) + (0,))
@@ -483,6 +491,13 @@ def test_audit_exhaustive_other_kinds(kind, n, attaining, classes):
     assert report.family_class_count == classes
 
 
+def class_weight(patterns, n, k):
+    """Labeled graphs counted by the audit's route: n!/|Aut| summed over
+    the classes of the ascending codes."""
+    classes = _classes(_ascending_codes(patterns, n, k), n)
+    return sum(factorial(n) // aut for aut in classes.values())
+
+
 ATTAINING_CASES = [(kind, n) for kind in CodeKind for n in range(1, 6)] + [(CodeKind.ID, 6)]
 
 
@@ -496,38 +511,50 @@ def test_attaining_codes_match_definitional_scan(kind, n):
         for g in enumerate_labeled_graphs(n)
         if any(is_code(g, vset(c), kind) for c in itertools.combinations(range(n), k))
     }
-    assert _attaining_codes(kind, n, k) == expected
+    assert attaining_codes(kind, n, k) == expected
+    assert class_weight(_attaining_patterns(kind, n, k), n, k) == len(expected)
 
 
 @pytest.mark.parametrize("kind,n", ATTAINING_CASES)
 def test_structure_check_accepts_every_attaining_graph(kind, n):
     # what the sampled audit asks of each graph it draws, over all of them
     k = lower_bound(kind, n)
-    for code in _attaining_codes(kind, n, k):
+    attaining = attaining_codes(kind, n, k)
+    for code in attaining:
         g = graph_from_code(n, code)
         check = extremal_structure_check(g, min_code(g, kind).witness, kind)
         assert check.ok, (emit_graph6(g), check.reason)
+    assert class_weight(_attaining_patterns(kind, n, k), n, k) == len(attaining)
 
 
-def _fixed_partition_family(kind, n, k):
+def _fixed_partition_family(kind, n, k, labels=eligible_outer_labels):
     """Every family graph of order n with the code on 0..k-1, the kept outer
-    labels in ascending order on k..n-1, and every setting of the edges
-    among the outer vertices."""
+    labels (as `labels` lists them) in ascending order on k..n-1, and every
+    setting of the edges among the outer vertices."""
     outer_pairs = list(itertools.combinations(range(k, n), 2))
     out = []
     for inner in enumerate_labeled_graphs(k):
         if not is_admissible(inner, kind):
             continue
-        labels = eligible_outer_labels(kind.separation, inner)
-        if not 0 <= k + len(labels) - n <= removal_cap(kind, k, inner):
+        eligible = labels(kind.separation, inner)
+        if not 0 <= k + len(eligible) - n <= removal_cap(kind, k, inner):
             continue
-        for kept in itertools.combinations(labels, n - k):
+        for kept in itertools.combinations(eligible, n - k):
             edges = list(inner.edges())
             edges += [(u, k + idx) for idx, label in enumerate(kept) for u in members(label)]
             for chosen in range(1 << len(outer_pairs)):
                 extra = [pair for t, pair in enumerate(outer_pairs) if chosen >> t & 1]
                 out.append(build_graph(n, edges + extra))
     return out
+
+
+def _relabeling_closure(graphs, n):
+    """Edge codes of the graphs relabeled by all n! permutations."""
+    return {
+        graph_code(relabeled(g, perm))
+        for g in graphs
+        for perm in itertools.permutations(range(n))
+    }
 
 
 FAMILY_CASES = [
@@ -540,13 +567,24 @@ def test_family_closure_matches_relabeling(kind, n):
     # the projected closure against every family graph relabeled by all n!
     # permutations; the outer orders are what make the projection complete
     k = lower_bound(kind, n)
-    expected = {
-        graph_code(relabeled(g, perm))
-        for g in _fixed_partition_family(kind, n, k)
-        for perm in itertools.permutations(range(n))
-    }
-    patterns, _ = _family_patterns(kind, n, k)
-    assert _label_closure(patterns, n, k) == expected
+    expected = _relabeling_closure(_fixed_partition_family(kind, n, k), n)
+    patterns = _family_patterns(kind, n, k)
+    assert label_closure(patterns, n, k) == expected
+    assert class_weight(patterns, n, k) == len(expected)
+
+
+@pytest.mark.parametrize("kind,n", FAMILY_CASES + [(CodeKind.ID, 7), (CodeKind.OTD, 7)])
+def test_classes_match_the_labeled_closure(kind, n):
+    # one class per certificate in the labeled closure, weighted by how many
+    # labeled graphs it holds; at n = 7 only the counts, as a canonical form
+    # of each of the 137130 ID graphs would take seconds
+    k = lower_bound(kind, n)
+    patterns = _family_patterns(kind, n, k)
+    closure = label_closure(patterns, n, k)
+    assert class_weight(patterns, n, k) == len(closure)
+    if n < 7:
+        certificates = {canonical_form(graph_from_code(n, c))[0] for c in closure}
+        assert _classes(_ascending_codes(patterns, n, k), n).keys() == certificates
 
 
 def test_c0_pattern_layout():
@@ -566,7 +604,7 @@ def test_family_patterns_equal_attaining_patterns(kind, n):
     # C0-patterns under which the scan finds C0 a code
     k = lower_bound(kind, n)
     attaining = _attaining_patterns(kind, n, k)
-    patterns, _ = _family_patterns(kind, n, k)
+    patterns = _family_patterns(kind, n, k)
     assert patterns == attaining
     if (kind, n) == (CodeKind.ID, 7):
         assert len(patterns) == 96
@@ -586,7 +624,7 @@ def test_attaining_patterns_equal_the_full_scan(kind, n):
 
 
 def test_audit_exhaustive_reports_a_family_short_of_the_attaining_graphs(monkeypatch):
-    without_last_label(monkeypatch)
+    short = without_last_label(monkeypatch)
     report = audit_characterization(CodeKind.ID, 5)
     assert report == AuditReport(
         CodeKind.ID,
@@ -595,11 +633,23 @@ def test_audit_exhaustive_reports_a_family_short_of_the_attaining_graphs(monkeyp
         "exhaustive",
         passed=False,
         attaining_count=382,
-        family_count=262,
+        family_count=312,
         family_class_count=6,
         missing=(),
-        unexpected=("D}_", "D|_", "DF_", "Dv_", "D}O"),
+        unexpected=("DFw", "DB{"),
     )
+    # the family short of its last labels, relabeled by all 5!: this family
+    # is not closed under relabeling within the code, so only the brute force
+    # says how many labeled graphs its relabelings make
+    family = _relabeling_closure(_fixed_partition_family(CodeKind.ID, 5, 3, short), 5)
+    certificates = {canonical_form(graph_from_code(5, c))[0] for c in family}
+    assert (len(family), len(certificates)) == (312, 6)
+    for text in report.unexpected:
+        g = parse_graph6(text)
+        assert any(
+            is_code(g, vset(c), CodeKind.ID) for c in itertools.combinations(range(5), 3)
+        )
+        assert canonical_form(g)[0] not in certificates
 
 
 def test_audit_parallel_matches_serial(monkeypatch):
