@@ -370,16 +370,6 @@ class AuditReport:
     failures: tuple[str, ...] = ()
 
 
-def _c0_edges(n: int, k: int) -> list[tuple[int, int]]:
-    """The edges meeting C0 = {0..k-1} in edge-code order: bit s of a
-    C0-pattern is edge s. As edge codes are column-major, the low C(k, 2)
-    bits are the edge code of the inner graph on C0, and after them come k
-    bits per outer vertex j = k..n-1: bit C(k, 2) + (j - k)k + i is the
-    edge (i, j), so the k bits are j's signature on C0. The edges among the
-    outer vertices are left out, as no code test of C0 reads them."""
-    return [(i, j) for i, j in edge_bit_pairs(n) if i < k]
-
-
 def _family_patterns(kind: CodeKind, n: int, k: int) -> set[int]:
     """C0-patterns of the characterization family at order n, for every
     admissible inner graph on C0 and every ordered choice of n - k of its
@@ -453,13 +443,20 @@ def _classes(codes: Iterable[int], n: int) -> dict[int, int]:
 
 
 def _c0_patterns(kind: CodeKind, n: int, k: int, lo: int, hi: int) -> list[int]:
-    """C0-patterns, read by the layout of `_c0_edges`, under which C0 =
-    {0..k-1} is a kind-code, among those at flat indices [lo, hi) of the
-    pairs (inner edge code, ordered choice of n - k distinct labels in
-    1..2^k - 1), inner edge code major. Each outer vertex lies outside C0,
-    so under every kind a code gives it a nonempty signature on C0
-    (domination) and any two of them different signatures (separation):
-    no other pattern can pass, and `make_mask_checker` decides these."""
+    """C0-patterns under which C0 = {0..k-1} is a kind-code, among those
+    at flat indices [lo, hi) of the pairs (inner edge code, ordered choice
+    of n - k distinct labels in 1..2^k - 1), inner edge code major. Each
+    outer vertex lies outside C0, so under every kind a code gives it a
+    nonempty signature on C0 (domination) and any two of them different
+    signatures (separation): no other pattern can pass, and
+    `make_mask_checker` decides these.
+
+    A C0-pattern holds the edges meeting C0 in edge-code order. As edge
+    codes are column-major, the low C(k, 2) bits are the edge code of the
+    inner graph on C0, and after them come k bits per outer vertex j =
+    k..n-1: bit C(k, 2) + (j - k)k + i is the edge (i, j), so the k bits
+    are j's signature on C0. The edges among the outer vertices are left
+    out, as no code test of C0 reads them."""
     c0 = (1 << k) - 1
     inner_bits = comb(k, 2)
     shifts = [inner_bits + i * k for i in range(n - k)]

@@ -8,6 +8,7 @@ value is deterministic.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -342,7 +343,7 @@ def _orbits(n: int, automorphisms: Iterable[Sequence[int]]) -> list[int]:
 
 def _canonical(
     n: int, adj: Sequence[int]
-) -> tuple[int, int, list[tuple[int, ...]], list[int]]:
+) -> tuple[int, int, tuple[tuple[int, ...], ...], list[int]]:
     """canonical_form on an adjacency table, unguarded, together with the
     automorphisms the search found, written in the canonical labeling: p
     maps to a[p] in graph_from_code(n, certificate). They generate the
@@ -442,7 +443,7 @@ def _canonical(
     label = [0] * n
     for p, v in enumerate(best_order):
         label[v] = p
-    found = [tuple(label[image[v]] for v in best_order) for image in autos]
+    found = tuple(tuple(label[image[v]] for v in best_order) for image in autos)
     return best, aut, found, label
 
 
@@ -473,7 +474,7 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     return _canonical(g.order, g.adj)[:2]
 
 
-def _subset_orbits(k: int, automorphisms: list[tuple[int, ...]]) -> list[tuple[int, int]]:
+def _subset_orbits(k: int, automorphisms: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
     """(least member, size) of each orbit on the vertex subsets of 0..k-1
     (as masks) of the group the automorphisms generate, ascending."""
     size = 1 << k
@@ -506,10 +507,16 @@ def _subset_orbits(k: int, automorphisms: list[tuple[int, ...]]) -> list[tuple[i
 
 # A class record: (certificate, |Aut|, automorphisms in the canonical
 # labeling, minimum degree). Generation starts from the graph on no vertices.
-ClassRecord = tuple[int, int, list[tuple[int, ...]], int]
-_ROOT: ClassRecord = (0, 1, [], 0)
+ClassRecord = tuple[int, int, tuple[tuple[int, ...], ...], int]
+_ROOT: ClassRecord = (0, 1, (), 0)
 # What _canonical returns: certificate, |Aut|, automorphisms, labeling.
-Canonical = tuple[int, int, list[tuple[int, ...]], list[int]]
+Canonical = tuple[int, int, tuple[tuple[int, ...], ...], list[int]]
+# _LEVELS[m] holds the class records on m vertices in the order
+# extend_classes emits them; class_parents extends it one level at a time,
+# so each level is built once per process (a forked worker inherits it);
+# the lock keeps two threads from appending the same level twice
+_LEVELS: list[tuple[ClassRecord, ...]] = [(_ROOT,)]
+_LEVELS_LOCK = threading.Lock()
 
 
 def accepted_children(
@@ -583,15 +590,18 @@ def extend_classes(m: int, parents: Iterable[ClassRecord]) -> Iterator[ClassReco
         yield cert, aut, found, d
 
 
-def class_parents(order: int) -> list[ClassRecord]:
+def class_parents(order: int) -> tuple[ClassRecord, ...]:
     """The class records on order - 1 vertices, which extend_classes(order,
-    ...) extends to every class on `order` vertices. Guarded at
-    CENSUS_GUARD, checked for `order` before any work."""
+    ...) extends to every class on `order` vertices. Each level is built
+    once per process, from the highest one already built, and kept in
+    _LEVELS: at most CENSUS_GUARD levels, about 0.4 MB for those on 0..7
+    vertices. Guarded at CENSUS_GUARD, checked for `order` before any
+    work."""
     _check_census_order(order)
-    classes = [_ROOT]
-    for m in range(1, order):
-        classes = list(extend_classes(m, classes))
-    return classes
+    with _LEVELS_LOCK:
+        while len(_LEVELS) < order:
+            _LEVELS.append(tuple(extend_classes(len(_LEVELS), _LEVELS[-1])))
+        return _LEVELS[order - 1]
 
 
 def graph_classes(order: int) -> dict[int, int]:
@@ -610,8 +620,10 @@ def graph_classes(order: int) -> dict[int, int]:
     new vertex that does not minimise the invariant, is rejected before any
     canonical form is computed, and a new vertex that alone minimises it is
     accepted without one (accepted_children); graph_classes then computes
-    the certificate. The class of a graph holds order!/|Aut| labeled
-    graphs. Guarded at CENSUS_GUARD, checked before any work."""
+    the certificate. The classes on order - 1 vertices come from
+    class_parents, built once per process. The class of a graph holds
+    order!/|Aut| labeled graphs. Guarded at CENSUS_GUARD, checked before
+    any work."""
     return {cert: aut for cert, aut, _, _ in extend_classes(order, class_parents(order))}
 
 

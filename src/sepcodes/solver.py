@@ -14,14 +14,7 @@ from typing import Callable, Iterable, TypeVar
 
 from .codes import ALL_KINDS, CodeKind, Separation, is_admissible, is_code
 from .errors import BudgetError, GuardError
-from .graphs import (
-    MAX_VERTICES,
-    ClassRecord,
-    Graph,
-    accepted_children,
-    class_parents,
-    members,
-)
+from .graphs import MAX_VERTICES, Graph, accepted_children, class_parents, members
 
 DEFAULT_BUDGET = 5_000_000
 ORACLE_GUARD = 20
@@ -385,12 +378,18 @@ def _census_classes(
     return dict(hist), inadmissible
 
 
-def _census_children(
-    kind: CodeKind, n: int, parents: list[ClassRecord], lo: int, hi: int
-) -> tuple[dict[int, int], int]:
-    children = accepted_children(n, parents[lo:hi])
-    classes = ((Graph(n, tuple(adj)), aut) for adj, aut, _, _ in children)
-    return _census_classes(kind, n, classes)
+# (n, lo, hi) -> (Graph, |Aut|) for each accepted child on n vertices of
+# class_parents(n)[lo:hi]; every kind solves the same children. A process
+# keeps about one children list per order, 3.0 MB at n = 8
+_CHILDREN: dict[tuple[int, int, int], tuple[tuple[Graph, int], ...]] = {}
+
+
+def _census_children(kind: CodeKind, n: int, lo: int, hi: int) -> tuple[dict[int, int], int]:
+    key = (n, lo, hi)
+    if key not in _CHILDREN:
+        children = accepted_children(n, class_parents(n)[lo:hi])
+        _CHILDREN[key] = tuple((Graph(n, tuple(adj)), aut) for adj, aut, _, _ in children)
+    return _census_classes(kind, n, _CHILDREN[key])
 
 
 def census(kind: CodeKind, n: int, jobs: int = 1) -> CensusReport:
@@ -398,15 +397,18 @@ def census(kind: CodeKind, n: int, jobs: int = 1) -> CensusReport:
     graphs are taken one isomorphism class at a time (graphs.graph_classes):
     min_code solves one graph of the class, in the labeling augmentation
     gives it, and the class counts n!/|Aut| labeled graphs, all with the
-    same kind-number. The classes on n - 1 vertices are built in the
-    calling process; `scan` shards them, and each chunk takes its parents'
-    accepted children on n vertices (graphs.accepted_children) and solves
-    those, as no two parents share a class. No certificate is read, so a
-    child gets a canonical form only when the acceptance test needs one;
-    otherwise |Aut| comes from the parent's group by orbit-stabilizer.
-    Guarded at CENSUS_GUARD."""
-    parents = class_parents(n)
-    results = scan(partial(_census_children, kind, n, parents), len(parents), jobs)
+    same kind-number. The classes on n - 1 vertices (graphs.class_parents)
+    are built in the calling process, once per process; `scan` shards them,
+    and each chunk takes its parents' accepted children on n vertices
+    (graphs.accepted_children) and solves those, as no two parents share a
+    class. A worker reads class_parents itself: forked, it inherits the
+    levels; spawned, it builds them once. The children of a chunk are kept
+    too, so the next kind at the same order only solves them. No
+    certificate is read, so a child gets a canonical form only when the
+    acceptance test needs one; otherwise |Aut| comes from the parent's
+    group by orbit-stabilizer. Guarded at CENSUS_GUARD."""
+    total = len(class_parents(n))
+    results = scan(partial(_census_children, kind, n), total, jobs)
     hist: Counter[int] = Counter()
     inadmissible = 0
     for part_hist, part_inadm in results:

@@ -26,11 +26,10 @@ from sepcodes import (
 )
 from sepcodes.extremal import (
     _attaining_patterns,
-    _c0_edges,
     _free_edge_codes,
     eligible_outer_labels,
 )
-from sepcodes.graphs import _refine, decode_edges, edge_bit_pairs
+from sepcodes.graphs import _ROOT, _refine, decode_edges, edge_bit_pairs
 from sepcodes.solver import make_mask_checker
 
 # Property tests draw the same examples on every run and stay bounded, so
@@ -197,9 +196,15 @@ def reference_min_code(
     raise AssertionError("admissible graph has no code")
 
 
+def c0_edges(n: int, k: int) -> list[tuple[int, int]]:
+    """The edges meeting C0 = {0..k-1} in edge-code order: bit s of a
+    C0-pattern (see extremal._c0_patterns) is edge s."""
+    return [(i, j) for i, j in edge_bit_pairs(n) if i < k]
+
+
 def full_c0_patterns(kind: CodeKind, n: int, k: int) -> set[int]:
     """Oracle for extremal._attaining_patterns: every one of the
-    2^|_c0_edges(n, k)| patterns of the edges meeting C0 = {0..k-1}, each
+    2^|c0_edges(n, k)| patterns of the edges meeting C0 = {0..k-1}, each
     tested with make_mask_checker, with no filter on the outer signatures.
     No k-set fits in fewer than k vertices, so there are none when n < k."""
     if n < k:
@@ -212,7 +217,7 @@ def full_c0_patterns(kind: CodeKind, n: int, k: int) -> set[int]:
     closed = [0] * n
     check = make_mask_checker(n, adj, closed, kind)
     out = set()
-    for pattern in range(1 << len(_c0_edges(n, k))):
+    for pattern in range(1 << len(c0_edges(n, k))):
         adj[:k] = decode_edges(k, pattern & inner_mask, edge_bit_pairs(k))
         closed[:k] = [nb | 1 << u for u, nb in enumerate(adj[:k])]
         adj[k:] = closed[k:] = [pattern >> s & c0 for s in shifts]
@@ -232,7 +237,7 @@ def label_closure(patterns, n: int, k: int) -> set[int]:
     bit_of = [[0] * n for _ in range(n)]
     for t, (i, j) in enumerate(edge_bit_pairs(n)):
         bit_of[i][j] = bit_of[j][i] = 1 << t
-    incident = _c0_edges(n, k)
+    incident = c0_edges(n, k)
     outer_pairs = list(itertools.combinations(range(k, n), 2))
     supports = [members(p) for p in patterns]
     closure: set[int] = set()
@@ -316,6 +321,14 @@ def unpruned_canonical_form(g: Graph) -> tuple[int, int]:
 def classes_by_order() -> dict[int, dict[int, int]]:
     """graph_classes(n) for n = 1..7, built once per test run."""
     return {n: graph_classes(n) for n in range(1, 8)}
+
+
+@pytest.fixture
+def cold_classes(monkeypatch):
+    """An empty class level table and census children memo, as in a fresh
+    process; the warm ones come back after the test."""
+    monkeypatch.setattr("sepcodes.graphs._LEVELS", [(_ROOT,)])
+    monkeypatch.setattr("sepcodes.solver._CHILDREN", {})
 
 
 @pytest.fixture

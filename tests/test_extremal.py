@@ -12,6 +12,7 @@ from math import comb, factorial
 import pytest
 from conftest import (
     attaining_codes,
+    c0_edges,
     full_c0_patterns,
     label_closure,
     p4,
@@ -68,7 +69,6 @@ from sepcodes.extremal import (
     StructureCheck,
     _ascending_codes,
     _attaining_patterns,
-    _c0_edges,
     _classes,
     _family_patterns,
     inner_has_isolated,
@@ -592,7 +592,7 @@ def test_c0_pattern_layout():
     for n in range(2, 9):
         for k in range(1, n):
             outer = [(i, j) for j in range(k, n) for i in range(k)]
-            assert _c0_edges(n, k) == list(edge_bit_pairs(k)) + outer
+            assert c0_edges(n, k) == list(edge_bit_pairs(k)) + outer
 
 
 PATTERN_CASES = FAMILY_CASES + [(CodeKind.ID, 7)]

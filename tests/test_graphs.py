@@ -4,7 +4,9 @@ partition-family membership."""
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -23,6 +25,7 @@ from conftest import (
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sepcodes.graphs
 from sepcodes import (
     Graph,
     GuardError,
@@ -49,6 +52,7 @@ from sepcodes import (
     vset,
 )
 from sepcodes.graphs import (
+    _ROOT,
     CENSUS_GUARD,
     _canonical,
     _subset_orbits,
@@ -312,6 +316,54 @@ def test_graph_classes_at_order_eight():
     certs = [cert for cert, _, _, _ in records]
     assert len(certs) == len(set(certs)) == 12346  # OEIS A000088
     assert sum(factorial(8) // aut for _, aut, _, _ in records) == labeled_graph_count(8)
+
+
+def test_class_parents_equal_a_cold_rebuild():
+    records = (_ROOT,)
+    assert class_parents(1) == records
+    for m in range(1, CENSUS_GUARD):
+        records = tuple(extend_classes(m, records))
+        assert class_parents(m + 1) == records
+
+
+def test_class_parents_build_each_level_once(cold_classes, monkeypatch):
+    built = []
+
+    def counted(m, parents):
+        built.append(m)
+        return extend_classes(m, parents)
+
+    monkeypatch.setattr("sepcodes.graphs.extend_classes", counted)
+    level = class_parents(5)
+    assert class_parents(5) is level
+    class_parents(3)
+    class_parents(6)
+    # each level extends the highest one already built
+    assert built == [1, 2, 3, 4, 5]
+    assert len(sepcodes.graphs._LEVELS) == 6
+    # the stored levels are immutable, records and automorphisms included
+    assert isinstance(level, tuple)
+    assert all(isinstance(found, tuple) for _, _, found, _ in level)
+    with pytest.raises(TypeError):
+        level[0] = _ROOT
+
+
+def test_class_parents_from_many_threads(cold_classes):
+    # each level is appended once, whichever thread builds it
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(class_parents, 2 + i % 6) for i in range(16)]
+            levels = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    records = (_ROOT,)
+    for m in range(1, 7):
+        records = tuple(extend_classes(m, records))
+        assert sepcodes.graphs._LEVELS[m] == records
+    assert len(sepcodes.graphs._LEVELS) == 7
+    assert all(level is sepcodes.graphs._LEVELS[1 + i % 6] for i, level in enumerate(levels))
 
 
 @pytest.fixture(scope="module")

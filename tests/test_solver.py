@@ -3,8 +3,11 @@ relation checks, and the census."""
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import random
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import pytest
 from conftest import (
@@ -25,6 +28,8 @@ from conftest import (
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sepcodes.graphs
+import sepcodes.solver
 from sepcodes import (
     ALL_KINDS,
     BudgetError,
@@ -35,7 +40,6 @@ from sepcodes import (
     disjoint_union,
     empty_graph,
     enumerate_labeled_graphs,
-    graph_from_code,
     is_admissible,
     is_code,
     labeled_graph_count,
@@ -48,9 +52,9 @@ from sepcodes import (
     separation_family,
     vset,
 )
+from sepcodes.graphs import _ROOT
 from sepcodes.solver import (
     DEFAULT_BUDGET,
-    _census_classes,
     make_mask_checker,
     resolve_jobs,
     smallest_k,
@@ -419,12 +423,10 @@ AUDIT_ORDER_SEVEN = {
 }
 
 
-def test_census_order_seven_counts_the_audit_attaining_graphs(classes_by_order):
-    # the census worker over classes built once, rather than census(kind, 7)
-    # building them again for each kind
-    classes = [(graph_from_code(7, cert), aut) for cert, aut in classes_by_order[7].items()]
+def test_census_order_seven_counts_the_audit_attaining_graphs():
     for kind, attaining in AUDIT_ORDER_SEVEN.items():
-        hist, inadmissible = _census_classes(kind, 7, classes)
+        report = census(kind, 7)
+        hist, inadmissible = report.histogram, report.inadmissible
         assert (hist, inadmissible) == CENSUS_ORDER_SEVEN[kind]
         assert hist.get(lower_bound(kind, 7), 0) == attaining
         assert sum(hist.values()) + inadmissible == labeled_graph_count(7)
@@ -446,6 +448,31 @@ def test_census_jobs_are_clamped(spy_pools):
     assert len(spy_pools) == 1  # the serial call made no pool
 
 
-def test_census_guard():
+def test_census_guard(cold_classes):
     with pytest.raises(GuardError):
         census(CodeKind.LD, 9)
+    # rejected before any class level is built
+    assert sepcodes.graphs._LEVELS == [(_ROOT,)]
+    assert sepcodes.solver._CHILDREN == {}
+
+
+@pytest.mark.parametrize("jobs", [(2, 1), (1, 2)], ids=["pool-first", "serial-first"])
+def test_census_from_cold_does_not_depend_on_jobs(cold_classes, jobs, monkeypatch):
+    # the first call builds the class levels and, in process, the children;
+    # the pool's workers read class_parents(6) themselves
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for kind in (CodeKind.LD, CodeKind.OTD, CodeKind.FTD):
+        first, second = (census(kind, 6, jobs=j) for j in jobs)
+        assert first == second
+        assert (first.histogram, first.inadmissible) == CENSUS_ORDER_SIX[kind]
+    assert len(sepcodes.graphs._LEVELS) == 6
+
+
+def test_census_spawned_workers_build_the_levels_themselves(monkeypatch):
+    # a spawned worker starts with only the root level and reads
+    # class_parents itself, as nothing but (kind, n, lo, hi) is pickled
+    spawn = partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
+    monkeypatch.setattr("sepcodes.solver.ProcessPoolExecutor", spawn)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    report = census(CodeKind.FTD, 6, jobs=2)
+    assert (report.histogram, report.inadmissible) == CENSUS_ORDER_SIX[CodeKind.FTD]
