@@ -70,6 +70,7 @@ from .solver import (
     RelationReport,
     SolveReport,
     census,
+    census_kinds,
     expected_order,
     lower_bound,
     max_order,

@@ -14,7 +14,7 @@ import sys
 import time
 from typing import Any
 
-from .codes import CodeKind
+from .codes import ALL_KINDS, CodeKind
 from .errors import FormatError, GuardError
 from .extremal import (
     audit_characterization,
@@ -25,7 +25,7 @@ from .extremal import (
 )
 from .graphs import Graph, members
 from .serialize import emit_graph6, parse_graph6, parse_edge_list
-from .solver import DEFAULT_BUDGET, census, lower_bound, max_order, min_code
+from .solver import DEFAULT_BUDGET, census, census_kinds, lower_bound, max_order, min_code
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -184,8 +184,19 @@ def _audit_payload(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 
 def _census_payload(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    kind = CodeKind.parse(args.kind)
     jobs = _at_least_one(args, "jobs")
+    if args.kind.strip().lower() == "all":
+        reports = census_kinds(ALL_KINDS, args.n, jobs=jobs)
+        payload: dict[str, Any] = {"command": "census", "kind": "all", "n": args.n}
+        payload["kinds"] = {
+            report.kind.name: {
+                "histogram": {str(size): count for size, count in report.histogram.items()},
+                "inadmissible": report.inadmissible,
+            }
+            for report in reports
+        }
+        return payload, EXIT_OK
+    kind = CodeKind.parse(args.kind)
     report = census(kind, args.n, jobs=jobs)
     payload = {
         "command": "census",
@@ -272,7 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_audit_payload)
 
     p = sub.add_parser("census", help="kind-number histogram over all labeled graphs")
-    p.add_argument("--kind", required=True)
+    p.add_argument(
+        "--kind", required=True, help="a code kind, or all for the eight from one class pass"
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     add_common(p)

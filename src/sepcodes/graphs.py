@@ -9,6 +9,7 @@ value is deterministic.
 from __future__ import annotations
 
 import threading
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -73,6 +74,15 @@ class Graph:
                 if not self.adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
                 rest &= rest - 1
+
+    @classmethod
+    def _unchecked(cls, order: int, adj: tuple[int, ...]) -> Graph:
+        """A Graph on an adjacency table its caller built valid, without
+        the checks of __post_init__."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "order", order)
+        object.__setattr__(g, "adj", adj)
+        return g
 
     @property
     def vertex_mask(self) -> int:
@@ -511,12 +521,16 @@ ClassRecord = tuple[int, int, tuple[tuple[int, ...], ...], int]
 _ROOT: ClassRecord = (0, 1, (), 0)
 # What _canonical returns: certificate, |Aut|, automorphisms, labeling.
 Canonical = tuple[int, int, tuple[tuple[int, ...], ...], list[int]]
-# _LEVELS[m] holds the class records on m vertices in the order
-# extend_classes emits them; class_parents extends it one level at a time,
-# so each level is built once per process (a forked worker inherits it);
-# the lock keeps two threads from appending the same level twice
+# Per order m, built once per process and then only read: _LEVELS[m]
+# holds the class records on m vertices in the order extend_classes emits
+# them, each level extended from the one below; _CHILDREN[m] packs the
+# classes on m vertices as accepted_children gives them from _LEVELS[m - 1],
+# the adjacency rows of each in turn, one byte a row (m <= CENSUS_GUARD),
+# and their |Aut|s. The lock keeps two threads from appending the same
+# level twice; two threads may pack the same children, with equal results.
 _LEVELS: list[tuple[ClassRecord, ...]] = [(_ROOT,)]
 _LEVELS_LOCK = threading.Lock()
+_CHILDREN: dict[int, tuple[bytes, array[int]]] = {}
 
 
 def accepted_children(
@@ -590,18 +604,55 @@ def extend_classes(m: int, parents: Iterable[ClassRecord]) -> Iterator[ClassReco
         yield cert, aut, found, d
 
 
+def _level(m: int) -> tuple[ClassRecord, ...]:
+    """The class records on m vertices, from _LEVELS, building the missing
+    levels up to m. A level once appended never changes, so a reader that
+    finds it built does not take the lock: a forked worker reads the levels
+    it inherits even when another thread of its parent held the lock at
+    the fork, as that lock is never released in the worker."""
+    if m < len(_LEVELS):
+        return _LEVELS[m]
+    with _LEVELS_LOCK:
+        while len(_LEVELS) <= m:
+            _LEVELS.append(tuple(extend_classes(len(_LEVELS), _LEVELS[-1])))
+    return _LEVELS[m]
+
+
 def class_parents(order: int) -> tuple[ClassRecord, ...]:
     """The class records on order - 1 vertices, which extend_classes(order,
-    ...) extends to every class on `order` vertices. Each level is built
-    once per process, from the highest one already built, and kept in
-    _LEVELS: at most CENSUS_GUARD levels, about 0.4 MB for those on 0..7
-    vertices. Guarded at CENSUS_GUARD, checked for `order` before any
+    ...) extends to every class on `order` vertices, built once per process
+    (_LEVELS). Guarded at CENSUS_GUARD, checked for `order` before any
     work."""
     _check_census_order(order)
-    with _LEVELS_LOCK:
-        while len(_LEVELS) < order:
-            _LEVELS.append(tuple(extend_classes(len(_LEVELS), _LEVELS[-1])))
-        return _LEVELS[order - 1]
+    return _level(order - 1)
+
+
+def class_children(order: int, lo: int = 0, hi: int | None = None) -> Iterator[tuple[Graph, int]]:
+    """(graph, |Aut|) for each class on `order` vertices that
+    accepted_children accepts from class_parents(order)[lo:hi], in the
+    labeling augmentation gives it; over all the parents, one graph of
+    every class. A child gets a canonical form only when the acceptance
+    test needs one. The children of the whole order are packed into
+    _CHILDREN (about 0.2 MB at order 8) and read back by every later call;
+    a slice of the parents, as a pool worker takes, is built and not kept.
+    Guarded at CENSUS_GUARD, checked before any work."""
+    parents = class_parents(order)
+    whole = lo == 0 and hi in (None, len(parents))
+    packed = _CHILDREN.get(order) if whole else None
+    if packed is None:
+        rows = bytearray()
+        auts = array("L")
+        for adj, aut, _, _ in accepted_children(order, parents[lo:hi]):
+            rows += bytes(adj)
+            auts.append(aut)
+        packed = (bytes(rows), auts)
+        if whole:
+            _CHILDREN[order] = packed
+    rows, auts = packed
+    return (
+        (Graph._unchecked(order, tuple(rows[start : start + order])), aut)
+        for start, aut in zip(range(0, len(rows), order), auts)
+    )
 
 
 def graph_classes(order: int) -> dict[int, int]:
@@ -620,11 +671,12 @@ def graph_classes(order: int) -> dict[int, int]:
     new vertex that does not minimise the invariant, is rejected before any
     canonical form is computed, and a new vertex that alone minimises it is
     accepted without one (accepted_children); graph_classes then computes
-    the certificate. The classes on order - 1 vertices come from
-    class_parents, built once per process. The class of a graph holds
-    order!/|Aut| labeled graphs. Guarded at CENSUS_GUARD, checked before
-    any work."""
-    return {cert: aut for cert, aut, _, _ in extend_classes(order, class_parents(order))}
+    the certificate. The records are built once per process (_LEVELS:
+    about 0.4 MB for the levels on 0..7 vertices, 3.5 MB for the one on 8).
+    The class of a graph holds order!/|Aut| labeled graphs. Guarded at
+    CENSUS_GUARD, checked before any work."""
+    _check_census_order(order)
+    return {cert: aut for cert, aut, _, _ in _level(order)}
 
 
 @dataclass(frozen=True)

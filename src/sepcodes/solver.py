@@ -14,7 +14,7 @@ from typing import Callable, Iterable, TypeVar
 
 from .codes import ALL_KINDS, CodeKind, Separation, is_admissible, is_code
 from .errors import BudgetError, GuardError
-from .graphs import MAX_VERTICES, Graph, accepted_children, class_parents, members
+from .graphs import MAX_VERTICES, Graph, class_children, class_parents, members
 
 DEFAULT_BUDGET = 5_000_000
 ORACLE_GUARD = 20
@@ -359,37 +359,43 @@ class CensusReport:
     inadmissible: int
 
 
-def _census_classes(
-    kind: CodeKind, n: int, classes: Iterable[tuple[Graph, int]]
-) -> tuple[dict[int, int], int]:
-    """(histogram, inadmissible count) over the labeled graphs of the
-    classes, given as (any graph of the class, |Aut|): the kind-number does
-    not depend on the labeling."""
+def _census_chunk(
+    kinds: tuple[CodeKind, ...], n: int, lo: int, hi: int
+) -> list[tuple[dict[int, int], int]]:
+    """(histogram, inadmissible count) for each of `kinds` over the labeled
+    graphs of the classes that graphs.class_children(n, lo, hi) gives: each
+    class is built once and solved for every kind, and counts n!/|Aut|
+    labeled graphs, as the kind-number does not depend on the labeling."""
     labelings = factorial(n)
-    hist: Counter[int] = Counter()
-    inadmissible = 0
-    for g, aut in classes:
+    hists: list[Counter[int]] = [Counter() for _ in kinds]
+    inadmissible = [0] * len(kinds)
+    for g, aut in class_children(n, lo, hi):
         weight = labelings // aut
-        number = min_code(g, kind).number
-        if number is None:
-            inadmissible += weight
-        else:
-            hist[number] += weight
-    return dict(hist), inadmissible
+        for i, kind in enumerate(kinds):
+            number = min_code(g, kind).number
+            if number is None:
+                inadmissible[i] += weight
+            else:
+                hists[i][number] += weight
+    return [(dict(hist), inadm) for hist, inadm in zip(hists, inadmissible)]
 
 
-# (n, lo, hi) -> (Graph, |Aut|) for each accepted child on n vertices of
-# class_parents(n)[lo:hi]; every kind solves the same children. A process
-# keeps about one children list per order, 3.0 MB at n = 8
-_CHILDREN: dict[tuple[int, int, int], tuple[tuple[Graph, int], ...]] = {}
-
-
-def _census_children(kind: CodeKind, n: int, lo: int, hi: int) -> tuple[dict[int, int], int]:
-    key = (n, lo, hi)
-    if key not in _CHILDREN:
-        children = accepted_children(n, class_parents(n)[lo:hi])
-        _CHILDREN[key] = tuple((Graph(n, tuple(adj)), aut) for adj, aut, _, _ in children)
-    return _census_classes(kind, n, _CHILDREN[key])
+def census_kinds(kinds: Iterable[CodeKind], n: int, jobs: int = 1) -> list[CensusReport]:
+    """census for each of `kinds`, in that order, from one pass over the
+    classes: each class is built once and solved for every kind, also
+    within a pool worker. Guarded at CENSUS_GUARD."""
+    kinds = tuple(kinds)
+    total = len(class_parents(n))
+    results = scan(partial(_census_chunk, kinds, n), total, jobs)
+    reports = []
+    for i, kind in enumerate(kinds):
+        hist: Counter[int] = Counter()
+        inadmissible = 0
+        for part in results:
+            hist.update(part[i][0])
+            inadmissible += part[i][1]
+        reports.append(CensusReport(kind, n, dict(sorted(hist.items())), inadmissible))
+    return reports
 
 
 def census(kind: CodeKind, n: int, jobs: int = 1) -> CensusReport:
@@ -398,23 +404,21 @@ def census(kind: CodeKind, n: int, jobs: int = 1) -> CensusReport:
     min_code solves one graph of the class, in the labeling augmentation
     gives it, and the class counts n!/|Aut| labeled graphs, all with the
     same kind-number. The classes on n - 1 vertices (graphs.class_parents)
-    are built in the calling process, once per process; `scan` shards them,
-    and each chunk takes its parents' accepted children on n vertices
-    (graphs.accepted_children) and solves those, as no two parents share a
-    class. A worker reads class_parents itself: forked, it inherits the
-    levels; spawned, it builds them once. The children of a chunk are kept
-    too, so the next kind at the same order only solves them. No
-    certificate is read, so a child gets a canonical form only when the
-    acceptance test needs one; otherwise |Aut| comes from the parent's
-    group by orbit-stabilizer. Guarded at CENSUS_GUARD."""
-    total = len(class_parents(n))
-    results = scan(partial(_census_children, kind, n), total, jobs)
-    hist: Counter[int] = Counter()
-    inadmissible = 0
-    for part_hist, part_inadm in results:
-        hist.update(part_hist)
-        inadmissible += part_inadm
-    return CensusReport(kind, n, dict(sorted(hist.items())), inadmissible)
+    are built in the calling process; `scan` shards them, and each chunk
+    solves its parents' accepted children on n vertices
+    (graphs.class_children), as no two parents share a class. A worker
+    reads class_parents itself: forked, it inherits the levels; spawned, it
+    builds them once. No certificate is read, so a child gets a canonical
+    form only when the acceptance test needs one; otherwise |Aut| comes
+    from the parent's group by orbit-stabilizer.
+
+    Both the levels and, when this process builds all of them, the
+    children on n vertices are kept for the life of the process, so a
+    later census at the same order in the same process, of any kind, only
+    solves. That pays only when one process makes several census calls at
+    one order; census_kinds shares one pass within a call. Guarded at
+    CENSUS_GUARD."""
+    return census_kinds((kind,), n, jobs)[0]
 
 
 def resolve_jobs(jobs: int) -> int:

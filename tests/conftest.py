@@ -325,10 +325,10 @@ def classes_by_order() -> dict[int, dict[int, int]]:
 
 @pytest.fixture
 def cold_classes(monkeypatch):
-    """An empty class level table and census children memo, as in a fresh
+    """An empty class level table and children memo, as in a fresh
     process; the warm ones come back after the test."""
     monkeypatch.setattr("sepcodes.graphs._LEVELS", [(_ROOT,)])
-    monkeypatch.setattr("sepcodes.solver._CHILDREN", {})
+    monkeypatch.setattr("sepcodes.graphs._CHILDREN", {})
 
 
 @pytest.fixture

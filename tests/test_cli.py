@@ -15,6 +15,7 @@ from conftest import without_last_label
 
 import sepcodes
 from sepcodes import (
+    ALL_KINDS,
     BlueprintError,
     ExtremalBlueprint,
     Separation,
@@ -273,6 +274,24 @@ def test_census(capsys):
     payload = json.loads(out)
     assert payload["histogram"] == {"2": 7, "3": 1}
     assert payload["inadmissible"] == 0
+
+
+def test_census_all_kinds_from_one_pass(capsys):
+    status, out, _ = run(capsys, ["census", "--kind", "all", "--n", "5", "--format", "json"])
+    assert status == 0
+    payload = json.loads(out)
+    assert [payload["command"], payload["kind"], payload["n"]] == ["census", "all", 5]
+    assert list(payload["kinds"]) == [kind.name for kind in ALL_KINDS]
+    for kind in ALL_KINDS:
+        _, single, _ = run(capsys, ["census", "--kind", kind.name, "--n", "5", "--format", "json"])
+        single = json.loads(single)
+        assert payload["kinds"][kind.name] == {
+            "histogram": single["histogram"],
+            "inadmissible": single["inadmissible"],
+        }
+    status, text, _ = run(capsys, ["census", "--kind", "ALL", "--n", "3"])
+    assert status == 0
+    assert text.splitlines()[:5] == ["command = census", "kind = all", "n = 3", "kinds:", "  LD:"]
 
 
 def test_census_guard(capsys):

@@ -3,8 +3,10 @@ partition-family membership."""
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 import sys
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, permutations
@@ -27,9 +29,11 @@ from hypothesis import strategies as st
 
 import sepcodes.graphs
 from sepcodes import (
+    CodeKind,
     Graph,
     GuardError,
     build_graph,
+    census,
     canonical_form,
     closed_neighborhood,
     complement,
@@ -57,6 +61,7 @@ from sepcodes.graphs import (
     _canonical,
     _subset_orbits,
     accepted_children,
+    class_children,
     class_parents,
     extend_classes,
 )
@@ -341,6 +346,10 @@ def test_class_parents_build_each_level_once(cold_classes, monkeypatch):
     # each level extends the highest one already built
     assert built == [1, 2, 3, 4, 5]
     assert len(sepcodes.graphs._LEVELS) == 6
+    # graph_classes reads the same table, and keeps the level it adds
+    assert graph_classes(6) == graph_classes(6)
+    assert graph_classes(4) == {cert: aut for cert, aut, _, _ in sepcodes.graphs._LEVELS[4]}
+    assert built == [1, 2, 3, 4, 5, 6]
     # the stored levels are immutable, records and automorphisms included
     assert isinstance(level, tuple)
     assert all(isinstance(found, tuple) for _, _, found, _ in level)
@@ -364,6 +373,61 @@ def test_class_parents_from_many_threads(cold_classes):
         assert sepcodes.graphs._LEVELS[m] == records
     assert len(sepcodes.graphs._LEVELS) == 7
     assert all(level is sepcodes.graphs._LEVELS[1 + i % 6] for i, level in enumerate(levels))
+
+
+def test_a_fork_reads_the_built_levels_while_another_thread_holds_the_lock():
+    # the forked process inherits the lock held, and nothing in it will
+    # release it; census there must still read the levels built before
+    class_parents(6)
+    held, release = threading.Event(), threading.Event()
+
+    def hold() -> None:
+        with sepcodes.graphs._LEVELS_LOCK:
+            held.set()
+            release.wait(60)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert held.wait(60)
+        worker = multiprocessing.get_context("fork").Process(target=census, args=(CodeKind.FTD, 6))
+        worker.start()
+        worker.join(60)
+        hung = worker.exitcode is None
+        if hung:
+            worker.kill()
+            worker.join()
+    finally:
+        release.set()
+        holder.join()
+    assert not hung
+    assert worker.exitcode == 0
+
+
+def test_class_children_keep_the_whole_order_only(cold_classes, monkeypatch):
+    whole = list(class_children(6))
+    assert list(sepcodes.graphs._CHILDREN) == [6]
+    # one graph of every class on 6 vertices, as accepted_children labels it
+    expected = [(Graph(6, tuple(adj)), aut) for adj, aut, _, _ in accepted_children(6, class_parents(6))]
+    assert whole == expected
+    assert Counter(canonical_form(g) for g, _ in whole) == Counter(graph_classes(6).items())
+    # slices of the parents, as pool workers take them, are built and not kept
+    total = len(class_parents(6))
+    sliced = [c for lo in range(0, total, 5) for c in class_children(6, lo, min(lo + 5, total))]
+    assert sliced == whole
+    assert list(sepcodes.graphs._CHILDREN) == [6]
+    # a later call reads the packed children back without building them
+    monkeypatch.setattr("sepcodes.graphs.accepted_children", None)
+    assert list(class_children(6)) == whole
+    assert list(class_children(6, 0, total)) == whole
+    rows, auts = sepcodes.graphs._CHILDREN[6]
+    assert isinstance(rows, bytes) and len(rows) == 6 * len(auts) == 6 * 156
+
+
+def test_unchecked_graph_equals_the_checked_one():
+    g = Graph(4, (0b0110, 0b0101, 0b0011, 0))
+    assert Graph._unchecked(4, g.adj) == g
+    assert hash(Graph._unchecked(4, g.adj)) == hash(g)
 
 
 @pytest.fixture(scope="module")

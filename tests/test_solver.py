@@ -36,6 +36,7 @@ from sepcodes import (
     CodeKind,
     GuardError,
     census,
+    census_kinds,
     cycle_graph,
     disjoint_union,
     empty_graph,
@@ -453,24 +454,54 @@ def test_census_guard(cold_classes):
         census(CodeKind.LD, 9)
     # rejected before any class level is built
     assert sepcodes.graphs._LEVELS == [(_ROOT,)]
-    assert sepcodes.solver._CHILDREN == {}
+    assert sepcodes.graphs._CHILDREN == {}
 
 
 @pytest.mark.parametrize("jobs", [(2, 1), (1, 2)], ids=["pool-first", "serial-first"])
 def test_census_from_cold_does_not_depend_on_jobs(cold_classes, jobs, monkeypatch):
-    # the first call builds the class levels and, in process, the children;
-    # the pool's workers read class_parents(6) themselves
+    # the first call builds the class levels; the pool's workers read
+    # class_parents(6) themselves, and only the serial call, which builds
+    # every child on 6 vertices, keeps them
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for kind in (CodeKind.LD, CodeKind.OTD, CodeKind.FTD):
-        first, second = (census(kind, 6, jobs=j) for j in jobs)
+        kept = 6 in sepcodes.graphs._CHILDREN
+        first = census(kind, 6, jobs=jobs[0])
+        assert (6 in sepcodes.graphs._CHILDREN) == (kept or jobs[0] == 1)
+        second = census(kind, 6, jobs=jobs[1])
         assert first == second
         assert (first.histogram, first.inadmissible) == CENSUS_ORDER_SIX[kind]
     assert len(sepcodes.graphs._LEVELS) == 6
+    assert list(sepcodes.graphs._CHILDREN) == [6]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_census_kinds_solve_one_pass_for_every_kind(cold_classes, jobs, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    passes = []
+    children = sepcodes.solver.class_children
+
+    def counted(n, lo, hi):
+        passes.append((lo, hi))
+        return children(n, lo, hi)
+
+    monkeypatch.setattr("sepcodes.solver.class_children", counted)
+    reports = census_kinds(ALL_KINDS, 6, jobs=jobs)
+    assert [report.kind for report in reports] == list(ALL_KINDS)
+    for report in reports:
+        assert report.n == 6
+        assert (report.histogram, report.inadmissible) == CENSUS_ORDER_SIX[report.kind]
+    if jobs == 1:
+        # one pass over the 34 parents serves all eight kinds
+        assert passes == [(0, 34)]
+    assert census_kinds([CodeKind.FTD, CodeKind.LD], 6, jobs=jobs) == [
+        census(CodeKind.FTD, 6),
+        census(CodeKind.LD, 6),
+    ]
 
 
 def test_census_spawned_workers_build_the_levels_themselves(monkeypatch):
     # a spawned worker starts with only the root level and reads
-    # class_parents itself, as nothing but (kind, n, lo, hi) is pickled
+    # class_parents itself, as nothing but (kinds, n, lo, hi) is pickled
     spawn = partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
     monkeypatch.setattr("sepcodes.solver.ProcessPoolExecutor", spawn)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
