@@ -19,7 +19,7 @@ from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from functools import partial
-from math import comb, factorial, perm
+from math import comb, factorial
 from typing import Iterable
 
 from .codes import CodeKind, Separation, is_admissible, is_code
@@ -57,8 +57,8 @@ from .solver import (
     smallest_k,
 )
 
-# at n = 8 the ID attaining side scans 2^6 * 15*14*13*12 = 2.1M C0-patterns
-# for k = 4, and each side of the ID audit holds at least 16.2M labeled codes
+# at n = 8 the ID scan of 2^6 * C(15, 4) = 87360 C0-patterns takes 0.12-0.15 s,
+# but `_classes` takes 70-80 s on the 675840 graphs they make (2-vCPU host)
 AUDIT_EXHAUSTIVE_GUARD = 7
 AUDIT_SAMPLED_GUARD = 10
 
@@ -372,9 +372,9 @@ class AuditReport:
 
 def _family_patterns(kind: CodeKind, n: int, k: int) -> set[int]:
     """C0-patterns of the characterization family at order n, for every
-    admissible inner graph on C0 and every ordered choice of n - k of its
-    eligible labels for the outer vertices k..n-1."""
-    inner_bits = comb(k, 2)
+    admissible inner graph on C0 and every choice of n - k of its eligible
+    labels, ascending on the outer vertices k..n-1."""
+    shifts = [comb(j, 2) for j in range(k, n)]
     patterns: set[int] = set()
     # ascending by edge code, so the index is the inner graph's edge code
     for inner_code, inner in enumerate(enumerate_labeled_graphs(k)):
@@ -382,33 +382,9 @@ def _family_patterns(kind: CodeKind, n: int, k: int) -> set[int]:
             continue
         # no removal cap is read: it binds only at orders whose bound is below k
         labels = eligible_outer_labels(kind.separation, inner)
-        for kept in itertools.permutations(labels, n - k):
-            patterns.add(
-                inner_code | sum(label << (inner_bits + i * k) for i, label in enumerate(kept))
-            )
+        for kept in itertools.combinations(labels, n - k):
+            patterns.add(inner_code | sum(label << s for label, s in zip(kept, shifts)))
     return patterns
-
-
-def _ascending_codes(patterns: Iterable[int], n: int, k: int) -> list[int]:
-    """Edge codes of the graphs that carry a C0-pattern in `patterns` whose
-    outer signatures ascend, with every setting of the edges among the outer
-    vertices. For patterns closed under relabeling of the outer vertices,
-    every graph with such a pattern on some k-set is isomorphic to one of
-    these. Outer vertex k + i has its signature at bit C(k, 2) + ik of a
-    pattern and at bit C(k + i, 2) of an edge code."""
-    c0 = (1 << k) - 1
-    inner_bits = comb(k, 2)
-    inner_mask = (1 << inner_bits) - 1
-    shifts = [inner_bits + i * k for i in range(n - k)]
-    free = _free_edge_codes(1 << t for t, (i, _) in enumerate(edge_bit_pairs(n)) if i >= k)
-    codes: list[int] = []
-    for pattern in patterns:
-        sigs = [pattern >> s & c0 for s in shifts]
-        if all(a < b for a, b in zip(sigs, sigs[1:])):
-            base = pattern & inner_mask
-            base |= sum(sig << comb(k + i, 2) for i, sig in enumerate(sigs))
-            codes += [base | f for f in free]
-    return codes
 
 
 def _free_edge_codes(bits: Iterable[int]) -> list[int]:
@@ -443,37 +419,29 @@ def _classes(codes: Iterable[int], n: int) -> dict[int, int]:
 
 
 def _c0_patterns(kind: CodeKind, n: int, k: int, lo: int, hi: int) -> list[int]:
-    """C0-patterns under which C0 = {0..k-1} is a kind-code, among those
-    at flat indices [lo, hi) of the pairs (inner edge code, ordered choice
-    of n - k distinct labels in 1..2^k - 1), inner edge code major. Each
-    outer vertex lies outside C0, so under every kind a code gives it a
-    nonempty signature on C0 (domination) and any two of them different
-    signatures (separation): no other pattern can pass, and
-    `make_mask_checker` decides these.
-
-    A C0-pattern holds the edges meeting C0 in edge-code order. As edge
-    codes are column-major, the low C(k, 2) bits are the edge code of the
-    inner graph on C0, and after them come k bits per outer vertex j =
-    k..n-1: bit C(k, 2) + (j - k)k + i is the edge (i, j), so the k bits
-    are j's signature on C0. The edges among the outer vertices are left
-    out, as no code test of C0 reads them."""
+    """C0-patterns under which C0 = {0..k-1} is a kind-code, for the inner
+    edge codes in [lo, hi). A C0-pattern is the edge code of a graph with no
+    edges among the outer vertices k..n-1: its low C(k, 2) bits are the
+    inner graph on C0, and outer vertex j has its signature on C0 at bit
+    C(j, 2). The edges among the outer vertices are left out, as no code
+    test of C0 reads them. Each outer vertex lies outside C0, so under every
+    kind a code gives it a nonempty signature on C0 (domination) and any two
+    of them different signatures (separation): no other pattern can pass.
+    Relabeling the outer vertices keeps C0 a code, so only signatures that
+    ascend on k..n-1 are scanned, and `make_mask_checker` decides each."""
     c0 = (1 << k) - 1
-    inner_bits = comb(k, 2)
-    shifts = [inner_bits + i * k for i in range(n - k)]
-    tuples = perm(c0, n - k)
+    shifts = [comb(j, 2) for j in range(k, n)]
     adj = [0] * n
     closed = [0] * n
     # the checker reads adj and closed when called, and only their bits in
     # C0: each inner code fills the code vertices with its adjacency, and
-    # each tuple the outer vertices with their signatures
+    # each choice of signatures the outer vertices
     check = make_mask_checker(n, adj, closed, kind)
     out: list[int] = []
-    for inner in range(lo // tuples, -(-hi // tuples)):
+    for inner in range(lo, hi):
         adj[:k] = decode_edges(k, inner, edge_bit_pairs(k))
         closed[:k] = [nb | 1 << u for u, nb in enumerate(adj[:k])]
-        start = inner * tuples
-        signatures = itertools.permutations(range(1, c0 + 1), n - k)
-        for sigs in itertools.islice(signatures, max(lo - start, 0), min(hi - start, tuples)):
+        for sigs in itertools.combinations(range(1, c0 + 1), n - k):
             adj[k:] = closed[k:] = sigs
             if check(c0):
                 out.append(inner | sum(sig << s for sig, s in zip(sigs, shifts)))
@@ -481,12 +449,11 @@ def _c0_patterns(kind: CodeKind, n: int, k: int, lo: int, hi: int) -> list[int]:
 
 
 def _attaining_patterns(kind: CodeKind, n: int, k: int, jobs: int = 1) -> set[int]:
-    """The C0-patterns under which C0 is a kind-code, which are closed under
-    relabeling within C0 and within the rest; none when n < k."""
-    tuples = perm((1 << k) - 1, n - k) if n >= k else 0
-    if not tuples:
+    """The C0-patterns with ascending outer signatures under which C0 is a
+    kind-code, none when n < k; `jobs` shards the inner edge codes."""
+    if n < k:
         return set()
-    parts = scan(partial(_c0_patterns, kind, n, k), (1 << comb(k, 2)) * tuples, jobs)
+    parts = scan(partial(_c0_patterns, kind, n, k), 1 << comb(k, 2), jobs)
     return {p for part in parts for p in part}
 
 
@@ -502,26 +469,23 @@ def audit_characterization(
 
     Exhaustive mode checks that the labeled graphs whose kind-number attains
     the logarithmic bound k are exactly the relabelings of the
-    characterization family. Each side is a set of patterns of the edges
-    meeting C0 = {0..k-1}, closed under relabeling of the outer vertices
-    k..n-1, so every labeled graph with a pattern of the set on some k-set
-    is isomorphic to one from `_ascending_codes`: outer signatures in
-    ascending order, and every setting of the edges among the outer
-    vertices, which no code test of the k-set reads. `_classes` sorts those
-    into isomorphism classes, {certificate: |Aut|}, and a class stands for
+    characterization family. Each side is a set of C0-patterns (see
+    `_c0_patterns`) whose outer signatures ascend. Both full sets are closed
+    under relabeling of the outer vertices k..n-1, so every labeled graph
+    with a pattern of either on some k-set is isomorphic to a pattern of the
+    side joined with a setting of the edges among the outer vertices, which
+    no code test of the k-set reads. `_classes` sorts those into
+    isomorphism classes, {certificate: |Aut|}, and a class stands for
     n!/|Aut| labeled graphs. The attaining side keeps the patterns under
     which C0 is a code; as no code is smaller than k, a graph attains k
-    exactly when some k-set is a code. Every kind dominates and separates
-    the vertices outside a code, so it scans only patterns whose n - k
-    outer signatures are nonempty and distinct, and tests each with
-    `make_mask_checker`. It uses nothing of the construction, so the two
-    sides stay independent. The family side takes every admissible inner
-    graph and every ordered choice of n - k of its eligible outer labels.
-    The classes depend only on the pattern set, so when the two sets are
-    equal one class dict serves both sides. The counts are the summed
-    class weights, and `missing` and `unexpected` hold the canonical
+    exactly when some k-set is a code. It uses nothing of the construction,
+    so the two sides stay independent. The family side takes every
+    admissible inner graph and every choice of n - k of its eligible outer
+    labels. The classes depend only on the pattern set, so when the two
+    sets are equal one class dict serves both sides. The counts are the
+    summed class weights, and `missing` and `unexpected` hold the canonical
     representatives of the classes on one side only. `jobs` (clamped to
-    [1, os.cpu_count()]) shards the pattern scan; the result does not
+    [1, os.cpu_count()]) shards the attaining scan; the result does not
     depend on it. Sampled mode solves seeded random graphs and structurally
     checks every attaining one against the construction."""
     k = lower_bound(kind, n)
@@ -535,11 +499,13 @@ def audit_characterization(
         # before the family side, so that a pool forks a small process
         attaining_patterns = _attaining_patterns(kind, n, k, jobs)
         patterns = _family_patterns(kind, n, k)
-        family = _classes(_ascending_codes(patterns, n, k), n)
-        attaining = (
-            family if attaining_patterns == patterns
-            else _classes(_ascending_codes(attaining_patterns, n, k), n)
-        )
+        free = _free_edge_codes(1 << t for t, (i, _) in enumerate(edge_bit_pairs(n)) if i >= k)
+
+        def side_classes(side: set[int]) -> dict[int, int]:
+            return _classes([p | f for p in side for f in free], n)
+
+        family = side_classes(patterns)
+        attaining = family if attaining_patterns == patterns else side_classes(attaining_patterns)
         missing = sorted(family.keys() - attaining.keys())
         unexpected = sorted(attaining.keys() - family.keys())
 

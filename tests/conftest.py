@@ -18,6 +18,7 @@ from sepcodes import (
     Separation,
     build_graph,
     graph_classes,
+    graph_code,
     graph_from_code,
     is_admissible,
     lower_bound,
@@ -196,57 +197,103 @@ def reference_min_code(
     raise AssertionError("admissible graph has no code")
 
 
-def c0_edges(n: int, k: int) -> list[tuple[int, int]]:
-    """The edges meeting C0 = {0..k-1} in edge-code order: bit s of a
-    C0-pattern (see extremal._c0_patterns) is edge s."""
-    return [(i, j) for i, j in edge_bit_pairs(n) if i < k]
+def c0_edges(n: int, k: int) -> list[int]:
+    """The single-bit edge codes of the edges meeting C0 = {0..k-1}: a
+    C0-pattern (see extremal._c0_patterns) is an edge code of order n made
+    of these bits only."""
+    return [1 << t for t, (i, _) in enumerate(edge_bit_pairs(n)) if i < k]
+
+
+def outer_signatures(pattern: int, n: int, k: int) -> list[int]:
+    """The signature on C0 of each outer vertex k..n-1 of a C0-pattern, read
+    from the graph the pattern decodes to."""
+    adj = decode_edges(n, pattern, edge_bit_pairs(n))
+    return [nb & ((1 << k) - 1) for nb in adj[k:]]
+
+
+def ascending(patterns, n: int, k: int) -> set[int]:
+    """The members of `patterns` whose outer signatures ascend."""
+    return {
+        p for p in patterns
+        if all(a < b for a, b in itertools.pairwise(outer_signatures(p, n, k)))
+    }
 
 
 def full_c0_patterns(kind: CodeKind, n: int, k: int) -> set[int]:
     """Oracle for extremal._attaining_patterns: every one of the
-    2^|c0_edges(n, k)| patterns of the edges meeting C0 = {0..k-1}, each
+    2^|c0_edges(n, k)| C0-patterns, each decoded as a graph of order n and
     tested with make_mask_checker, with no filter on the outer signatures.
     No k-set fits in fewer than k vertices, so there are none when n < k."""
     if n < k:
         return set()
     c0 = (1 << k) - 1
-    inner_bits = comb(k, 2)
-    inner_mask = (1 << inner_bits) - 1
-    shifts = [inner_bits + i * k for i in range(n - k)]
+    pairs = edge_bit_pairs(n)
     adj = [0] * n
     closed = [0] * n
     check = make_mask_checker(n, adj, closed, kind)
     out = set()
-    for pattern in range(1 << len(c0_edges(n, k))):
-        adj[:k] = decode_edges(k, pattern & inner_mask, edge_bit_pairs(k))
-        closed[:k] = [nb | 1 << u for u, nb in enumerate(adj[:k])]
-        adj[k:] = closed[k:] = [pattern >> s & c0 for s in shifts]
+    for pattern in _free_edge_codes(c0_edges(n, k)):
+        adj[:] = decode_edges(n, pattern, pairs)
+        closed[:] = [nb | 1 << u for u, nb in enumerate(adj)]
         if check(c0):
             out.add(pattern)
     return out
 
 
-def label_closure(patterns, n: int, k: int) -> set[int]:
-    """Labeled oracle for the audit's class weights: the edge codes of the
-    labeled graphs of order n that carry a C0-pattern in `patterns` on some
-    k-set C. Each pattern is moved to C by the relabeling that maps C0 onto
-    C and the rest onto the rest, both in ascending order, with every
-    setting of the edges among the other n - k vertices. Any relabeling is
-    one of these after one within C0 and one within the rest, so for
-    patterns closed under those two this is the closure under all n!."""
+def full_family_patterns(kind: CodeKind, n: int, k: int) -> set[int]:
+    """Oracle for extremal._family_patterns: for every admissible inner graph
+    on C0, every ordered choice of n - k of its eligible labels as the
+    signatures of the outer vertices k..n-1."""
+    patterns = set()
+    for inner_code in range(1 << comb(k, 2)):
+        inner = graph_from_code(k, inner_code)
+        if not is_admissible(inner, kind):
+            continue
+        for kept in itertools.permutations(eligible_outer_labels(kind.separation, inner), n - k):
+            adj = list(inner.adj) + list(kept)
+            for j, label in enumerate(kept, k):
+                for u in members(label):
+                    adj[u] |= 1 << j
+            patterns.add(graph_code(Graph(n, tuple(adj))))
+    return patterns
+
+
+def relabel_codes(codes, perm, n: int) -> list[int]:
+    """The edge codes `codes` of order n with each vertex v renamed perm[v]."""
     bit_of = [[0] * n for _ in range(n)]
     for t, (i, j) in enumerate(edge_bit_pairs(n)):
         bit_of[i][j] = bit_of[j][i] = 1 << t
-    incident = c0_edges(n, k)
-    outer_pairs = list(itertools.combinations(range(k, n), 2))
-    supports = [members(p) for p in patterns]
+    images = [bit_of[perm[i]][perm[j]] for i, j in edge_bit_pairs(n)]
+    # the images are distinct single bits, so their sum is their union
+    return [sum(map(images.__getitem__, members(code))) for code in codes]
+
+
+def outer_closure(patterns, n: int, k: int) -> set[int]:
+    """`patterns` closed under every permutation of the outer vertices."""
+    patterns = list(patterns)
+    return {
+        code
+        for outer in itertools.permutations(range(k, n))
+        for code in relabel_codes(patterns, tuple(range(k)) + outer, n)
+    }
+
+
+def label_closure(patterns, n: int, k: int) -> set[int]:
+    """Labeled oracle for the audit's class weights: the edge codes of the
+    labeled graphs of order n that carry a C0-pattern of the outer closure
+    of `patterns` on some k-set C. Each such pattern is moved to C by the
+    relabeling that maps C0 onto C and the rest onto the rest, both in
+    ascending order, with every setting of the edges among the other n - k
+    vertices. Any relabeling is one of these after one within C0 and one
+    within the rest, so for patterns whose outer closure is closed under
+    relabeling within C0 this is the closure under all n!."""
+    every_order = outer_closure(patterns, n, k)
     closure: set[int] = set()
     for code_set in itertools.combinations(range(n), k):
-        perm = code_set + tuple(v for v in range(n) if v not in code_set)
-        images = [bit_of[perm[i]][perm[j]] for i, j in incident]
-        # the images are distinct single bits, so their sum is their union
-        moved = [sum(map(images.__getitem__, bits)) for bits in supports]
-        for f in _free_edge_codes(bit_of[perm[i]][perm[j]] for i, j in outer_pairs):
+        rest = [v for v in range(n) if v not in code_set]
+        moved = relabel_codes(every_order, code_set + tuple(rest), n)
+        free = [1 << t for t, (i, j) in enumerate(edge_bit_pairs(n)) if i in rest and j in rest]
+        for f in _free_edge_codes(free):
             closure.update([code | f for code in moved])
     return closure
 

@@ -11,10 +11,13 @@ from math import comb, factorial
 
 import pytest
 from conftest import (
+    ascending,
     attaining_codes,
     c0_edges,
     full_c0_patterns,
+    full_family_patterns,
     label_closure,
+    outer_closure,
     p4,
     random_graph,
     relabeled,
@@ -46,6 +49,7 @@ from sepcodes import (
     extremal_structure_check,
     graph_code,
     graph_from_code,
+    induced_subgraph,
     is_admissible,
     is_code,
     lower_bound,
@@ -67,10 +71,10 @@ from sepcodes import (
 from sepcodes.extremal import (
     _TIGHT_RECIPES,
     StructureCheck,
-    _ascending_codes,
     _attaining_patterns,
     _classes,
     _family_patterns,
+    _free_edge_codes,
     inner_has_isolated,
 )
 from sepcodes.graphs import canonical_form, edge_bit_pairs
@@ -491,11 +495,17 @@ def test_audit_exhaustive_other_kinds(kind, n, attaining, classes):
     assert report.family_class_count == classes
 
 
+def pattern_classes(patterns, n, k):
+    """The audit's route: the classes of the patterns joined with every
+    setting of the edges among the outer vertices."""
+    free = _free_edge_codes(1 << t for t, (i, _) in enumerate(edge_bit_pairs(n)) if i >= k)
+    return _classes([p | f for p in patterns for f in free], n)
+
+
 def class_weight(patterns, n, k):
     """Labeled graphs counted by the audit's route: n!/|Aut| summed over
-    the classes of the ascending codes."""
-    classes = _classes(_ascending_codes(patterns, n, k), n)
-    return sum(factorial(n) // aut for aut in classes.values())
+    the classes of the patterns."""
+    return sum(factorial(n) // aut for aut in pattern_classes(patterns, n, k).values())
 
 
 ATTAINING_CASES = [(kind, n) for kind in CodeKind for n in range(1, 6)] + [(CodeKind.ID, 6)]
@@ -584,15 +594,24 @@ def test_classes_match_the_labeled_closure(kind, n):
     assert class_weight(patterns, n, k) == len(closure)
     if n < 7:
         certificates = {canonical_form(graph_from_code(n, c))[0] for c in closure}
-        assert _classes(_ascending_codes(patterns, n, k), n).keys() == certificates
+        assert pattern_classes(patterns, n, k).keys() == certificates
 
 
 def test_c0_pattern_layout():
-    # the inner graph's edge code, then k signature bits per outer vertex
+    # a C0-pattern is the edge code of a graph with no edges among the outer
+    # vertices: the inner graph's edge code in the low C(k, 2) bits, and
+    # outer vertex j's signature on C0 at bit C(j, 2)
+    rng = random.Random(19)
     for n in range(2, 9):
         for k in range(1, n):
-            outer = [(i, j) for j in range(k, n) for i in range(k)]
-            assert c0_edges(n, k) == list(edge_bit_pairs(k)) + outer
+            c0 = (1 << k) - 1
+            full = ((1 << comb(k, 2)) - 1) | sum(c0 << comb(j, 2) for j in range(k, n))
+            assert full == sum(c0_edges(n, k))
+            inner = rng.getrandbits(comb(k, 2))
+            sigs = [rng.randrange(1 << k) for _ in range(k, n)]
+            g = graph_from_code(n, inner | sum(sig << comb(j, 2) for j, sig in enumerate(sigs, k)))
+            assert graph_code(induced_subgraph(g, c0)) == inner
+            assert list(g.adj[k:]) == sigs
 
 
 PATTERN_CASES = FAMILY_CASES + [(CodeKind.ID, 7)]
@@ -607,7 +626,18 @@ def test_family_patterns_equal_attaining_patterns(kind, n):
     patterns = _family_patterns(kind, n, k)
     assert patterns == attaining
     if (kind, n) == (CodeKind.ID, 7):
-        assert len(patterns) == 96
+        assert len(patterns) == 4
+
+
+@pytest.mark.parametrize("kind,n", PATTERN_CASES)
+def test_family_patterns_are_the_ascending_ordered_choices(kind, n):
+    # the family side writes each choice of labels once, ascending; every
+    # order of it is an outer relabeling of that one
+    k = lower_bound(kind, n)
+    patterns = _family_patterns(kind, n, k)
+    full = full_family_patterns(kind, n, k)
+    assert patterns == ascending(full, n, k)
+    assert outer_closure(patterns, n, k) == full
 
 
 FULL_SCAN_CASES = [
@@ -617,10 +647,14 @@ FULL_SCAN_CASES = [
 
 @pytest.mark.parametrize("kind,n", FULL_SCAN_CASES)
 def test_attaining_patterns_equal_the_full_scan(kind, n):
-    # the scan tests only distinct nonempty outer signatures; the full scan
-    # tests every setting of every edge meeting C0
+    # the scan tests only ascending nonempty outer signatures; the full scan
+    # tests every setting of every edge meeting C0, and is closed under
+    # relabeling of the outer vertices, so the ascending members stand for it
     k = lower_bound(kind, n)
-    assert _attaining_patterns(kind, n, k) == full_c0_patterns(kind, n, k)
+    attaining = _attaining_patterns(kind, n, k)
+    full = full_c0_patterns(kind, n, k)
+    assert attaining == ascending(full, n, k)
+    assert outer_closure(attaining, n, k) == full
 
 
 def test_audit_exhaustive_reports_a_family_short_of_the_attaining_graphs(monkeypatch):
@@ -653,6 +687,7 @@ def test_audit_exhaustive_reports_a_family_short_of_the_attaining_graphs(monkeyp
 
 
 def test_audit_parallel_matches_serial(monkeypatch):
+    # ID at n = 6 has k = 3 and 8 inner edge codes to shard, enough for a pool
     submitted = []
 
     class CountingPool(ProcessPoolExecutor):
@@ -662,11 +697,20 @@ def test_audit_parallel_matches_serial(monkeypatch):
 
     monkeypatch.setattr("sepcodes.solver.ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    serial = audit_characterization(CodeKind.LD, 5, jobs=1)
+    serial = audit_characterization(CodeKind.ID, 6, jobs=1)
     assert not submitted
-    parallel = audit_characterization(CodeKind.LD, 5, jobs=2)
+    parallel = audit_characterization(CodeKind.ID, 6, jobs=2)
     assert len(submitted) > 1
     assert serial == parallel
+
+
+@pytest.mark.parametrize(
+    "kind", [kind for kind in CodeKind if lower_bound(kind, 6) >= 3], ids=lambda kd: kd.name
+)
+def test_audit_jobs_do_not_change_the_report(monkeypatch, kind):
+    # at k >= 3 there are at least 8 inner edge codes, so jobs=2 starts a pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert audit_characterization(kind, 6, jobs=1) == audit_characterization(kind, 6, jobs=2)
 
 
 def test_audit_jobs_are_clamped(spy_pools):
