@@ -50,7 +50,6 @@ from .graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
-    enumerate_labeled_graphs,
     family_membership,
     graph_classes,
     graph_code,

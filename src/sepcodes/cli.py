@@ -1,8 +1,9 @@
 """Command-line surface: solve, construct, verify, audit, census, bounds,
 and count, with deterministic text or JSON output.
 
-Exit codes: 0 success, 2 parse/blueprint error, 3 inadmissible instance,
-4 guard or budget exceeded.
+Exit codes: 0 success, 1 a verification or audit reported failure,
+2 parse/blueprint error, 3 inadmissible instance, 4 guard or budget
+exceeded.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ from typing import Iterable, Iterator, Sequence
 from .errors import GuardError
 
 MAX_VERTICES = 62
-ENUMERATION_GUARD = 7
 # graph_classes(9) builds 274668 classes in about 24 s (44 MB peak RSS) on
 # a 2-vCPU host, and census then solves each of them, once per call
 CENSUS_GUARD = 8
@@ -87,9 +86,6 @@ class Graph:
     @property
     def vertex_mask(self) -> int:
         return (1 << self.order) - 1
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (u, v) pairs with u < v, lexicographically sorted."""
@@ -240,17 +236,6 @@ def graph_code(g: Graph) -> int:
         if g.adj[i] >> j & 1:
             code |= 1 << t
     return code
-
-
-def enumerate_labeled_graphs(order: int) -> Iterator[Graph]:
-    """Yield every labeled graph on `order` vertices exactly once, ascending
-    by edge code. Guarded at ENUMERATION_GUARD vertices."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    if order > ENUMERATION_GUARD:
-        raise GuardError(f"exhaustive enumeration is guarded at order {ENUMERATION_GUARD}")
-    for code in range(labeled_graph_count(order)):
-        yield graph_from_code(order, code)
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

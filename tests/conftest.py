@@ -65,6 +65,12 @@ def two_k1() -> Graph:
     return build_graph(2, [])
 
 
+def labeled_graphs(order: int):
+    """Every labeled graph on `order` vertices, ascending by edge code: the
+    labeled oracle that the class-based routes are checked against."""
+    return (graph_from_code(order, code) for code in range(1 << comb(order, 2)))
+
+
 def random_graph(rng: random.Random, n: int) -> Graph:
     return graph_from_code(n, rng.getrandbits(comb(n, 2)))
 

@@ -8,7 +8,7 @@ import random
 import time
 from math import comb
 
-from conftest import k2, k3, p3, p4, random_graph
+from conftest import k2, k3, labeled_graphs, p3, p4, random_graph
 
 from sepcodes import (
     ALL_KINDS,
@@ -22,7 +22,6 @@ from sepcodes import (
     counting,
     disjoint_union,
     empty_graph,
-    enumerate_labeled_graphs,
     expected_order,
     graph_code,
     is_admissible,
@@ -158,7 +157,7 @@ def test_criterion_06_od_disconnection():
 
 def test_criterion_07_oracle_equivalence():
     t0 = time.perf_counter()
-    for g in enumerate_labeled_graphs(5):
+    for g in labeled_graphs(5):
         for kind in ALL_KINDS:
             fast = min_code(g, kind)
             slow = oracle_min_code(g, kind)
@@ -189,7 +188,7 @@ def test_criterion_08_full_separation_families():
 def test_criterion_09_relation_suite():
     t0 = time.perf_counter()
     for n in range(1, 6):
-        for g in enumerate_labeled_graphs(n):
+        for g in labeled_graphs(n):
             assert relation_check(g).passed
     rng = random.Random(SEED)
     for _ in range(1000):
@@ -201,8 +200,8 @@ def test_criterion_09_relation_suite():
 def test_criterion_10_counting():
     t0 = time.perf_counter()
     seen = set()
-    for inner in enumerate_labeled_graphs(2):
-        for outer in enumerate_labeled_graphs(3):
+    for inner in labeled_graphs(2):
+        for outer in labeled_graphs(3):
             me = materialize(
                 ExtremalBlueprint(Separation.LOCATION, 2, inner, OuterPolicy.explicit(outer))
             )

@@ -4,7 +4,7 @@ structural admissibility."""
 from __future__ import annotations
 
 import pytest
-from conftest import graphs, k1, k2, k3, p3, p4, twin_free_for, two_k1
+from conftest import graphs, k1, k2, k3, labeled_graphs, p3, p4, twin_free_for, two_k1
 from hypothesis import given
 
 from sepcodes import (
@@ -12,7 +12,6 @@ from sepcodes import (
     CodeKind,
     Separation,
     closed_signature,
-    enumerate_labeled_graphs,
     is_admissible,
     is_code,
     is_dominating,
@@ -91,7 +90,7 @@ def test_is_separating_examples():
 
 def test_location_separation_is_vacuous_on_full_sets():
     for n in range(1, 5):
-        for g in enumerate_labeled_graphs(n):
+        for g in labeled_graphs(n):
             assert is_separating(g, g.vertex_mask, Separation.LOCATION)
 
 
@@ -112,7 +111,7 @@ def test_is_admissible_examples():
 
 def test_is_admissible_matches_the_twin_oracle():
     for n in range(1, 6):
-        for g in enumerate_labeled_graphs(n):
+        for g in labeled_graphs(n):
             for kind in ALL_KINDS:
                 assert is_admissible(g, kind) == twin_free_for(g, kind)
 
@@ -125,7 +124,7 @@ def test_is_admissible_matches_the_twin_oracle_on_random_graphs(g):
 
 def test_full_separation_equals_open_and_closed():
     for n in range(1, 6):
-        for g in enumerate_labeled_graphs(n):
+        for g in labeled_graphs(n):
             for mask in range(1 << n):
                 full = is_separating(g, mask, Separation.FULL)
                 both = is_separating(g, mask, Separation.OPEN) and is_separating(
@@ -138,7 +137,7 @@ def test_full_separating_families_are_disjoint():
     # every full-separating set has disjoint open/closed families covering
     # exactly twice the code size
     for n in range(1, 5):
-        for g in enumerate_labeled_graphs(n):
+        for g in labeled_graphs(n):
             for mask in range(1, 1 << n):
                 if not is_separating(g, mask, Separation.FULL):
                     continue
@@ -151,7 +150,7 @@ def test_full_separating_families_are_disjoint():
 
 def test_admissibility_matches_exhaustive_code_search():
     for n in range(1, 5):
-        for g in enumerate_labeled_graphs(n):
+        for g in labeled_graphs(n):
             for kind in ALL_KINDS:
                 exists = any(is_code(g, mask, kind) for mask in range(1 << n))
                 assert exists == is_admissible(g, kind)
@@ -160,7 +159,7 @@ def test_admissibility_matches_exhaustive_code_search():
 def test_admissibility_equals_the_separation_family_having_no_empty_set():
     # the family is [0] exactly when some set C must hit is empty
     for n in range(1, 6):
-        for g in enumerate_labeled_graphs(n):
+        for g in labeled_graphs(n):
             for kind in ALL_KINDS:
                 assert is_admissible(g, kind) == (separation_family(g, kind) != [0])
 
@@ -170,7 +169,7 @@ def test_code_gives_outer_vertices_distinct_nonempty_signatures():
     # outside a code is dominated by it, and separated from any other such
     # vertex by a code vertex adjacent to exactly one of the two
     for n in range(1, 6):
-        for g in enumerate_labeled_graphs(n):
+        for g in labeled_graphs(n):
             for kind in ALL_KINDS:
                 for mask in range(1, 1 << n):
                     if not is_code(g, mask, kind):
@@ -181,6 +180,6 @@ def test_code_gives_outer_vertices_distinct_nonempty_signatures():
 
 def test_empty_code_is_never_a_code():
     for n in range(1, 5):
-        for g in enumerate_labeled_graphs(n):
+        for g in labeled_graphs(n):
             for kind in ALL_KINDS:
                 assert not is_code(g, 0, kind)

@@ -17,6 +17,7 @@ from conftest import (
     full_c0_patterns,
     full_family_patterns,
     label_closure,
+    labeled_graphs,
     outer_closure,
     p4,
     random_graph,
@@ -44,7 +45,6 @@ from sepcodes import (
     eligible_outer_labels,
     emit_graph6,
     empty_graph,
-    enumerate_labeled_graphs,
     expected_order,
     extremal_structure_check,
     graph_code,
@@ -75,6 +75,7 @@ from sepcodes.extremal import (
     _classes,
     _family_patterns,
     _free_edge_codes,
+    _sep_admitting_counts,
     inner_has_isolated,
 )
 from sepcodes.graphs import canonical_form, edge_bit_pairs
@@ -184,7 +185,7 @@ def test_max_order_is_the_largest_construction_on_an_admissible_inner_graph():
         for k in range(2, 6):
             orders = [
                 k + len(eligible_outer_labels(kind.separation, inner))
-                for inner in enumerate_labeled_graphs(k)
+                for inner in labeled_graphs(k)
                 if is_admissible(inner, kind)
             ]
             if k < smallest_k(kind):
@@ -301,7 +302,7 @@ def test_no_removal_cap_binds_at_the_bound():
         tight = 0
         for n in range(1, 13):
             k = lower_bound(kind, n)
-            for inner in enumerate_labeled_graphs(k) if k >= 1 else ():
+            for inner in labeled_graphs(k) if k >= 1 else ():
                 if is_admissible(inner, kind):
                     removed = k + len(eligible_outer_labels(kind.separation, inner)) - n
                     cap = removal_cap(kind, k, inner)
@@ -392,25 +393,60 @@ def test_counting_four_full():
     assert report.eta_bar_by_sep[Separation.FULL] == 12
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5])
+# admitting / isolate-free counts, in Separation order L, O, I, F
+PINNED_COUNTS = {
+    5: ((1024, 588, 588, 312), (768, 448, 462, 252)),
+    6: ((32768, 21476, 21476, 13824), (27449, 18788, 18358, 12312)),
+    7: ((2097152, 1551368, 1551368, 1147488), (1887284, 1419852, 1412389, 1061304)),
+}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
 def test_counting_matches_census(k):
-    """The labeled enumeration against the class census, whose inadmissible
-    count weighs each class by k!/|Aut|: the admitting graphs of a separation
-    are those admissible for its D kind, the isolate-free ones those
-    admissible for its TD kind."""
+    """The class sums against the census, whose inadmissible count weighs
+    each class by k!/|Aut|: the admitting graphs of a separation are those
+    admissible for its D kind, the isolate-free ones those admissible for
+    its TD kind."""
     report = counting(k)
     for sep in Separation:
         for by_sep, suffix in ((report.eta_by_sep, "D"), (report.eta_bar_by_sep, "TD")):
             kind = CodeKind(sep.value + suffix)
             assert by_sep[sep] == 2 ** comb(k, 2) - census(kind, k).inadmissible, (sep, suffix)
-    if k == 5:
-        assert report.eta_by_sep[Separation.FULL] == 312
-        assert report.eta_bar_by_sep[Separation.FULL] == 252
+    # complementation swaps open and closed twins
+    assert report.eta_by_sep[Separation.OPEN] == report.eta_by_sep[Separation.CLOSED]
+    if k in PINNED_COUNTS:
+        assert (
+            tuple(report.eta_by_sep.values()),
+            tuple(report.eta_bar_by_sep.values()),
+        ) == PINNED_COUNTS[k]
+
+
+def test_isolate_free_location_counts_are_a006129():
+    """Every graph is location-admissible, so the isolate-free ones are all
+    labeled graphs without an isolated vertex: OEIS A006129, which inclusion-
+    exclusion over the isolated vertices also gives."""
+    a006129 = [1, 4, 41, 768, 27449, 1887284]
+    counts = [counting(k).eta_bar_by_sep[Separation.LOCATION] for k in range(2, 8)]
+    assert counts == a006129
+    assert counts == [
+        sum((-1) ** (m - j) * comb(m, j) * 2 ** comb(j, 2) for j in range(m + 1))
+        for m in range(2, 8)
+    ]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_class_sums_equal_the_labeled_counts(m):
+    totals, isolate_free = _sep_admitting_counts(m)
+    graphs = list(labeled_graphs(m))
+    for sep in Separation:
+        for by_sep, suffix in ((totals, "D"), (isolate_free, "TD")):
+            kind = CodeKind(sep.value + suffix)
+            assert by_sep[sep] == sum(is_admissible(g, kind) for g in graphs), (sep, suffix)
 
 
 def test_counting_guard():
     with pytest.raises(GuardError):
-        counting(6)
+        counting(8)
     with pytest.raises(GuardError):
         counting(1)
 
@@ -518,7 +554,7 @@ def test_attaining_codes_match_definitional_scan(kind, n):
     k = lower_bound(kind, n)
     expected = {
         graph_code(g)
-        for g in enumerate_labeled_graphs(n)
+        for g in labeled_graphs(n)
         if any(is_code(g, vset(c), kind) for c in itertools.combinations(range(n), k))
     }
     assert attaining_codes(kind, n, k) == expected
@@ -543,7 +579,7 @@ def _fixed_partition_family(kind, n, k, labels=eligible_outer_labels):
     setting of the edges among the outer vertices."""
     outer_pairs = list(itertools.combinations(range(k, n), 2))
     out = []
-    for inner in enumerate_labeled_graphs(k):
+    for inner in labeled_graphs(k):
         if not is_admissible(inner, kind):
             continue
         eligible = labels(kind.separation, inner)

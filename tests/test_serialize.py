@@ -5,14 +5,13 @@ from __future__ import annotations
 import random
 
 import pytest
-from conftest import k1, k2, k3, random_graph, sparse_graphs
+from conftest import k1, k2, k3, labeled_graphs, random_graph, sparse_graphs
 from hypothesis import given
 
 from sepcodes import (
     FormatError,
     emit_edge_list,
     emit_graph6,
-    enumerate_labeled_graphs,
     parse_edge_list,
     parse_graph6,
 )
@@ -53,12 +52,12 @@ def test_parse_rejects_malformed():
 
 def test_roundtrip_exhaustive_small():
     for n in range(1, 6):
-        for g in enumerate_labeled_graphs(n):
+        for g in labeled_graphs(n):
             assert parse_graph6(emit_graph6(g)) == g
 
 
 def test_roundtrip_order_six_full_and_seven_sampled():
-    for g in enumerate_labeled_graphs(6):
+    for g in labeled_graphs(6):
         assert parse_graph6(emit_graph6(g)) == g
     rng = random.Random(20250809)
     for _ in range(3000):

@@ -16,6 +16,7 @@ from conftest import (
     k1,
     k2,
     k3,
+    labeled_graphs,
     p3,
     p4,
     random_graph,
@@ -40,7 +41,6 @@ from sepcodes import (
     cycle_graph,
     disjoint_union,
     empty_graph,
-    enumerate_labeled_graphs,
     is_admissible,
     is_code,
     labeled_graph_count,
@@ -150,7 +150,7 @@ def test_oracle_guard():
 
 def test_solver_matches_oracle_exhaustively():
     for n in range(1, 5):
-        for g in enumerate_labeled_graphs(n):
+        for g in labeled_graphs(n):
             for kind in ALL_KINDS:
                 fast = min_code(g, kind)
                 slow = oracle_min_code(g, kind)
@@ -175,7 +175,7 @@ def test_witness_validity_and_bounds_on_samples():
 
 def test_mask_checker_agrees_with_is_code_exhaustively():
     for n in range(1, 6):
-        for g in enumerate_labeled_graphs(n):
+        for g in labeled_graphs(n):
             closed = [nb | 1 << v for v, nb in enumerate(g.adj)]
             for kind in ALL_KINDS:
                 check = make_mask_checker(n, g.adj, closed, kind)
@@ -258,7 +258,7 @@ def test_search_matches_the_reference_search_on_connected_sparse_graphs(g):
 
 def test_family_matches_the_reference_filter_exhaustively():
     for n in range(1, 6):
-        for g in enumerate_labeled_graphs(n):
+        for g in labeled_graphs(n):
             for kind in ALL_KINDS:
                 assert separation_family(g, kind) == reference_separation_family(g, kind)
 
@@ -344,7 +344,7 @@ def test_relation_check_respects_admissibility():
 
 def test_relations_hold_exhaustively_small():
     for n in range(1, 5):
-        for g in enumerate_labeled_graphs(n):
+        for g in labeled_graphs(n):
             assert relation_check(g).passed
 
 
@@ -359,7 +359,7 @@ def test_census_matches_oracle():
         report = census(kind, 4)
         hist: dict[int, int] = {}
         inadmissible = 0
-        for g in enumerate_labeled_graphs(4):
+        for g in labeled_graphs(4):
             number = oracle_min_code(g, kind).number
             if number is None:
                 inadmissible += 1
