@@ -428,17 +428,15 @@ def _c0_patterns(kind: CodeKind, n: int, k: int, lo: int, hi: int) -> list[int]:
     c0 = (1 << k) - 1
     shifts = [comb(j, 2) for j in range(k, n)]
     adj = [0] * n
-    closed = [0] * n
-    # the checker reads adj and closed when called, and only their bits in
-    # C0: each inner code fills the code vertices with its adjacency, and
-    # each choice of signatures the outer vertices
-    check = make_mask_checker(n, adj, closed, kind)
+    # the checker reads adj when called, and only its bits in C0: each inner
+    # code fills the code vertices with its adjacency, and each choice of
+    # signatures the outer vertices
+    check = make_mask_checker(n, adj, kind)
     out: list[int] = []
     for inner in range(lo, hi):
         adj[:k] = decode_edges(k, inner, edge_bit_pairs(k))
-        closed[:k] = [nb | 1 << u for u, nb in enumerate(adj[:k])]
         for sigs in itertools.combinations(range(1, c0 + 1), n - k):
-            adj[k:] = closed[k:] = sigs
+            adj[k:] = sigs
             if check(c0):
                 out.append(inner | sum(sig << s for sig, s in zip(sigs, shifts)))
     return out

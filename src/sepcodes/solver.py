@@ -77,77 +77,38 @@ def max_order(kind: CodeKind, k: int) -> int:
     return expected_order(kind.separation, k, isolated)
 
 
-def make_mask_checker(
-    n: int, adj: list[int] | tuple[int, ...], closed: list[int] | tuple[int, ...], kind: CodeKind
-) -> Callable[[int], bool]:
-    """Fused separation+domination test over a candidate code mask.
-
-    Specialized per kind; agrees with codes.is_code on every input
-    (property-tested exhaustively). The
-    checker reads adj and closed when called, so a caller may refill them
-    in place and keep the checker."""
+def make_mask_checker(n: int, adj: list[int], kind: CodeKind) -> Callable[[int], bool]:
+    """Fused separation+domination test of a code mask c; agrees with
+    codes.is_code on every input (property-tested exhaustively). Each vertex
+    v reads s = N(v) & c once and fails c when s is empty and the kind is
+    total or v lies outside c, when its open signature s repeats (L, O, F;
+    for L only outside c), or when its closed signature s | ({v} & c) repeats
+    (I, F). adj is read when called, so a caller may refill it in place."""
     total = kind.total_domination
     sep = kind.separation
-    rng = range(n)
+    # v's open signature is tested when c >> v & 1 < opens: never for I,
+    # only outside c for L, always for O and F
+    opens = {Separation.CLOSED: 0, Separation.LOCATION: 1}.get(sep, 2)
+    closed = sep in (Separation.CLOSED, Separation.FULL)
 
-    if sep is Separation.LOCATION:
-
-        def check(c: int) -> bool:
-            seen = set()
-            for v in rng:
-                s = adj[v] & c
-                if c >> v & 1:
-                    if total and not s:
-                        return False
-                elif not s or s in seen:
-                    return False
-                else:
-                    seen.add(s)
-            return True
-
-    elif sep is Separation.OPEN:
-
-        def check(c: int) -> bool:
-            seen = set()
-            for v in rng:
-                s = adj[v] & c
-                if not s and (total or not c >> v & 1):
-                    return False
-                if s in seen:
-                    return False
-                seen.add(s)
-            return True
-
-    elif sep is Separation.CLOSED:
-
-        def check(c: int) -> bool:
-            seen = set()
-            for v in rng:
-                s = closed[v] & c
-                if not s or s in seen:
-                    return False
-                seen.add(s)
-                if total and not adj[v] & c:
-                    return False
-            return True
-
-    else:  # FULL
-
-        def check(c: int) -> bool:
-            oseen = set()
-            cseen = set()
-            for v in rng:
-                s = adj[v] & c
-                if not s and (total or not c >> v & 1):
-                    return False
+    def check(c: int) -> bool:
+        oseen = set()
+        cseen = set()
+        for v in range(n):
+            s = adj[v] & c
+            inside = c >> v & 1
+            if not s and (total or not inside):
+                return False
+            if inside < opens:
                 if s in oseen:
                     return False
                 oseen.add(s)
-                sc = closed[v] & c
-                if sc in cseen:
+            if closed:
+                s |= inside << v
+                if s in cseen:
                     return False
-                cseen.add(sc)
-            return True
+                cseen.add(s)
+        return True
 
     return check
 

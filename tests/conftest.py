@@ -235,12 +235,10 @@ def full_c0_patterns(kind: CodeKind, n: int, k: int) -> set[int]:
     c0 = (1 << k) - 1
     pairs = edge_bit_pairs(n)
     adj = [0] * n
-    closed = [0] * n
-    check = make_mask_checker(n, adj, closed, kind)
+    check = make_mask_checker(n, adj, kind)
     out = set()
     for pattern in _free_edge_codes(c0_edges(n, k)):
         adj[:] = decode_edges(n, pattern, pairs)
-        closed[:] = [nb | 1 << u for u, nb in enumerate(adj)]
         if check(c0):
             out.add(pattern)
     return out

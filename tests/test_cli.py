@@ -3,10 +3,12 @@ byte-identical deterministic output."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -401,3 +403,32 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
         assert (status, out) == (fresh.returncode, fresh.stdout), argv
         statuses.append(status)
     assert statuses == [0, 2, 2, 0, 0]
+
+
+def test_ci_smoke_step_passes(tmp_path):
+    # the CI smoke step, run as written in a temporary directory: its
+    # `run: |` block is cut from the workflow text (PyYAML is not a
+    # dependency), and shell functions stand in for the installed entry
+    # point and interpreter, so no command is rewritten
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+    lines = workflow.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if "name: Smoke-test" in line)
+    key = next(i for i in range(start, len(lines)) if lines[i].strip() == "run: |")
+    assert "shell: bash" in map(str.strip, lines[start:key])  # hosted runs get pipefail
+
+    def indent(line: str) -> int:
+        return len(line) - len(line.lstrip())
+
+    block = itertools.takewhile(
+        lambda line: not line.strip() or indent(line) > indent(lines[key]), lines[key + 1:]
+    )
+    script = 'sepcodes() { "$PY" -m sepcodes "$@"; }\npython() { "$PY" "$@"; }\n'
+    script += textwrap.dedent("\n".join(block))
+    env = dict(
+        os.environ, PY=sys.executable, PYTHONPATH=str(Path(sepcodes.__file__).parent.parent)
+    )
+    done = subprocess.run(
+        ["bash", "-e", "-o", "pipefail", "-c", script],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr

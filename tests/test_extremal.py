@@ -47,6 +47,7 @@ from sepcodes import (
     empty_graph,
     expected_order,
     extremal_structure_check,
+    family_membership,
     graph_code,
     graph_from_code,
     induced_subgraph,
@@ -481,6 +482,17 @@ def test_tight_presets_up_to_capacity(kind):
 def test_tight_presets_rejects_full_kinds():
     with pytest.raises(ValueError, match="no tight presets"):
         tight_family_presets(CodeKind.FD, 3)
+
+
+def test_itd_bipartite_construction_has_no_tight_preset():
+    # the presets cover only the named recipes: this construction is
+    # bipartite and attains the ITD bound, yet ITD has no recipe
+    me = materialize(parse_blueprint("sep=I\nk=3\ninner=path\nouter=empty\n"))
+    assert (me.graph.order, emit_graph6(me.graph)) == (7, b"FkOd?")
+    assert family_membership(me.graph).bipartite
+    assert min_code(me.graph, CodeKind.ITD).number == 3 == lower_bound(CodeKind.ITD, 7)
+    with pytest.raises(ValueError, match="no tight presets"):
+        tight_family_presets(CodeKind.ITD, 3)
 
 
 def test_audit_exhaustive_small():

@@ -174,11 +174,14 @@ def test_witness_validity_and_bounds_on_samples():
 
 
 def test_mask_checker_agrees_with_is_code_exhaustively():
+    # one checker per (n, kind), kept while its adjacency list is refilled
+    # in place with each labeled graph, as extremal._c0_patterns does
     for n in range(1, 6):
+        adj = [0] * n
+        checks = {kind: make_mask_checker(n, adj, kind) for kind in ALL_KINDS}
         for g in labeled_graphs(n):
-            closed = [nb | 1 << v for v, nb in enumerate(g.adj)]
-            for kind in ALL_KINDS:
-                check = make_mask_checker(n, g.adj, closed, kind)
+            adj[:] = g.adj
+            for kind, check in checks.items():
                 for mask in range(1 << n):
                     assert check(mask) == is_code(g, mask, kind), (g, mask, kind)
 
