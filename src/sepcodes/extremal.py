@@ -33,7 +33,6 @@ from .graphs import (
     complete_graph,
     decode_edges,
     disjoint_union,
-    edge_bit_pairs,
     empty_graph,
     family_membership,
     graph_classes,
@@ -434,7 +433,7 @@ def _c0_patterns(kind: CodeKind, n: int, k: int, lo: int, hi: int) -> list[int]:
     check = make_mask_checker(n, adj, kind)
     out: list[int] = []
     for inner in range(lo, hi):
-        adj[:k] = decode_edges(k, inner, edge_bit_pairs(k))
+        adj[:k] = decode_edges(k, inner)
         for sigs in itertools.combinations(range(1, c0 + 1), n - k):
             adj[k:] = sigs
             if check(c0):
@@ -493,7 +492,7 @@ def audit_characterization(
         # before the family side, so that a pool forks a small process
         attaining_patterns = _attaining_patterns(kind, n, k, jobs)
         patterns = _family_patterns(kind, n, k)
-        free = _free_edge_codes(1 << t for t, (i, _) in enumerate(edge_bit_pairs(n)) if i >= k)
+        free = _free_edge_codes(1 << (comb(j, 2) + i) for j in range(k, n) for i in range(k, j))
 
         def side_classes(side: set[int]) -> dict[int, int]:
             return _classes([p | f for p in side for f in free], n)

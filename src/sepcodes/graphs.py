@@ -11,7 +11,6 @@ from __future__ import annotations
 import threading
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -35,12 +34,10 @@ def vset(vertices: Iterable[int]) -> int:
 def members(mask: int) -> tuple[int, ...]:
     """Unpack a bitmask into ascending vertex indices."""
     out = []
-    v = 0
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
@@ -195,46 +192,48 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     return Graph(order, tuple(adj))
 
 
-@lru_cache(maxsize=None)
-def edge_bit_pairs(order: int) -> tuple[tuple[int, int], ...]:
-    """Upper-triangle vertex pairs in column-major order: (0,1), (0,2),
-    (1,2), (0,3), ...; pair t corresponds to bit t of a graph code."""
-    return tuple((i, j) for j in range(1, order) for i in range(j))
-
-
 def labeled_graph_count(order: int) -> int:
     return 1 << comb(order, 2)
 
 
-def decode_edges(order: int, code: int, pairs: Sequence[tuple[int, int]]) -> list[int]:
-    """Adjacency masks on `order` vertices holding edge pairs[t] for each bit
-    t set in `code`; unchecked, for the scans that decode every code."""
+def decode_edges(order: int, code: int) -> list[int]:
+    """Adjacency masks on `order` vertices of the edge code `code` (see
+    graph_code); unchecked, for the scans that decode every code."""
     adj = [0] * order
-    t = 0
-    while code:
-        if code & 1:
-            i, j = pairs[t]
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        code >>= 1
-        t += 1
+    for j in range(1, order):
+        if not code:
+            break
+        below = code & ((1 << j) - 1)
+        code >>= j
+        adj[j] = below
+        top = 1 << j
+        while below:
+            low = below & -below
+            adj[low.bit_length() - 1] |= top
+            below ^= low
     return adj
 
 
 def graph_from_code(order: int, code: int) -> Graph:
-    """Graph whose edge set is given by the upper-triangle bit encoding."""
-    pairs = edge_bit_pairs(order)
-    if code < 0 or code >> len(pairs):
+    """Graph whose edge set is given by the edge code `code` (see
+    graph_code). Every code in range decodes to a valid adjacency table, so
+    only the order and the code are checked, before any work."""
+    if not 1 <= order <= MAX_VERTICES:
+        raise ValueError(f"order must be in [1, {MAX_VERTICES}], got {order}")
+    if code < 0 or code >> comb(order, 2):
         raise ValueError(f"code {code} out of range for order {order}")
-    return Graph(order, tuple(decode_edges(order, code, pairs)))
+    return Graph._unchecked(order, tuple(decode_edges(order, code)))
 
 
 def graph_code(g: Graph) -> int:
-    """Inverse of graph_from_code for the same vertex labeling."""
+    """The edge code of g, inverse of graph_from_code for the same vertex
+    labeling. Its bits are the vertex pairs i < j in column-major order,
+    (0,1), (0,2), (1,2), (0,3), ...: bits C(j, 2) .. C(j, 2) + j - 1 are
+    column j, the neighbours of j below j, with bit C(j, 2) + i set when i
+    and j are adjacent."""
     code = 0
-    for t, (i, j) in enumerate(edge_bit_pairs(g.order)):
-        if g.adj[i] >> j & 1:
-            code |= 1 << t
+    for j, nb in enumerate(g.adj):
+        code |= (nb & ((1 << j) - 1)) << (j * (j - 1) // 2)
     return code
 
 
@@ -535,9 +534,8 @@ def accepted_children(
     the canonical result is then None."""
     new = m - 1
     top = 1 << new
-    pairs = edge_bit_pairs(new)
     for code, parent_aut, automorphisms, low in parents:
-        base = decode_edges(new, code, pairs)
+        base = decode_edges(new, code)
         for s, orbit in _subset_orbits(new, automorphisms):
             d = s.bit_count()
             # the new vertex must have the least degree, so d is the child's

@@ -12,9 +12,9 @@ from math import comb
 from .errors import FormatError
 from .graphs import MAX_VERTICES, Graph, build_graph, graph_code, graph_from_code
 
-# Payload bit t is bit t of graph_code, as both walk edge_bit_pairs in
-# order; a six-bit group holds it at 5 - t % 6, so this table reverses a
-# group's bits, both ways.
+# Payload bit t is bit t of graph_code, as both number the vertex pairs in
+# the same column-major order; a six-bit group holds it at 5 - t % 6, so
+# this table reverses a group's bits, both ways.
 _REVERSED = [int(f"{v:06b}"[::-1], 2) for v in range(64)]
 
 

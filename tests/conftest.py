@@ -30,7 +30,7 @@ from sepcodes.extremal import (
     _free_edge_codes,
     eligible_outer_labels,
 )
-from sepcodes.graphs import _ROOT, _refine, decode_edges, edge_bit_pairs
+from sepcodes.graphs import _ROOT, _refine, decode_edges
 from sepcodes.solver import make_mask_checker
 
 # Property tests draw the same examples on every run and stay bounded, so
@@ -65,6 +65,37 @@ def two_k1() -> Graph:
     return build_graph(2, [])
 
 
+def edge_bit_pairs(order: int) -> list[tuple[int, int]]:
+    """Upper-triangle vertex pairs in column-major order: (0,1), (0,2),
+    (1,2), (0,3), ...; pair t is bit t of an edge code."""
+    return [(i, j) for j in range(1, order) for i in range(j)]
+
+
+def reference_graph_code(g: Graph) -> int:
+    """Oracle for graph_code: one pair of edge_bit_pairs at a time."""
+    code = 0
+    for t, (i, j) in enumerate(edge_bit_pairs(g.order)):
+        if g.adj[i] >> j & 1:
+            code |= 1 << t
+    return code
+
+
+def reference_decode_edges(order: int, code: int) -> list[int]:
+    """Oracle for decode_edges: one bit of the code at a time, bit t adding
+    the edge edge_bit_pairs(order)[t]."""
+    pairs = edge_bit_pairs(order)
+    adj = [0] * order
+    t = 0
+    while code:
+        if code & 1:
+            i, j = pairs[t]
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        code >>= 1
+        t += 1
+    return adj
+
+
 def labeled_graphs(order: int):
     """Every labeled graph on `order` vertices, ascending by edge code: the
     labeled oracle that the class-based routes are checked against."""
@@ -76,9 +107,16 @@ def random_graph(rng: random.Random, n: int) -> Graph:
 
 
 @st.composite
-def graphs(draw, max_order=12):
+def edge_codes(draw, max_order=62) -> tuple[int, int]:
+    """(order, edge code) for any order 1..max_order, with any code in
+    range for it."""
     n = draw(st.integers(1, max_order))
-    return graph_from_code(n, draw(st.integers(0, (1 << comb(n, 2)) - 1)))
+    return n, draw(st.integers(0, (1 << comb(n, 2)) - 1))
+
+
+@st.composite
+def graphs(draw, max_order=12):
+    return graph_from_code(*draw(edge_codes(max_order)))
 
 
 @st.composite
@@ -213,7 +251,7 @@ def c0_edges(n: int, k: int) -> list[int]:
 def outer_signatures(pattern: int, n: int, k: int) -> list[int]:
     """The signature on C0 of each outer vertex k..n-1 of a C0-pattern, read
     from the graph the pattern decodes to."""
-    adj = decode_edges(n, pattern, edge_bit_pairs(n))
+    adj = decode_edges(n, pattern)
     return [nb & ((1 << k) - 1) for nb in adj[k:]]
 
 
@@ -233,12 +271,11 @@ def full_c0_patterns(kind: CodeKind, n: int, k: int) -> set[int]:
     if n < k:
         return set()
     c0 = (1 << k) - 1
-    pairs = edge_bit_pairs(n)
     adj = [0] * n
     check = make_mask_checker(n, adj, kind)
     out = set()
     for pattern in _free_edge_codes(c0_edges(n, k)):
-        adj[:] = decode_edges(n, pattern, pairs)
+        adj[:] = decode_edges(n, pattern)
         if check(c0):
             out.add(pattern)
     return out

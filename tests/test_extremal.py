@@ -14,6 +14,7 @@ from conftest import (
     ascending,
     attaining_codes,
     c0_edges,
+    edge_bit_pairs,
     full_c0_patterns,
     full_family_patterns,
     label_closure,
@@ -79,7 +80,7 @@ from sepcodes.extremal import (
     _sep_admitting_counts,
     inner_has_isolated,
 )
-from sepcodes.graphs import canonical_form, edge_bit_pairs
+from sepcodes.graphs import canonical_form
 from sepcodes.solver import smallest_k
 
 PATH_PLUS_ISOLATE_5 = Graph(5, tuple(path_graph(4).adj) + (0,))

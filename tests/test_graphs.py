@@ -7,6 +7,7 @@ import multiprocessing
 import random
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, permutations
@@ -14,6 +15,7 @@ from math import comb, factorial
 
 import pytest
 from conftest import (
+    edge_codes,
     graphs,
     k1,
     k2,
@@ -22,6 +24,8 @@ from conftest import (
     p3,
     p4,
     random_graph,
+    reference_decode_edges,
+    reference_graph_code,
     relabeled,
     unpruned_canonical_form,
 )
@@ -63,6 +67,7 @@ from sepcodes.graphs import (
     accepted_children,
     class_children,
     class_parents,
+    decode_edges,
     extend_classes,
 )
 
@@ -165,6 +170,49 @@ def test_graph_code_roundtrip():
     for _ in range(200):
         g = random_graph(rng, rng.randint(1, 9))
         assert graph_from_code(g.order, graph_code(g)) == g
+
+
+def check_codec(order: int, code: int) -> None:
+    """The column-wise codec against the pair-by-pair oracle on one code;
+    the graph is built through Graph's checks, not graph_from_code."""
+    adj = reference_decode_edges(order, code)
+    g = Graph(order, tuple(adj))
+    assert decode_edges(order, code) == adj
+    assert graph_from_code(order, code) == g
+    assert graph_code(g) == reference_graph_code(g) == code
+
+
+def test_codec_matches_pair_walk_on_every_small_graph():
+    for n in range(1, 7):
+        for code in range(1 << comb(n, 2)):
+            check_codec(n, code)
+
+
+@given(edge_codes())
+def test_codec_matches_pair_walk_up_to_order_62(order_code):
+    check_codec(*order_code)
+
+
+@pytest.mark.parametrize(
+    "order,code",
+    [(0, 0), (63, 0), (-1, 0), (4, -1), (4, 1 << 6), (7, (1 << 21) + 5), (62, 1 << comb(62, 2))],
+)
+def test_graph_from_code_rejects_order_and_code_out_of_range(order, code):
+    with pytest.raises(ValueError, match="order must be in|out of range"):
+        graph_from_code(order, code)
+
+
+def test_graph_from_code_checks_order_before_any_work():
+    # C(100000, 2) is about 5e9 vertex pairs, so anything built per pair
+    # or per vertex before the check would show in the peak
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="order must be in"):
+            graph_from_code(100000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_is_isomorphic_examples():

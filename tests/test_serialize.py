@@ -5,11 +5,21 @@ from __future__ import annotations
 import random
 
 import pytest
-from conftest import k1, k2, k3, labeled_graphs, random_graph, sparse_graphs
+from conftest import (
+    edge_codes,
+    k1,
+    k2,
+    k3,
+    labeled_graphs,
+    random_graph,
+    reference_decode_edges,
+    sparse_graphs,
+)
 from hypothesis import given
 
 from sepcodes import (
     FormatError,
+    Graph,
     emit_edge_list,
     emit_graph6,
     parse_edge_list,
@@ -74,6 +84,20 @@ def test_emit_matches_networkx():
         G.add_nodes_from(range(g.order))
         G.add_edges_from(g.edges())
         assert emit_graph6(g) == nx.to_graph6_bytes(G, header=False).strip()
+
+
+@given(edge_codes())
+def test_graph6_matches_networkx_up_to_order_62(order_code):
+    # both directions against networkx, on a graph built pair by pair
+    nx = pytest.importorskip("networkx")
+    n, code = order_code
+    g = Graph(n, tuple(reference_decode_edges(n, code)))
+    G = nx.Graph()
+    G.add_nodes_from(range(n))
+    G.add_edges_from(g.edges())
+    data = nx.to_graph6_bytes(G, header=False).strip()
+    assert emit_graph6(g) == data
+    assert parse_graph6(data) == g
 
 
 def test_edge_list_roundtrip():
