@@ -158,11 +158,9 @@ def _at_least_one(args: argparse.Namespace, name: str) -> int:
 
 def _audit_payload(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     kind = CodeKind.parse(args.kind)
-    jobs = _at_least_one(args, "jobs")
+    _at_least_one(args, "jobs")
     trials = _at_least_one(args, "trials")
-    report = audit_characterization(
-        kind, args.n, mode=args.mode, seed=args.seed, trials=trials, jobs=jobs
-    )
+    report = audit_characterization(kind, args.n, mode=args.mode, seed=args.seed, trials=trials)
     payload: dict[str, Any] = {
         "command": "audit",
         "kind": kind.name,
@@ -279,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
+    p.add_argument("--jobs", type=int, default=1, help="at least 1; the audit runs in one process")
     add_common(p)
     p.set_defaults(run=_audit_payload)
 

@@ -30,12 +30,12 @@ from .graphs import (
     Graph,
     build_graph,
     canonical_form,
+    class_children,
     complete_graph,
     decode_edges,
     disjoint_union,
     empty_graph,
     family_membership,
-    graph_classes,
     graph_from_code,
     induced_subgraph,
     is_isomorphic,
@@ -52,7 +52,6 @@ from .solver import (
     lower_bound,
     make_mask_checker,
     min_code,
-    scan,
     smallest_k,
 )
 
@@ -413,17 +412,19 @@ def _classes(codes: Iterable[int], n: int) -> dict[int, int]:
     return dict(canonical_form(g) for bucket in buckets.values() for g in bucket)
 
 
-def _c0_patterns(kind: CodeKind, n: int, k: int, lo: int, hi: int) -> list[int]:
-    """C0-patterns under which C0 = {0..k-1} is a kind-code, for the inner
-    edge codes in [lo, hi). A C0-pattern is the edge code of a graph with no
-    edges among the outer vertices k..n-1: its low C(k, 2) bits are the
-    inner graph on C0, and outer vertex j has its signature on C0 at bit
-    C(j, 2). The edges among the outer vertices are left out, as no code
-    test of C0 reads them. Each outer vertex lies outside C0, so under every
-    kind a code gives it a nonempty signature on C0 (domination) and any two
-    of them different signatures (separation): no other pattern can pass.
+def _attaining_patterns(kind: CodeKind, n: int, k: int) -> set[int]:
+    """C0-patterns under which C0 = {0..k-1} is a kind-code, none when
+    n < k. A C0-pattern is the edge code of a graph with no edges among the
+    outer vertices k..n-1: its low C(k, 2) bits are the inner graph on C0,
+    and outer vertex j has its signature on C0 at bit C(j, 2). The edges
+    among the outer vertices are left out, as no code test of C0 reads
+    them. Each outer vertex lies outside C0, so under every kind a code
+    gives it a nonempty signature on C0 (domination) and any two of them
+    different signatures (separation): no other pattern can pass.
     Relabeling the outer vertices keeps C0 a code, so only signatures that
     ascend on k..n-1 are scanned, and `make_mask_checker` decides each."""
+    if n < k:
+        return set()
     c0 = (1 << k) - 1
     shifts = [comb(j, 2) for j in range(k, n)]
     adj = [0] * n
@@ -431,23 +432,14 @@ def _c0_patterns(kind: CodeKind, n: int, k: int, lo: int, hi: int) -> list[int]:
     # code fills the code vertices with its adjacency, and each choice of
     # signatures the outer vertices
     check = make_mask_checker(n, adj, kind)
-    out: list[int] = []
-    for inner in range(lo, hi):
+    out: set[int] = set()
+    for inner in range(1 << comb(k, 2)):
         adj[:k] = decode_edges(k, inner)
         for sigs in itertools.combinations(range(1, c0 + 1), n - k):
             adj[k:] = sigs
             if check(c0):
-                out.append(inner | sum(sig << s for sig, s in zip(sigs, shifts)))
+                out.add(inner | sum(sig << s for sig, s in zip(sigs, shifts)))
     return out
-
-
-def _attaining_patterns(kind: CodeKind, n: int, k: int, jobs: int = 1) -> set[int]:
-    """The C0-patterns with ascending outer signatures under which C0 is a
-    kind-code, none when n < k; `jobs` shards the inner edge codes."""
-    if n < k:
-        return set()
-    parts = scan(partial(_c0_patterns, kind, n, k), 1 << comb(k, 2), jobs)
-    return {p for part in parts for p in part}
 
 
 def audit_characterization(
@@ -456,18 +448,17 @@ def audit_characterization(
     mode: str = "exhaustive",
     seed: int = 0,
     trials: int = 200,
-    jobs: int = 1,
 ) -> AuditReport:
     """Check the extremal characterization at order n.
 
     Exhaustive mode checks that the labeled graphs whose kind-number attains
     the logarithmic bound k are exactly the relabelings of the
     characterization family. Each side is a set of C0-patterns (see
-    `_c0_patterns`) whose outer signatures ascend. Both full sets are closed
-    under relabeling of the outer vertices k..n-1, so every labeled graph
-    with a pattern of either on some k-set is isomorphic to a pattern of the
-    side joined with a setting of the edges among the outer vertices, which
-    no code test of the k-set reads. `_classes` sorts those into
+    `_attaining_patterns`) whose outer signatures ascend. Both full sets are
+    closed under relabeling of the outer vertices k..n-1, so every labeled
+    graph with a pattern of either on some k-set is isomorphic to a pattern
+    of the side joined with a setting of the edges among the outer
+    vertices, which no code test of the k-set reads. `_classes` sorts those into
     isomorphism classes, {certificate: |Aut|}, and a class stands for
     n!/|Aut| labeled graphs. The attaining side keeps the patterns under
     which C0 is a code; as no code is smaller than k, a graph attains k
@@ -477,10 +468,9 @@ def audit_characterization(
     labels. The classes depend only on the pattern set, so when the two
     sets are equal one class dict serves both sides. The counts are the
     summed class weights, and `missing` and `unexpected` hold the canonical
-    representatives of the classes on one side only. `jobs` (clamped to
-    [1, os.cpu_count()]) shards the attaining scan; the result does not
-    depend on it. Sampled mode solves seeded random graphs and structurally
-    checks every attaining one against the construction."""
+    representatives of the classes on one side only. Sampled mode solves
+    seeded random graphs and structurally checks every attaining one
+    against the construction."""
     k = lower_bound(kind, n)
     if k < 1:
         raise GuardError(f"no attainment theory at order {n} (bound is {k})")
@@ -489,8 +479,7 @@ def audit_characterization(
             raise GuardError(
                 f"exhaustive audit is guarded at order {AUDIT_EXHAUSTIVE_GUARD}"
             )
-        # before the family side, so that a pool forks a small process
-        attaining_patterns = _attaining_patterns(kind, n, k, jobs)
+        attaining_patterns = _attaining_patterns(kind, n, k)
         patterns = _family_patterns(kind, n, k)
         free = _free_edge_codes(1 << (comb(j, 2) + i) for j in range(k, n) for i in range(k, j))
 
@@ -625,12 +614,11 @@ def _sep_admitting_counts(m: int) -> tuple[dict[Separation, int], dict[Separatio
     """Per separation, the labeled graphs on m vertices admissible for its
     D kind and for its TD kind (the isolate-free ones among them), as
     is_admissible decides. Admissibility does not depend on the labeling,
-    so each isomorphism class is tested once, on its canonical
-    representative, and stands for m!/|Aut| labeled graphs."""
+    so each isomorphism class is tested once, on the graph class_children
+    gives for it, and stands for m!/|Aut| labeled graphs."""
     totals = {sep: 0 for sep in Separation}
     isolate_free = {sep: 0 for sep in Separation}
-    for cert, aut in graph_classes(m).items():
-        g = graph_from_code(m, cert)
+    for g, aut in class_children(m):
         weight = factorial(m) // aut
         for sep in Separation:
             totals[sep] += weight * is_admissible(g, CodeKind(sep.value + "D"))

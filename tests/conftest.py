@@ -243,8 +243,8 @@ def reference_min_code(
 
 def c0_edges(n: int, k: int) -> list[int]:
     """The single-bit edge codes of the edges meeting C0 = {0..k-1}: a
-    C0-pattern (see extremal._c0_patterns) is an edge code of order n made
-    of these bits only."""
+    C0-pattern (see extremal._attaining_patterns) is an edge code of order
+    n made of these bits only."""
     return [1 << t for t, (i, _) in enumerate(edge_bit_pairs(n)) if i < k]
 
 
@@ -422,7 +422,8 @@ def cold_classes(monkeypatch):
 @pytest.fixture
 def spy_pools(monkeypatch):
     """Put a stand-in for ProcessPoolExecutor in the solver module, whose
-    `scan` is the one fan-out, and report 4 CPUs. Each stand-in pool
+    `scan` is the one fan-out, and in the extremal module, which keeps the
+    name bound, and report 4 CPUs. Each stand-in pool
     records its worker count and tasks and runs them in this process, so
     no process is started. Returns the list of pools made."""
     pools = []
@@ -445,5 +446,6 @@ def spy_pools(monkeypatch):
             return [fn(*args) for args in tasks]
 
     monkeypatch.setattr("sepcodes.solver.ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr("sepcodes.extremal.ProcessPoolExecutor", SpyPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     return pools

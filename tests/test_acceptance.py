@@ -128,7 +128,7 @@ def test_criterion_04_audit_ld_order_five():
 
 def test_criterion_05_audit_id_order_seven():
     t0 = time.perf_counter()
-    report = audit_characterization(CodeKind.ID, 7, jobs=2)
+    report = audit_characterization(CodeKind.ID, 7)
     assert report.passed
     assert not report.missing and not report.unexpected
     assert (report.attaining_count, report.family_count, report.family_class_count) == (
@@ -136,7 +136,7 @@ def test_criterion_05_audit_id_order_seven():
         137130,
         50,
     )
-    assert audit_characterization(CodeKind.ID, 7, jobs=1) == report
+    assert audit_characterization(CodeKind.ID, 7) == report
     _report(
         5,
         f"ID attainment at order 7 = construction family "

@@ -19,6 +19,7 @@ import sepcodes
 from sepcodes import (
     ALL_KINDS,
     BlueprintError,
+    CodeKind,
     ExtremalBlueprint,
     Separation,
     build_graph,
@@ -338,6 +339,16 @@ def test_jobs_below_one_is_rejected(capsys):
             status, out, err = run(capsys, command + ["--jobs", jobs])
             assert status == 2
             assert "--jobs must be at least 1" in err and not out
+
+
+@pytest.mark.parametrize("kind", [kind.name for kind in CodeKind])
+def test_audit_jobs_change_nothing_and_start_no_pool(capsys, spy_pools, kind):
+    # --jobs is still accepted, but the audit runs in the calling process
+    command = ["audit", "--kind", kind, "--n", "6", "--format", "json"]
+    one = run(capsys, command + ["--jobs", "1"])
+    two = run(capsys, command + ["--jobs", "2"])
+    assert two == one and one[0] == 0
+    assert not spy_pools
 
 
 def test_trials_below_one_is_rejected(capsys):

@@ -70,6 +70,7 @@ from sepcodes import (
     verify_extremal,
     vset,
 )
+from sepcodes.cli import main
 from sepcodes.extremal import (
     _TIGHT_RECIPES,
     StructureCheck,
@@ -735,8 +736,22 @@ def test_audit_exhaustive_reports_a_family_short_of_the_attaining_graphs(monkeyp
         assert canonical_form(g)[0] not in certificates
 
 
-def test_audit_parallel_matches_serial(monkeypatch):
-    # ID at n = 6 has k = 3 and 8 inner edge codes to shard, enough for a pool
+def _cli_audit_reports(monkeypatch, argv):
+    """Run `sepcodes audit` with argv and return its exit code and the
+    reports that audit_characterization handed back to the command line."""
+    reports = []
+
+    def recording(*args, **kwargs):
+        reports.append(audit_characterization(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr("sepcodes.cli.audit_characterization", recording)
+    return main(["audit", *argv]), reports
+
+
+def test_audit_parallel_matches_serial(monkeypatch, capsys):
+    # ID at n = 6 has k = 3 and 8 inner edge codes, which a pool once
+    # sharded: --jobs 2 now submits nothing and gives the in-process report
     submitted = []
 
     class CountingPool(ProcessPoolExecutor):
@@ -745,28 +760,36 @@ def test_audit_parallel_matches_serial(monkeypatch):
             return super().submit(*args, **kwargs)
 
     monkeypatch.setattr("sepcodes.solver.ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr("sepcodes.extremal.ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    serial = audit_characterization(CodeKind.ID, 6, jobs=1)
+    argv = ["--kind", "id", "--n", "6", "--jobs", "2"]
+    status, reports = _cli_audit_reports(monkeypatch, argv)
     assert not submitted
-    parallel = audit_characterization(CodeKind.ID, 6, jobs=2)
-    assert len(submitted) > 1
-    assert serial == parallel
+    assert status == 0 and reports == [audit_characterization(CodeKind.ID, 6)]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
     "kind", [kind for kind in CodeKind if lower_bound(kind, 6) >= 3], ids=lambda kd: kd.name
 )
-def test_audit_jobs_do_not_change_the_report(monkeypatch, kind):
-    # at k >= 3 there are at least 8 inner edge codes, so jobs=2 starts a pool
+def test_audit_jobs_do_not_change_the_report(monkeypatch, capsys, kind):
+    # at k >= 3 there are at least 8 inner edge codes, as many as a pool
+    # once split; the report at --jobs 2 is the one at --jobs 1
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert audit_characterization(kind, 6, jobs=1) == audit_characterization(kind, 6, jobs=2)
+    argv = ["--kind", kind.name.lower(), "--n", "6"]
+    one = _cli_audit_reports(monkeypatch, argv + ["--jobs", "1"])
+    two = _cli_audit_reports(monkeypatch, argv + ["--jobs", "2"])
+    assert one == two == (0 if one[1][0].passed else 1, [audit_characterization(kind, 6)])
+    capsys.readouterr()
 
 
-def test_audit_jobs_are_clamped(spy_pools):
-    report = audit_characterization(CodeKind.ID, 5, jobs=100_000)
-    assert [pool.max_workers for pool in spy_pools] == [4]
-    assert spy_pools[0].tasks > 1
-    assert report == audit_characterization(CodeKind.ID, 5, jobs=1)
+def test_audit_jobs_are_clamped(monkeypatch, capsys, spy_pools):
+    # a --jobs far above the CPU count is accepted and starts no pool
+    argv = ["--kind", "id", "--n", "5", "--jobs", "100000"]
+    status, reports = _cli_audit_reports(monkeypatch, argv)
+    assert not spy_pools
+    assert status == 0 and reports == [audit_characterization(CodeKind.ID, 5)]
+    capsys.readouterr()
 
 
 def test_audit_sampled():

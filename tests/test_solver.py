@@ -175,7 +175,7 @@ def test_witness_validity_and_bounds_on_samples():
 
 def test_mask_checker_agrees_with_is_code_exhaustively():
     # one checker per (n, kind), kept while its adjacency list is refilled
-    # in place with each labeled graph, as extremal._c0_patterns does
+    # in place with each labeled graph, as extremal._attaining_patterns does
     for n in range(1, 6):
         adj = [0] * n
         checks = {kind: make_mask_checker(n, adj, kind) for kind in ALL_KINDS}
