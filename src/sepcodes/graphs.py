@@ -445,7 +445,9 @@ def _check_census_order(order: int) -> None:
     if order < 1:
         raise ValueError("order must be at least 1")
     if order > CENSUS_GUARD:
-        raise GuardError(f"canonical forms are guarded at order {CENSUS_GUARD}")
+        raise GuardError(
+            f"census and isomorphism classes are guarded at order {CENSUS_GUARD}, got {order}"
+        )
 
 
 def canonical_form(g: Graph) -> tuple[int, int]:

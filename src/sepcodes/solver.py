@@ -9,10 +9,14 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations, starmap
 from math import factorial
+from operator import or_, xor
 from typing import Callable, Iterable, TypeVar
 
-from .codes import ALL_KINDS, CodeKind, Separation, is_admissible, is_code
+# min_code reads admissibility off the separation family; is_admissible
+# stays bound here because bench/tracer.py patches it
+from .codes import ALL_KINDS, CodeKind, Separation, is_admissible, is_code  # noqa: F401
 from .errors import BudgetError, GuardError
 from .graphs import MAX_VERTICES, Graph, class_children, class_parents, members
 
@@ -140,7 +144,9 @@ def separation_family(g: Graph, kind: CodeKind) -> list[int]:
     - FULL: both of the above.
 
     The family is deduplicated, reduced to its inclusion-minimal sets and
-    sorted by largest vertex. It is [0] exactly when g is inadmissible.
+    sorted by largest vertex, then size, then value. It is [0] exactly
+    when g is inadmissible, and is returned as soon as the empty set
+    appears.
 
     The sets are taken smallest first, and one is kept unless it contains a
     kept set. The kept sets sit in (n+1)-bit fields of one int, each field
@@ -154,17 +160,20 @@ def separation_family(g: Graph, kind: CodeKind) -> list[int]:
     sep = kind.separation
     sets = set(adj if kind.total_domination else closed)
     if sep is Separation.LOCATION:
-        sets.update(adj[u] ^ adj[v] | 1 << u | 1 << v for v in range(n) for u in range(v))
+        pairs = starmap(or_, combinations([1 << v for v in range(n)], 2))
+        sets.update(map(or_, starmap(xor, combinations(adj, 2)), pairs))
     if sep in (Separation.OPEN, Separation.FULL):
-        sets.update(adj[u] ^ adj[v] for v in range(n) for u in range(v))
+        sets.update(starmap(xor, combinations(adj, 2)))
     if sep in (Separation.CLOSED, Separation.FULL):
-        sets.update(closed[u] ^ closed[v] for v in range(n) for u in range(v))
+        sets.update(starmap(xor, combinations(closed, 2)))
+    if 0 in sets:
+        return [0]
     minimal: list[int] = []
     kept = ones = fill = guards = 0
     low = (1 << n) - 1
-    ordered = sorted(sets)
-    ordered.sort(key=int.bit_count)  # stable: by size, then by value
-    for s in ordered:
+    # a set of one size cannot contain another of that size, so the order
+    # within a size changes only the order of `minimal`, sorted below
+    for s in sorted(sets, key=int.bit_count):
         if ((kept & ~(s * ones)) + fill) & guards != guards:
             continue  # s contains a kept set
         shift = len(minimal) * (n + 1)
@@ -173,7 +182,10 @@ def separation_family(g: Graph, kind: CodeKind) -> list[int]:
         ones |= 1 << shift
         fill |= low << shift
         guards |= 1 << (shift + n)
-    return sorted(minimal, key=int.bit_length)
+    minimal.sort()
+    minimal.sort(key=int.bit_count)
+    minimal.sort(key=int.bit_length)  # stable: by largest vertex, size, value
+    return minimal
 
 
 def min_code(g: Graph, kind: CodeKind, budget: int = DEFAULT_BUDGET) -> SolveReport:
@@ -184,24 +196,39 @@ def min_code(g: Graph, kind: CodeKind, budget: int = DEFAULT_BUDGET) -> SolveRep
     itertools.combinations order would return. subsets_tested counts search
     nodes, and budget caps them.
 
-    The search holds the unhit sets as a bitmask over family indices. Two
-    tables are built once: miss[y] has bit i set when family[i] lacks
-    vertex y, and tops[i] is the largest vertex of family[i]. Choosing x
-    then leaves unhit & miss[x] unhit, one AND per node."""
+    The search holds the unhit sets as a bitmask over family indices.
+    Three tables are built once: miss[y] has bit i set when family[i] lacks
+    vertex y, tops[i] is the largest vertex of family[i], and cut[i][j] is
+    the AND of miss over the j largest vertices of family[i]. Choosing x
+    then leaves unhit & miss[x] unhit, one AND per node, and the packing
+    bound takes each set i in one AND with its cut row. A family of [0]
+    means g is inadmissible (no is_admissible pass), and no node is
+    searched."""
     lb = lower_bound(kind, g.order)
-    if not is_admissible(g, kind):
-        return SolveReport(kind, None, None, 0, lb)
     family = separation_family(g, kind)
+    if family[0] == 0:
+        return SolveReport(kind, None, None, 0, lb)
     n = g.order
     every = (1 << len(family)) - 1
     miss = [every] * n
-    tops = []
-    for i, s in enumerate(family):
-        tops.append(s.bit_length() - 1)
+    verts = []  # the vertices of each set, largest first
+    bit = 1
+    for s in family:
+        vs = []
         while s:
-            low = s & -s
-            miss[low.bit_length() - 1] ^= 1 << i
-            s ^= low
+            y = s.bit_length() - 1
+            vs.append(y)
+            miss[y] ^= bit
+            s ^= 1 << y
+        verts.append(vs)
+        bit <<= 1
+    tops = [vs[0] for vs in verts]
+    cut = []
+    for vs in verts:
+        row = [every]
+        for y in vs:
+            row.append(row[-1] & miss[y])
+        cut.append(row)
     nodes = 0
 
     def search(unhit: int, start: int, left: int) -> int | None:
@@ -229,30 +256,33 @@ def min_code(g: Graph, kind: CodeKind, budget: int = DEFAULT_BUDGET) -> SolveRep
             # greedy packing: sets not yet hit, disjoint above x, each need
             # their own vertex after x, and left - 1 slots remain. The sets
             # are taken in family order; free holds those not yet taken that
-            # miss every vertex above x of the ones taken so far
+            # miss every vertex above x of the ones taken so far. The
+            # vertices of set i above x are its largest ones, and there is
+            # one (x is not in i and does not pass its largest vertex), so
+            # its cut row drops i and every set meeting them
             free = rest
             packed = 0
             while free:
-                low = free & -free
-                free ^= low
+                i = (free & -free).bit_length() - 1
                 packed += 1
                 if packed == left:
                     break
-                above = family[low.bit_length() - 1] >> (x + 1)
-                while above:
-                    y = above & -above
-                    free &= miss[x + y.bit_length()]
-                    above ^= y
+                free &= cut[i][(family[i] >> (x + 1)).bit_count()]
             else:
                 found = search(rest, x + 1, left - 1)
                 if found is not None:
                     return found | 1 << x
         return None
 
-    for size in range(max(1, lb), n + 1):
-        witness = search(every, 0, size)
-        if witness is not None:
-            return SolveReport(kind, size, witness, nodes, lb)
+    try:
+        for size in range(max(1, lb), n + 1):
+            witness = search(every, 0, size)
+            if witness is not None:
+                return SolveReport(kind, size, witness, nodes, lb)
+    finally:
+        # search holds itself through its closure: break that cycle, so that
+        # the tables are freed on return, not at a later garbage collection
+        search = None  # noqa: F841
     raise AssertionError("admissible graph has no code; admissibility test is wrong")
 
 

@@ -298,8 +298,9 @@ def test_census_all_kinds_from_one_pass(capsys):
 
 
 def test_census_guard(capsys):
-    status, _, _ = run(capsys, ["census", "--kind", "ld", "--n", "9"])
-    assert status == 4
+    status, out, err = run(capsys, ["census", "--kind", "ld", "--n", "9"])
+    assert (status, out) == (4, "")
+    assert err == "error: census and isomorphism classes are guarded at order 8, got 9\n"
 
 
 def test_bounds(capsys):

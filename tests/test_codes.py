@@ -18,7 +18,6 @@ from sepcodes import (
     is_separating,
     is_total_dominating,
     open_signature,
-    separation_family,
     signature_families,
     vset,
 )
@@ -154,14 +153,6 @@ def test_admissibility_matches_exhaustive_code_search():
             for kind in ALL_KINDS:
                 exists = any(is_code(g, mask, kind) for mask in range(1 << n))
                 assert exists == is_admissible(g, kind)
-
-
-def test_admissibility_equals_the_separation_family_having_no_empty_set():
-    # the family is [0] exactly when some set C must hit is empty
-    for n in range(1, 6):
-        for g in labeled_graphs(n):
-            for kind in ALL_KINDS:
-                assert is_admissible(g, kind) == (separation_family(g, kind) != [0])
 
 
 def test_code_gives_outer_vertices_distinct_nonempty_signatures():

@@ -272,6 +272,29 @@ def test_family_matches_the_reference_filter_on_random_graphs(g):
         assert separation_family(g, kind) == reference_separation_family(g, kind)
 
 
+def assert_inadmissible_exactly_when_the_family_holds_the_empty_set(g):
+    # min_code reads admissibility off the family alone: it is [0] exactly
+    # when g has no kind-code, and then no node is searched
+    for kind in ALL_KINDS:
+        inadmissible = not is_admissible(g, kind)
+        assert (separation_family(g, kind) == [0]) == inadmissible
+        report = min_code(g, kind)
+        assert (report.number is None) == inadmissible
+        if inadmissible:
+            assert (report.witness, report.subsets_tested) == (None, 0)
+
+
+def test_inadmissible_exactly_when_the_family_holds_the_empty_set_exhaustively():
+    for n in range(1, 6):
+        for g in labeled_graphs(n):
+            assert_inadmissible_exactly_when_the_family_holds_the_empty_set(g)
+
+
+@given(graphs(max_order=20))
+def test_inadmissible_exactly_when_the_family_holds_the_empty_set_on_random_graphs(g):
+    assert_inadmissible_exactly_when_the_family_holds_the_empty_set(g)
+
+
 @given(graphs())
 def test_solver_matches_oracle_on_random_graphs(g):
     for kind in ALL_KINDS:
