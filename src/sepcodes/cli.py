@@ -26,7 +26,15 @@ from .extremal import (
 )
 from .graphs import Graph, members
 from .serialize import emit_graph6, parse_graph6, parse_edge_list
-from .solver import DEFAULT_BUDGET, census, census_kinds, lower_bound, max_order, min_code
+from .solver import (
+    DEFAULT_BUDGET,
+    CensusReport,
+    census,
+    census_kinds,
+    lower_bound,
+    max_order,
+    min_code,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -182,28 +190,22 @@ def _audit_payload(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     return payload, EXIT_OK if report.passed else 1
 
 
+def _census_counts(report: CensusReport) -> dict[str, Any]:
+    return {
+        "histogram": {str(size): count for size, count in report.histogram.items()},
+        "inadmissible": report.inadmissible,
+    }
+
+
 def _census_payload(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     jobs = _at_least_one(args, "jobs")
     if args.kind.strip().lower() == "all":
         reports = census_kinds(ALL_KINDS, args.n, jobs=jobs)
-        payload: dict[str, Any] = {"command": "census", "kind": "all", "n": args.n}
-        payload["kinds"] = {
-            report.kind.name: {
-                "histogram": {str(size): count for size, count in report.histogram.items()},
-                "inadmissible": report.inadmissible,
-            }
-            for report in reports
-        }
-        return payload, EXIT_OK
+        kinds = {report.kind.name: _census_counts(report) for report in reports}
+        return {"command": "census", "kind": "all", "n": args.n, "kinds": kinds}, EXIT_OK
     kind = CodeKind.parse(args.kind)
     report = census(kind, args.n, jobs=jobs)
-    payload = {
-        "command": "census",
-        "kind": kind.name,
-        "n": report.n,
-        "histogram": {str(size): count for size, count in report.histogram.items()},
-        "inadmissible": report.inadmissible,
-    }
+    payload = {"command": "census", "kind": kind.name, "n": report.n, **_census_counts(report)}
     return payload, EXIT_OK
 
 

@@ -45,7 +45,7 @@ class CodeKind(enum.Enum):
 
     @cached_property
     def separation(self) -> Separation:
-        # cached: min_code reads it twice per graph (is_admissible, separation_family)
+        # cached: every is_code call reads it, and min_code once per graph
         return Separation(self.name[0])
 
     @property

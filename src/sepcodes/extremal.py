@@ -22,12 +22,12 @@ from functools import partial
 from math import comb, factorial
 from typing import Iterable
 
-from .codes import CodeKind, Separation, is_admissible, is_code
+from .codes import CodeKind, Separation, is_admissible, is_code, signature_families
 from .errors import BlueprintError, FormatError, GuardError
 from .graphs import (
-    ISOMORPHISM_GUARD,
     MAX_VERTICES,
     Graph,
+    _canonical,
     build_graph,
     canonical_form,
     class_children,
@@ -134,20 +134,21 @@ def inner_has_isolated(inner: Graph) -> bool:
     return any(nb == 0 for nb in inner.adj)
 
 
-def eligible_outer_labels(separation: Separation, inner: Graph) -> tuple[int, ...]:
-    """Nonempty code subsets available as outer signatures: those colliding
-    with no inner open signature (open sep.), closed signature (closed
-    sep.), or either (full sep.); all nonempty subsets for location."""
-    k = inner.order
+def _own_signatures(separation: Separation, g: Graph, code: int) -> frozenset[int]:
+    """The code's own signatures, which no outer vertex may carry: its open
+    (O), closed (I) or both families (F); none for location."""
     if separation is Separation.LOCATION:
-        excluded: set[int] = set()
-    elif separation is Separation.OPEN:
-        excluded = set(inner.adj)
-    elif separation is Separation.CLOSED:
-        excluded = {nb | (1 << v) for v, nb in enumerate(inner.adj)}
-    else:
-        excluded = set(inner.adj) | {nb | (1 << v) for v, nb in enumerate(inner.adj)}
-    return tuple(m for m in range(1, 1 << k) if m not in excluded)
+        return frozenset()
+    families = signature_families(g, code)
+    return {Separation.OPEN: families.open_family,
+            Separation.CLOSED: families.closed_family}.get(separation, families.combined)
+
+
+def eligible_outer_labels(separation: Separation, inner: Graph) -> tuple[int, ...]:
+    """Nonempty code subsets available as outer signatures: those that are
+    not the inner graph's own signatures (see _own_signatures)."""
+    excluded = _own_signatures(separation, inner, inner.vertex_mask)
+    return tuple(m for m in range(1, 1 << inner.order) if m not in excluded)
 
 
 def removal_cap(kind: CodeKind, k: int, inner: Graph) -> int:
@@ -315,10 +316,7 @@ def extremal_structure_check(g: Graph, code: int, kind: CodeKind) -> StructureCh
     inner = induced_subgraph(g, code) if code else None
     if inner is None or not is_admissible(inner, kind):
         return StructureCheck(False, "inner graph is not admissible for this kind")
-    # labels number the code's vertices 0..k-1 in ascending order, as the
-    # inner graph does; signatures keep the numbering of g
-    index = {v: i for i, v in enumerate(members(code))}
-    eligible = set(eligible_outer_labels(kind.separation, inner))
+    excluded = _own_signatures(kind.separation, g, code)
     seen: set[int] = set()
     for v in range(g.order):
         if code >> v & 1:
@@ -328,12 +326,12 @@ def extremal_structure_check(g: Graph, code: int, kind: CodeKind) -> StructureCh
             return StructureCheck(False, f"vertex {v} has an empty outer signature")
         if sig in seen:
             return StructureCheck(False, f"duplicate outer signature {members(sig)}")
-        if sum(1 << index[u] for u in members(sig)) not in eligible:
+        if sig in excluded:
             return StructureCheck(
                 False, f"outer signature {members(sig)} collides with the code's own"
             )
         seen.add(sig)
-    removed = (k + len(eligible)) - g.order
+    removed = (1 << k) - 1 - len(excluded - {0}) - len(seen)
     cap = removal_cap(kind, k, inner)
     if removed > cap:
         return StructureCheck(
@@ -551,12 +549,12 @@ class DisconnectionReport:
     materialized: MaterializedExtremal
     removed_count: int
     expected: Graph
-    isomorphic: bool | None
+    isomorphic: bool
     od_number: int | None
 
     @property
     def passed(self) -> bool:
-        return self.isomorphic is not False and self.od_number == self.k
+        return self.isomorphic and self.od_number == self.k
 
 
 def od_disconnection_case(k: int, inner: Graph | None = None) -> DisconnectionReport:
@@ -583,13 +581,9 @@ def od_disconnection_case(k: int, inner: Graph | None = None) -> DisconnectionRe
     rest_inner = induced_subgraph(inner, inner.vertex_mask ^ (1 << u))
     smaller = materialize(ExtremalBlueprint(Separation.OPEN, k - 1, rest_inner))
     expected = disjoint_union(build_graph(2, [(0, 1)]), smaller.graph)
-    isomorphic: bool | None
-    if me.graph.order <= ISOMORPHISM_GUARD and expected.order <= ISOMORPHISM_GUARD:
-        isomorphic = is_isomorphic(me.graph, expected)
-    else:
-        isomorphic = None
+    mine, theirs = ((h.order, _canonical(h.order, h.adj)[0]) for h in (me.graph, expected))
     number = min_code(me.graph, CodeKind.OD).number
-    return DisconnectionReport(k, me, len(removals), expected, isomorphic, number)
+    return DisconnectionReport(k, me, len(removals), expected, mine == theirs, number)
 
 
 # ---------------------------------------------------------------------------

@@ -348,7 +348,9 @@ def test_audit_jobs_change_nothing_and_start_no_pool(capsys, spy_pools, kind):
     command = ["audit", "--kind", kind, "--n", "6", "--format", "json"]
     one = run(capsys, command + ["--jobs", "1"])
     two = run(capsys, command + ["--jobs", "2"])
-    assert two == one and one[0] == 0
+    # far above the CPU count, and still no pool
+    many = run(capsys, command + ["--jobs", "100000"])
+    assert two == many == one and one[0] == 0
     assert not spy_pools
 
 

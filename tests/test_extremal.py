@@ -322,6 +322,9 @@ def test_structure_check_reasons():
         # the inner edge gives 0 the open signature {1} and 1 the signature {0}
         (build_graph(3, [(0, 1), (0, 2)]), vset([0, 1]), CodeKind.OD,
          "outer signature (0,) collides with the code's own"),
+        # the code {1, 2} is not at the front: 2's open signature is {1}
+        (build_graph(3, [(1, 2), (0, 2)]), vset([1, 2]), CodeKind.OD,
+         "outer signature (2,) collides with the code's own"),
         # four eligible labels, none used, and order 4 is the least with bound 3
         (empty_graph(3), vset([0, 1, 2]), CodeKind.ID, "4 outer labels unused, cap is 3"),
     ]:
@@ -356,6 +359,11 @@ def test_od_disconnection_case():
     assert report.materialized.graph.order == 9
     assert report.isomorphic is True
     assert report.od_number == 4
+
+    # k = 5 gives order 17
+    report = od_disconnection_case(5)
+    assert report.isomorphic is True
+    assert report.passed
 
 
 def test_od_disconnection_guards():
