@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from functools import partial
 from math import comb, factorial
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .codes import CodeKind, Separation, is_admissible, is_code, signature_families
 from .errors import BlueprintError, FormatError, GuardError
@@ -180,11 +180,13 @@ def _validate_blueprint(bp: ExtremalBlueprint) -> tuple[int, ...]:
                 Separation.FULL: "twin-free",
             }[bp.separation]
             raise BlueprintError(f"inner graph must be {condition}")
-    # from the formula, before the up to 2^k - 1 labels are listed
+    # from the formula, before the up to 2^k - 1 labels are listed; removed
+    # labels are never built, so the capacity bounds the final order
     order0 = expected_order(bp.separation, bp.k, inner_has_isolated(bp.inner))
-    if order0 > MAX_VERTICES:
+    order = order0 - len(set(bp.removals))
+    if order > MAX_VERTICES:
         raise BlueprintError(
-            f"construction order {order0} exceeds capacity {MAX_VERTICES}"
+            f"construction order {order} exceeds capacity {MAX_VERTICES}"
         )
     labels = eligible_outer_labels(bp.separation, bp.inner)
     assert bp.k + len(labels) == order0, "expected_order disagrees with the eligible labels"
@@ -203,47 +205,38 @@ def _validate_blueprint(bp: ExtremalBlueprint) -> tuple[int, ...]:
     return labels
 
 
-def _outer_edges(policy: OuterPolicy, count: int) -> list[tuple[int, int]]:
-    if policy.mode == "empty":
-        return []
-    if policy.mode == "complete":
-        return [(a, b) for a in range(count) for b in range(a + 1, count)]
+def _outer_edges(policy: OuterPolicy, count: int) -> Iterator[tuple[int, int]]:
     if policy.mode == "explicit":
-        return list(policy.graph.edges())
-    rng = random.Random(policy.seed)
-    out = []
-    for a in range(count):
-        for b in range(a + 1, count):
-            if rng.random() < policy.probability:
-                out.append((a, b))
-    return out
+        yield from policy.graph.edges()
+    elif policy.mode != "empty":
+        rng = random.Random(policy.seed)
+        for a, b in itertools.combinations(range(count), 2):
+            if policy.mode == "complete" or rng.random() < policy.probability:
+                yield a, b
 
 
 def materialize(bp: ExtremalBlueprint) -> MaterializedExtremal:
     """Build the construction: code vertices 0..k-1 carry the inner graph,
-    outer vertices follow in ascending label order, each adjacent to exactly
-    the members of its label; outer-outer edges follow the policy; removal
-    labels are deleted last."""
+    and the outer vertices of the labels not removed follow in ascending
+    label order, each adjacent to exactly the members of its label; removed
+    labels are never built. Outer-outer edges follow the policy, drawn over
+    all eligible labels (an explicit outer graph has one vertex per eligible
+    label); an edge is kept when both of its ends are built."""
     labels = _validate_blueprint(bp)
     k = bp.k
-    pool = len(labels)
-    adj = list(bp.inner.adj) + list(labels)
-    for idx, label in enumerate(labels):
-        for u in members(label):
-            adj[u] |= 1 << (k + idx)
-    for a, b in _outer_edges(bp.outer, pool):
-        adj[k + a] |= 1 << (k + b)
-        adj[k + b] |= 1 << (k + a)
-    graph = Graph(k + pool, tuple(adj))
     removed = set(bp.removals)
-    kept = [m for m in labels if m not in removed]
-    if removed:
-        keep_mask = graph.vertex_mask
-        for idx, label in enumerate(labels):
-            if label in removed:
-                keep_mask ^= 1 << (k + idx)
-        graph = induced_subgraph(graph, keep_mask)
-    outer_labels = tuple((k + idx, label) for idx, label in enumerate(kept))
+    kept = [idx for idx, label in enumerate(labels) if label not in removed]
+    vertex = {idx: k + j for j, idx in enumerate(kept)}  # eligible index -> vertex
+    outer_labels = tuple((vertex[idx], labels[idx]) for idx in kept)
+    adj = list(bp.inner.adj) + [label for _, label in outer_labels]
+    for v, label in outer_labels:
+        for u in members(label):
+            adj[u] |= 1 << v
+    for a, b in _outer_edges(bp.outer, len(labels)):
+        if a in vertex and b in vertex:
+            adj[vertex[a]] |= 1 << vertex[b]
+            adj[vertex[b]] |= 1 << vertex[a]
+    graph = Graph(len(adj), tuple(adj))
     return MaterializedExtremal(bp.separation, k, graph, (1 << k) - 1, outer_labels)
 
 

@@ -176,19 +176,36 @@ def test_construct_rejects_oversized_order_before_listing_labels(tmp_path, capsy
     # at k = 20 first, so that a check which lists the 2^20 - 1 labels
     # before the order fails here, not on the blueprint below (about 10^12
     # labels at k = 40)
-    tracemalloc.start()
-    try:
-        with pytest.raises(BlueprintError, match="exceeds capacity"):
-            materialize(ExtremalBlueprint(Separation.LOCATION, 20, empty_graph(20)))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 16
+    for removals in ((), (1, 2, 3)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BlueprintError, match="exceeds capacity"):
+                materialize(
+                    ExtremalBlueprint(Separation.LOCATION, 20, empty_graph(20), removals=removals)
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16, removals
     path = tmp_path / "bp.txt"
     path.write_text("sep=L\nk=40\ninner=empty\n")
     status, out, err = run(capsys, ["construct", str(path)])
     assert status == 2
     assert "exceeds capacity 62" in err and not out
+
+
+def test_construct_checks_the_capacity_on_the_order_after_removals(tmp_path, capsys):
+    # the full construction has order 69; removed labels are never built
+    path = tmp_path / "bp.txt"
+    path.write_text("sep=L\nk=6\ninner=empty\nremove=1,2,3,4,5,6,7\n")
+    status, out, _ = run(capsys, ["construct", str(path), "--format", "json"])
+    payload = json.loads(out)
+    assert status == 0
+    assert payload["order"] == 62 and len(payload["outer_labels"]) == 56
+    path.write_text("sep=L\nk=6\ninner=empty\nremove=1,2,3,4,5,6\n")
+    status, out, err = run(capsys, ["construct", str(path)])
+    assert status == 2
+    assert "construction order 63 exceeds capacity 62" in err and not out
 
 
 def test_construct_explicit_outer_policy(tmp_path, capsys):

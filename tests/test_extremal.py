@@ -228,6 +228,33 @@ def test_materialize_removals():
     me = materialize(ExtremalBlueprint(Separation.LOCATION, 2, empty_graph(2), removals=(1,)))
     assert me.graph.order == 4
     assert [label for _, label in me.outer_labels] == [2, 3]
+    # removed labels are never built, and the outer policy is drawn over all
+    # eligible labels: the result is the full construction with the removed
+    # labels' vertices deleted
+    rng = random.Random(27)
+    for sep, k, inner in [
+        (Separation.LOCATION, 3, empty_graph(3)),
+        (Separation.OPEN, 3, complete_graph(3)),
+        (Separation.CLOSED, 4, path_graph(4)),
+        (Separation.FULL, 4, path_graph(4)),
+    ]:
+        labels = eligible_outer_labels(sep, inner)
+        for outer in (
+            OuterPolicy.random(rng.randrange(1000), 0.5),
+            OuterPolicy.complete(),
+            OuterPolicy.explicit(random_graph(rng, len(labels))),
+        ):
+            full = materialize(ExtremalBlueprint(sep, k, inner, outer))
+            for _ in range(3):
+                removals = tuple(rng.sample(labels, rng.randint(1, len(labels))))
+                me = materialize(ExtremalBlueprint(sep, k, inner, outer, removals))
+                keep = full.graph.vertex_mask
+                for v, label in full.outer_labels:
+                    if label in removals:
+                        keep ^= 1 << v
+                assert me.graph == induced_subgraph(full.graph, keep), (sep, outer, removals)
+                kept = [label for label in labels if label not in removals]
+                assert me.outer_labels == tuple(enumerate(kept, start=k))
 
 
 def test_random_outer_policy_rejects_a_probability_outside_the_unit_interval():
@@ -331,6 +358,19 @@ def test_structure_check_reasons():
         assert extremal_structure_check(g, code, kind) == StructureCheck(False, reason)
 
 
+def test_structure_check_decides_codes_up_to_the_removal_cap(classes_by_order):
+    # the locality lemma, per graph: C is a kind-code exactly when g has the
+    # construction structure over C, the removal cap aside
+    graphs = [g for n in range(1, 5) for g in labeled_graphs(n)]
+    graphs += [graph_from_code(n, cert) for n in (5, 6) for cert in classes_by_order[n]]
+    for g in graphs:
+        for code in range(1, 1 << g.order):
+            for kind in ALL_KINDS:
+                check = extremal_structure_check(g, code, kind)
+                expected = check.ok or "outer labels unused" in check.reason
+                assert is_code(g, code, kind) == expected, (g, code, kind, check)
+
+
 def test_structure_check_negative():
     # {0,1} is not even an ID-code of P3; its inner graph is an edge, which
     # has closed twins
@@ -364,6 +404,17 @@ def test_od_disconnection_case():
     report = od_disconnection_case(5)
     assert report.isomorphic is True
     assert report.passed
+
+    # k = 6 builds order 33 only: the full construction would have order 64
+    report = od_disconnection_case(6)
+    assert report.materialized.graph.order == 33
+    assert report.removed_count == 31
+    assert report.isomorphic is True
+    assert report.od_number == 6
+    assert report.passed
+
+    with pytest.raises(BlueprintError, match="construction order 65 exceeds capacity 62"):
+        od_disconnection_case(7)
 
 
 def test_od_disconnection_guards():
