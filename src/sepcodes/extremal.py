@@ -22,7 +22,7 @@ from functools import partial
 from math import comb, factorial
 from typing import Iterable, Iterator
 
-from .codes import CodeKind, Separation, is_admissible, is_code, signature_families
+from .codes import CodeKind, Separation, is_admissible, is_code
 from .errors import BlueprintError, FormatError, GuardError
 from .graphs import (
     MAX_VERTICES,
@@ -135,13 +135,11 @@ def inner_has_isolated(inner: Graph) -> bool:
 
 
 def _own_signatures(separation: Separation, g: Graph, code: int) -> frozenset[int]:
-    """The code's own signatures, which no outer vertex may carry: its open
-    (O), closed (I) or both families (F); none for location."""
-    if separation is Separation.LOCATION:
-        return frozenset()
-    families = signature_families(g, code)
-    return {Separation.OPEN: families.open_family,
-            Separation.CLOSED: families.closed_family}.get(separation, families.combined)
+    """The code's own signatures, which no outer vertex may carry, read off
+    g.adj as codes.is_separating reads them: of each member v, the open
+    signature N(v) & C (O), the closed one N[v] & C (I), both (F), none (L)."""
+    sides = {"O": (0,), "I": (1,), "F": (0, 1)}.get(separation.value, ())
+    return frozenset((g.adj[v] | closed << v) & code for v in members(code) for closed in sides)
 
 
 def eligible_outer_labels(separation: Separation, inner: Graph) -> tuple[int, ...]:
@@ -195,12 +193,13 @@ def _validate_blueprint(bp: ExtremalBlueprint) -> tuple[int, ...]:
             f"explicit outer graph has order {bp.outer.graph.order}, "
             f"expected {len(labels)} outer vertices"
         )
+    eligible = frozenset(labels)
     seen: set[int] = set()
     for label in bp.removals:
         if label in seen:
             raise BlueprintError(f"duplicate removal label {label}")
         seen.add(label)
-        if label not in labels:
+        if label not in eligible:
             raise BlueprintError(f"removal label {label} names no eligible outer vertex")
     return labels
 

@@ -24,6 +24,7 @@ from sepcodes import (
     Separation,
     build_graph,
     cycle_graph,
+    eligible_outer_labels,
     emit_graph6,
     empty_graph,
     materialize,
@@ -206,6 +207,25 @@ def test_construct_checks_the_capacity_on_the_order_after_removals(tmp_path, cap
     status, out, err = run(capsys, ["construct", str(path)])
     assert status == 2
     assert "construction order 63 exceeds capacity 62" in err and not out
+    # at k = 12 all but 50 of the 4095 labels are removed, in milliseconds,
+    # and a bad removal list keeps its message
+    removals = eligible_outer_labels(Separation.LOCATION, empty_graph(12))[:4045]
+
+    def construct(labels: tuple[int, ...], *options: str) -> tuple[int, str, str]:
+        path.write_text(f"sep=L\nk=12\ninner=empty\nremove={','.join(map(str, labels))}\n")
+        return run(capsys, ["construct", str(path), *options])
+
+    status, out, _ = construct(removals, "--format", "json")
+    payload = json.loads(out)
+    assert status == 0
+    assert payload["order"] == 62 and len(payload["outer_labels"]) == 50
+    for extra, message in [
+        (removals[-1], "duplicate removal label"),
+        (4096, "names no eligible outer vertex"),
+    ]:
+        status, out, err = construct(removals + (extra,))
+        assert status == 2
+        assert message in err and not out
 
 
 def test_construct_explicit_outer_policy(tmp_path, capsys):

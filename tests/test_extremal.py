@@ -17,6 +17,7 @@ from conftest import (
     edge_bit_pairs,
     full_c0_patterns,
     full_family_patterns,
+    graphs,
     label_closure,
     labeled_graphs,
     outer_closure,
@@ -25,6 +26,8 @@ from conftest import (
     relabeled,
     without_last_label,
 )
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sepcodes import (
     ALL_KINDS,
@@ -66,6 +69,7 @@ from sepcodes import (
     parse_graph6,
     path_graph,
     removal_cap,
+    signature_families,
     tight_family_presets,
     verify_extremal,
     vset,
@@ -78,6 +82,7 @@ from sepcodes.extremal import (
     _classes,
     _family_patterns,
     _free_edge_codes,
+    _own_signatures,
     _sep_admitting_counts,
     inner_has_isolated,
 )
@@ -92,6 +97,20 @@ def test_eligible_outer_labels():
     # the two open signatures {1} and {0} of an edge are excluded
     assert eligible_outer_labels(Separation.OPEN, build_graph(2, [(0, 1)])) == (3,)
     assert eligible_outer_labels(Separation.CLOSED, empty_graph(3)) == (3, 5, 6, 7)
+    # the label rule reads its one family off the adjacency; the public
+    # families of the code are its oracle
+    for n in range(1, 5):
+        for g in labeled_graphs(n):
+            for code in range(1, 1 << n):
+                families = signature_families(g, code)
+                expected = {
+                    Separation.LOCATION: frozenset(),
+                    Separation.OPEN: families.open_family,
+                    Separation.CLOSED: families.closed_family,
+                    Separation.FULL: families.combined,
+                }
+                for sep in Separation:
+                    assert _own_signatures(sep, g, code) == expected[sep], (g, code, sep)
 
 
 @pytest.mark.parametrize(
@@ -358,17 +377,34 @@ def test_structure_check_reasons():
         assert extremal_structure_check(g, code, kind) == StructureCheck(False, reason)
 
 
-def test_structure_check_decides_codes_up_to_the_removal_cap(classes_by_order):
+def assert_structure_check_decides_the_code(g: Graph, code: int) -> None:
     # the locality lemma, per graph: C is a kind-code exactly when g has the
     # construction structure over C, the removal cap aside
-    graphs = [g for n in range(1, 5) for g in labeled_graphs(n)]
-    graphs += [graph_from_code(n, cert) for n in (5, 6) for cert in classes_by_order[n]]
-    for g in graphs:
+    for kind in ALL_KINDS:
+        check = extremal_structure_check(g, code, kind)
+        expected = check.ok or "outer labels unused" in check.reason
+        assert is_code(g, code, kind) == expected, (g, code, kind, check)
+
+
+def test_structure_check_decides_codes_up_to_the_removal_cap(classes_by_order):
+    small = [g for n in range(1, 5) for g in labeled_graphs(n)]
+    small += [graph_from_code(n, cert) for n in (5, 6) for cert in classes_by_order[n]]
+    for g in small:
         for code in range(1, 1 << g.order):
-            for kind in ALL_KINDS:
-                check = extremal_structure_check(g, code, kind)
-                expected = check.ok or "outer labels unused" in check.reason
-                assert is_code(g, code, kind) == expected, (g, code, kind, check)
+            assert_structure_check_decides_the_code(g, code)
+
+
+@given(graphs(max_order=20), st.data())
+def test_structure_check_decides_codes_on_random_graphs(g, data):
+    # a random C, and a minimum code of g for one kind, so that codes and
+    # non-codes both occur
+    codes = [data.draw(st.integers(1, g.vertex_mask), label="code")]
+    kind = data.draw(st.sampled_from(ALL_KINDS), label="kind")
+    witness = min_code(g, kind).witness
+    if witness is not None:
+        codes.append(witness)
+    for code in codes:
+        assert_structure_check_decides_the_code(g, code)
 
 
 def test_structure_check_negative():
