@@ -22,7 +22,7 @@ from functools import partial
 from math import comb, factorial
 from typing import Iterable, Iterator
 
-from .codes import CodeKind, Separation, is_admissible, is_code
+from .codes import ALL_KINDS, CodeKind, Separation, is_admissible, is_code
 from .errors import BlueprintError, FormatError, GuardError
 from .graphs import (
     MAX_VERTICES,
@@ -30,7 +30,6 @@ from .graphs import (
     _canonical,
     build_graph,
     canonical_form,
-    class_children,
     complete_graph,
     decode_edges,
     disjoint_union,
@@ -48,6 +47,7 @@ from .serialize import emit_graph6, parse_graph6
 from .solver import (
     DEFAULT_BUDGET,
     SolveReport,
+    class_pass,
     expected_order,
     lower_bound,
     make_mask_checker,
@@ -596,20 +596,8 @@ class CountReport:
     family_counts: dict[Separation, int]
 
 
-def _sep_admitting_counts(m: int) -> tuple[dict[Separation, int], dict[Separation, int]]:
-    """Per separation, the labeled graphs on m vertices admissible for its
-    D kind and for its TD kind (the isolate-free ones among them), as
-    is_admissible decides. Admissibility does not depend on the labeling,
-    so each isomorphism class is tested once, on the graph class_children
-    gives for it, and stands for m!/|Aut| labeled graphs."""
-    totals = {sep: 0 for sep in Separation}
-    isolate_free = {sep: 0 for sep in Separation}
-    for g, aut in class_children(m):
-        weight = factorial(m) // aut
-        for sep in Separation:
-            totals[sep] += weight * is_admissible(g, CodeKind(sep.value + "D"))
-            isolate_free[sep] += weight * is_admissible(g, CodeKind(sep.value + "TD"))
-    return totals, isolate_free
+def _admissibility(g: Graph) -> tuple[bool, ...]:
+    return tuple(is_admissible(g, kind) for kind in ALL_KINDS)
 
 
 def _product(factor: int, graph_order: int) -> int:
@@ -630,19 +618,20 @@ def counting(k: int) -> CountReport:
     if not 2 <= k <= 7:
         raise GuardError(f"counting is supported for 2 <= k <= 7, got {k}")
     eta = labeled_graph_count(k)
-    totals, iso_free = _sep_admitting_counts(k)
-    _, iso_free_prev = _sep_admitting_counts(k - 1)
-
-    def free(sep: Separation, isolated: bool) -> int:
-        return expected_order(sep, k, isolated) - k
-
+    weights = class_pass(_admissibility, k)
+    totals = dict.fromkeys(Separation, 0)
+    iso_free = dict.fromkeys(Separation, 0)
+    for admissible, weight in weights.items():
+        for kind, ok in zip(ALL_KINDS, admissible):
+            by_sep = iso_free if kind.total_domination else totals
+            by_sep[kind.separation] += weight * ok
+    # an inner graph admissible for the D kind but not the TD kind has an
+    # isolated vertex, which frees one more outer label where the
+    # separation lets it
     family_counts = {
-        Separation.LOCATION: _product(eta, free(Separation.LOCATION, False)),
-        Separation.OPEN: _product(iso_free[Separation.OPEN], free(Separation.OPEN, False))
-        + _product(iso_free_prev[Separation.OPEN], free(Separation.OPEN, True)),
-        Separation.CLOSED: _product(totals[Separation.CLOSED], free(Separation.CLOSED, False)),
-        Separation.FULL: _product(iso_free[Separation.FULL], free(Separation.FULL, False))
-        + _product(iso_free_prev[Separation.FULL], free(Separation.FULL, True)),
+        sep: _product(iso_free[sep], expected_order(sep, k, False) - k)
+        + _product(totals[sep] - iso_free[sep], expected_order(sep, k, True) - k)
+        for sep in Separation
     }
     return CountReport(k, eta, totals, iso_free, family_counts)
 

@@ -350,65 +350,56 @@ class CensusReport:
     inadmissible: int
 
 
-def _census_chunk(
-    kinds: tuple[CodeKind, ...], n: int, lo: int, hi: int
-) -> list[tuple[dict[int, int], int]]:
-    """(histogram, inadmissible count) for each of `kinds` over the labeled
-    graphs of the classes that graphs.class_children(n, lo, hi) gives: each
-    class is built once and solved for every kind, and counts n!/|Aut|
-    labeled graphs, as the kind-number does not depend on the labeling."""
+def class_pass(key: Callable[[Graph], T], n: int, jobs: int = 1) -> Counter[T]:
+    """How many labeled graphs on n vertices have each value of key(g), for
+    a key that does not depend on the labeling. Each isomorphism class is
+    built once, and its one graph adds n!/|Aut| to its key. The classes on
+    n - 1 vertices (graphs.class_parents) are built in the calling process;
+    `scan` shards them, and each chunk walks its parents' accepted children
+    on n vertices (graphs.class_children), as no two parents share a class.
+    A worker reads class_parents itself: forked, it inherits the levels;
+    spawned, it builds them once. Only `(key, n, lo, hi)` is pickled, so
+    with jobs > 1 key must pickle.
+
+    The levels and, when this process builds all of them, the children on
+    n vertices are kept for the life of the process, so a later pass at
+    the same order in the same process only evaluates key."""
+    return sum(scan(partial(_class_chunk, key, n), len(class_parents(n)), jobs), Counter())
+
+
+def _class_chunk(key: Callable[[Graph], T], n: int, lo: int, hi: int) -> Counter[T]:
     labelings = factorial(n)
-    hists: list[Counter[int]] = [Counter() for _ in kinds]
-    inadmissible = [0] * len(kinds)
+    weights: Counter[T] = Counter()
     for g, aut in class_children(n, lo, hi):
-        weight = labelings // aut
-        for i, kind in enumerate(kinds):
-            number = min_code(g, kind).number
-            if number is None:
-                inadmissible[i] += weight
-            else:
-                hists[i][number] += weight
-    return [(dict(hist), inadm) for hist, inadm in zip(hists, inadmissible)]
+        weights[key(g)] += labelings // aut
+    return weights
+
+
+def _numbers(kinds: tuple[CodeKind, ...], g: Graph) -> tuple[int | None, ...]:
+    # a list, not a generator, as this runs once per class
+    return tuple([min_code(g, kind).number for kind in kinds])
 
 
 def census_kinds(kinds: Iterable[CodeKind], n: int, jobs: int = 1) -> list[CensusReport]:
-    """census for each of `kinds`, in that order, from one pass over the
-    classes: each class is built once and solved for every kind, also
-    within a pool worker. Guarded at CENSUS_GUARD."""
+    """census for each of `kinds`, in that order, from one class_pass that
+    solves each class for every kind. Guarded at CENSUS_GUARD."""
     kinds = tuple(kinds)
-    total = len(class_parents(n))
-    results = scan(partial(_census_chunk, kinds, n), total, jobs)
+    weights = class_pass(partial(_numbers, kinds), n, jobs)
     reports = []
     for i, kind in enumerate(kinds):
-        hist: Counter[int] = Counter()
-        inadmissible = 0
-        for part in results:
-            hist.update(part[i][0])
-            inadmissible += part[i][1]
+        hist: Counter[int | None] = Counter()
+        for numbers, weight in weights.items():
+            hist[numbers[i]] += weight
+        inadmissible = hist.pop(None, 0)
         reports.append(CensusReport(kind, n, dict(sorted(hist.items())), inadmissible))
     return reports
 
 
 def census(kind: CodeKind, n: int, jobs: int = 1) -> CensusReport:
-    """Kind-number histogram over every labeled graph on n vertices. The
-    graphs are taken one isomorphism class at a time (graphs.graph_classes):
-    min_code solves one graph of the class, in the labeling augmentation
-    gives it, and the class counts n!/|Aut| labeled graphs, all with the
-    same kind-number. The classes on n - 1 vertices (graphs.class_parents)
-    are built in the calling process; `scan` shards them, and each chunk
-    solves its parents' accepted children on n vertices
-    (graphs.class_children), as no two parents share a class. A worker
-    reads class_parents itself: forked, it inherits the levels; spawned, it
-    builds them once. No certificate is read, so a child gets a canonical
-    form only when the acceptance test needs one; otherwise |Aut| comes
-    from the parent's group by orbit-stabilizer.
-
-    Both the levels and, when this process builds all of them, the
-    children on n vertices are kept for the life of the process, so a
-    later census at the same order in the same process, of any kind, only
-    solves. That pays only when one process makes several census calls at
-    one order; census_kinds shares one pass within a call. Guarded at
-    CENSUS_GUARD."""
+    """Kind-number histogram over every labeled graph on n vertices, read
+    off class_pass: min_code solves one graph per isomorphism class, and
+    all n!/|Aut| labelings of it have the same kind-number. census_kinds
+    shares one pass among several kinds. Guarded at CENSUS_GUARD."""
     return census_kinds((kind,), n, jobs)[0]
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from math import comb, factorial
 
@@ -78,16 +79,16 @@ from sepcodes.cli import main
 from sepcodes.extremal import (
     _TIGHT_RECIPES,
     StructureCheck,
+    _admissibility,
     _attaining_patterns,
     _classes,
     _family_patterns,
     _free_edge_codes,
     _own_signatures,
-    _sep_admitting_counts,
     inner_has_isolated,
 )
 from sepcodes.graphs import canonical_form
-from sepcodes.solver import smallest_k
+from sepcodes.solver import class_pass, smallest_k
 
 PATH_PLUS_ISOLATE_5 = Graph(5, tuple(path_graph(4).adj) + (0,))
 
@@ -533,13 +534,31 @@ def test_isolate_free_location_counts_are_a006129():
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-def test_class_sums_equal_the_labeled_counts(m):
-    totals, isolate_free = _sep_admitting_counts(m)
-    graphs = list(labeled_graphs(m))
+def test_class_sums_equal_the_labeled_counts(m, monkeypatch):
+    weights = class_pass(_admissibility, m)
+    assert sum(weights.values()) == 2 ** comb(m, 2)
+    assert weights == Counter(map(_admissibility, labeled_graphs(m)))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert class_pass(_admissibility, m, jobs=2) == weights
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_construction_counts_match_the_labeled_inner_graphs(k):
+    """Each construction count is the number of pairs (labeled inner graph
+    on the code vertices, admissible for the separation's D kind; graph on
+    its m eligible outer labels), so an inner graph adds 2^C(m, 2)."""
+    report = counting(k)
     for sep in Separation:
-        for by_sep, suffix in ((totals, "D"), (isolate_free, "TD")):
-            kind = CodeKind(sep.value + suffix)
-            assert by_sep[sep] == sum(is_admissible(g, kind) for g in graphs), (sep, suffix)
+        kind = CodeKind(sep.value + "D")
+        assert report.family_counts[sep] == sum(
+            2 ** comb(len(eligible_outer_labels(sep, inner)), 2)
+            for inner in labeled_graphs(k)
+            if is_admissible(inner, kind)
+        ), sep
+    if k == 3:
+        # K3 with 2^C(4, 2) outer graphs, and each of the three labeled
+        # single edges plus an isolated vertex with 2^C(5, 2)
+        assert report.family_counts[Separation.OPEN] == 64 + 3 * 1024 == 3136
 
 
 def test_counting_guard():

@@ -6,8 +6,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from math import comb
 
 import pytest
 from conftest import (
@@ -56,6 +58,7 @@ from sepcodes import (
 from sepcodes.graphs import _ROOT
 from sepcodes.solver import (
     DEFAULT_BUDGET,
+    class_pass,
     make_mask_checker,
     resolve_jobs,
     smallest_k,
@@ -374,6 +377,11 @@ def test_relations_hold_exhaustively_small():
             assert relation_check(g).passed
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_relations_hold_on_every_class(n):
+    assert class_pass(lambda g: relation_check(g).passed, n) == Counter({True: 2 ** comb(n, 2)})
+
+
 def test_census_ld_three_vertices():
     report = census(CodeKind.LD, 3)
     assert report.histogram == {2: 7, 3: 1}
@@ -527,7 +535,7 @@ def test_census_kinds_solve_one_pass_for_every_kind(cold_classes, jobs, monkeypa
 
 def test_census_spawned_workers_build_the_levels_themselves(monkeypatch):
     # a spawned worker starts with only the root level and reads
-    # class_parents itself, as nothing but (kinds, n, lo, hi) is pickled
+    # class_parents itself, as nothing but (key, n, lo, hi) is pickled
     spawn = partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
     monkeypatch.setattr("sepcodes.solver.ProcessPoolExecutor", spawn)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
