@@ -714,7 +714,8 @@ def tight_family_presets(kind: CodeKind, k: int) -> list[TightPreset]:
 def parse_blueprint(text: str) -> ExtremalBlueprint:
     """Parse the blueprint file format: lines sep=<L|O|I|F>, k=<int>,
     inner=<graph6|empty|complete|path|matching>,
-    outer=<empty|complete|graph6|random:seed:prob>, remove=<labels>."""
+    outer=<empty|complete|graph6|explicit:graph6|random:seed:prob>,
+    remove=<labels>; OuterPolicy.describe() reads back as its outer=."""
     fields: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -760,6 +761,8 @@ def parse_blueprint(text: str) -> ExtremalBlueprint:
         except ValueError as exc:
             raise FormatError(f"bad random outer policy: {exc}") from None
     else:
+        if outer_text.lower().startswith("explicit:"):
+            outer_text = outer_text[len("explicit:"):]
         outer = OuterPolicy.explicit(parse_graph6(outer_text))
     removals: tuple[int, ...] = ()
     if fields.get("remove"):

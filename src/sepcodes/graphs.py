@@ -326,25 +326,16 @@ def _join(root: list[int], image: Sequence[int]) -> None:
             root[max(a, b)] = min(a, b)
 
 
-def _orbits(n: int, automorphisms: Iterable[Sequence[int]]) -> list[int]:
-    """Union-find forest over 0..n-1 of the orbits of the group the
-    automorphisms generate; read it with _find."""
-    root = list(range(n))
-    for image in automorphisms:
-        _join(root, image)
-    return root
-
-
-def _canonical(
-    n: int, adj: Sequence[int]
-) -> tuple[int, int, tuple[tuple[int, ...], ...], list[int]]:
+def _canonical(n: int, adj: Sequence[int]) -> Canonical:
     """canonical_form on an adjacency table, unguarded, together with the
     automorphisms the search found, written in the canonical labeling: p
     maps to a[p] in graph_from_code(n, certificate). They generate the
-    automorphism group. Last comes the canonical labeling: vertex v is
-    vertex label[v] of graph_from_code(n, certificate). Class generation
-    calls it for every class it emits; census only for a child whose new
-    vertex ties with another on the augmentation invariant (see
+    automorphism group. Then the canonical labeling: vertex v is vertex
+    label[v] of graph_from_code(n, certificate). Last, the union-find forest
+    the search joined each automorphism into, in the input's own labels and
+    read with _find: the orbit partition of Aut, as they generate it. Class
+    generation calls it for every class it emits; census only for a child
+    whose new vertex ties with another on the augmentation invariant (see
     accepted_children)."""
     shifts = [j * (j - 1) // 2 for j in range(n)]
     best = first_code = -1
@@ -438,7 +429,7 @@ def _canonical(
     for p, v in enumerate(best_order):
         label[v] = p
     found = tuple(tuple(label[image[v]] for v in best_order) for image in autos)
-    return best, aut, found, label
+    return best, aut, found, label, root
 
 
 def _check_census_order(order: int) -> None:
@@ -505,8 +496,8 @@ def _subset_orbits(k: int, automorphisms: Sequence[tuple[int, ...]]) -> list[tup
 # labeling, minimum degree). Generation starts from the graph on no vertices.
 ClassRecord = tuple[int, int, tuple[tuple[int, ...], ...], int]
 _ROOT: ClassRecord = (0, 1, (), 0)
-# What _canonical returns: certificate, |Aut|, automorphisms, labeling.
-Canonical = tuple[int, int, tuple[tuple[int, ...], ...], list[int]]
+# What _canonical returns: certificate, |Aut|, automorphisms, labeling, orbits.
+Canonical = tuple[int, int, tuple[tuple[int, ...], ...], list[int], list[int]]
 # Per order m, built once per process and then only read: _LEVELS[m]
 # holds the class records on m vertices in the order extend_classes emits
 # them, each level extended from the one below; _CHILDREN[m] packs the
@@ -529,7 +520,8 @@ def accepted_children(
     the parent's canonical labeling with the new vertex m - 1 added.
 
     The canonical form is computed only where the acceptance test needs
-    it, when other vertices tie with the new one on the invariant. When
+    it, when other vertices tie with the new one on the invariant; the
+    orbit test then reads the vertex orbits its search joined. When
     none does, every automorphism of the child fixes the new vertex, so
     Aut(child) is the stabilizer of its neighbourhood S in Aut(parent),
     and |Aut(child)| = |Aut(parent)| / |orbit of S| (orbit-stabilizer);
@@ -567,14 +559,13 @@ def accepted_children(
                 yield adj, parent_aut // orbit, None, d
                 continue
             canon = _canonical(m, adj)
-            _, aut, found, label = canon
+            _, aut, _, label, orbits = canon
             # the canonical deletion: the tied vertex, the new one included,
-            # of largest canonical label, up to automorphism
-            pick = max(label[v] for v in tied)
-            if pick > label[new]:
-                root = _orbits(m, found)
-                if _find(root, pick) != _find(root, label[new]):
-                    continue
+            # of largest canonical label, up to automorphism; orbits is the
+            # orbit partition of Aut(child) the search joined
+            pick = max(tied, key=label.__getitem__)
+            if label[pick] > label[new] and _find(orbits, pick) != _find(orbits, new):
+                continue
             yield adj, aut, canon, d
 
 
@@ -585,7 +576,7 @@ def extend_classes(m: int, parents: Iterable[ClassRecord]) -> Iterator[ClassReco
     for adj, _, canon, d in accepted_children(m, parents):
         if canon is None:
             canon = _canonical(m, adj)
-        cert, aut, found, _ = canon
+        cert, aut, found = canon[:3]
         yield cert, aut, found, d
 
 

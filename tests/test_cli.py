@@ -3,6 +3,7 @@ byte-identical deterministic output."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
@@ -241,6 +242,33 @@ def test_construct_explicit_outer_policy(tmp_path, capsys):
     ).decode()
 
 
+@pytest.mark.parametrize("sep", list(Separation))
+def test_construct_payload_reads_back_as_its_blueprint(tmp_path, capsys, sep):
+    # the blueprint rebuilt from a construct payload, its outer policy as
+    # OuterPolicy.describe() prints it, constructs the same graph again
+    path = tmp_path / "bp.txt"
+    labels = eligible_outer_labels(sep, path_graph(4))
+    explicit = emit_graph6(path_graph(len(labels))).decode()
+
+    def construct(text: str) -> dict:
+        path.write_text(text)
+        status, out, _ = run(capsys, ["construct", str(path), "--format", "json"])
+        assert status == 0, text
+        return json.loads(out)
+
+    for outer in ["empty", "complete", "random:7:0.3", explicit]:
+        for remove in ["", f"remove={labels[0]}\n"]:
+            first = construct(f"sep={sep.value}\nk=4\ninner=path\nouter={outer}\n{remove}")
+            again = construct(
+                f"sep={first['separation']}\nk={first['k']}\ninner={first['inner_graph6']}\n"
+                f"outer={first['outer_policy']}\n"
+                f"remove={','.join(map(str, first['removals']))}\n"
+            )
+            assert (again["graph6"], again["outer_labels"]) == (
+                first["graph6"], first["outer_labels"]
+            ), (outer, remove)
+
+
 def test_verify(tmp_path, capsys):
     path = tmp_path / "bp.txt"
     path.write_text(BLUEPRINT_I3)
@@ -338,6 +366,54 @@ def test_census_guard(capsys):
     status, out, err = run(capsys, ["census", "--kind", "ld", "--n", "9"])
     assert (status, out) == (4, "")
     assert err == "error: census and isomorphism classes are guarded at order 8, got 9\n"
+
+
+FINGERPRINT_KINDS = "ld ltd od otd id itd fd ftd".split()
+
+
+@pytest.mark.parametrize(
+    "argvs,digest",
+    [
+        pytest.param(
+            [
+                ["audit", "--kind", kind, "--n", str(n), "--format", "json"]
+                for kind in FINGERPRINT_KINDS
+                for n in range(1, 8)
+            ],
+            "37e5a73941b17e9e3354b783a1a64bbd259ba6be0ebef3f8c5ce81f7f28237ed",
+            id="exhaustive",
+        ),
+        pytest.param(
+            [
+                ["audit", "--kind", kind, "--n", str(n), "--mode", "sampled", "--seed", str(seed),
+                 "--trials", "60", "--format", "json"]
+                for kind in FINGERPRINT_KINDS
+                for n, seed in [(6, 1), (7, 2), (8, 3)]
+            ],
+            "7571c7c8034132754f281561159c8073edede298a2196ecd6a0761cff23bba61",
+            id="sampled",
+        ),
+        pytest.param(
+            [
+                ["census", "--kind", kind, "--n", str(n), "--format", "json"]
+                for kind in ["all", *FINGERPRINT_KINDS]
+                for n in range(1, 8)
+            ],
+            "497afba2f0a4b974c9b2edd8ed54b0a41279635764d08e87b29833ebd832e8f4",
+            id="census",
+        ),
+    ],
+)
+def test_audit_and_census_payloads_stay_byte_identical(capsys, argvs, digest):
+    # one sha256 over each call's argv, exit code and stdout, in order; the
+    # digests pin every payload byte, so a refactor of the audit, census or
+    # class generation that changes any of them fails here
+    h = hashlib.sha256()
+    for argv in argvs:
+        status, out, _ = run(capsys, argv)
+        h.update(f"{' '.join(argv)}\n{status}\n".encode())
+        h.update(out.encode())
+    assert h.hexdigest() == digest
 
 
 def test_bounds(capsys):

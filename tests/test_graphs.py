@@ -63,6 +63,7 @@ from sepcodes.graphs import (
     _ROOT,
     CENSUS_GUARD,
     _canonical,
+    _find,
     _subset_orbits,
     accepted_children,
     class_children,
@@ -520,6 +521,45 @@ def test_subset_orbit_sizes_cover_every_subset(class_records):
             assert sum(size for _, size in orbits) == 1 << k
             assert all(aut % size == 0 for _, size in orbits)
             assert [s for s, _ in orbits] == sorted(s for s, _ in orbits)
+
+
+def _reference_orbits(n: int, automorphisms) -> list[int]:
+    """The orbit of each vertex 0..n-1, as its least member, under the group
+    the automorphisms generate: union-find rebuilt from the generators."""
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for image in automorphisms:
+        for v, w in enumerate(image):
+            a, b = find(v), find(w)
+            root[max(a, b)] = min(a, b)
+    return [find(v) for v in range(n)]
+
+
+def _partition(n: int, orbit_of) -> set[frozenset[int]]:
+    blocks: dict[int, set[int]] = {}
+    for v in range(n):
+        blocks.setdefault(orbit_of(v), set()).add(v)
+    return {frozenset(block) for block in blocks.values()}
+
+
+def test_canonical_hands_over_the_orbits_of_its_automorphisms(class_records):
+    # the forest is in the input's labels, the automorphisms in the
+    # canonical labeling: vertex v has canonical label label[v]
+    rng = random.Random(30)
+    for n in range(1, 8):
+        for cert, _, _, _ in class_records[n]:
+            g = graph_from_code(n, cert)
+            for h in (g, relabeled(g, rng.sample(range(n), n))):
+                _, aut, found, label, forest = _canonical(n, h.adj)
+                reference = _reference_orbits(n, found)
+                orbits = _partition(n, lambda v: _find(forest, v))
+                assert orbits == _partition(n, lambda v: reference[label[v]])
+                assert all(aut % len(orbit) == 0 for orbit in orbits)
 
 
 def test_census_path_weights_every_labeled_graph_at_order_eight(class_records, monkeypatch):
