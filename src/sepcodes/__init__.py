@@ -7,15 +7,11 @@ from .codes import (
     ALL_KINDS,
     CodeKind,
     Separation,
-    SignatureFamilies,
-    closed_signature,
     is_admissible,
     is_code,
     is_dominating,
     is_separating,
     is_total_dominating,
-    open_signature,
-    signature_families,
 )
 from .errors import BlueprintError, BudgetError, FormatError, GuardError
 from .extremal import (
@@ -28,7 +24,6 @@ from .extremal import (
     OuterPolicy,
     TightPreset,
     audit_characterization,
-    characterization_family,
     counting,
     eligible_outer_labels,
     extremal_structure_check,
@@ -44,7 +39,6 @@ from .graphs import (
     Graph,
     build_graph,
     canonical_form,
-    closed_neighborhood,
     complement,
     complete_graph,
     cycle_graph,
@@ -59,7 +53,6 @@ from .graphs import (
     labeled_graph_count,
     matching_graph,
     members,
-    open_neighborhood,
     path_graph,
     vset,
 )

@@ -9,10 +9,9 @@ dominates) the whole graph.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import Graph, closed_neighborhood, members, open_neighborhood
+from .graphs import Graph
 
 
 class Separation(enum.Enum):
@@ -64,35 +63,6 @@ class CodeKind(enum.Enum):
 ALL_KINDS = tuple(CodeKind)
 
 
-def open_signature(g: Graph, v: int, code: int) -> int:
-    """Open neighborhood of v intersected with the code."""
-    return open_neighborhood(g, v) & code
-
-
-def closed_signature(g: Graph, v: int, code: int) -> int:
-    """Closed neighborhood of v intersected with the code."""
-    return closed_neighborhood(g, v) & code
-
-
-@dataclass(frozen=True)
-class SignatureFamilies:
-    """Deduplicated signature families of the code vertices themselves:
-    the open family {N(v) & C}, the closed family {N[v] & C}, and their
-    union, for v ranging over C."""
-
-    open_family: frozenset[int]
-    closed_family: frozenset[int]
-    combined: frozenset[int]
-
-
-def signature_families(g: Graph, code: int) -> SignatureFamilies:
-    if code == 0:
-        raise ValueError("signature families require a nonempty code")
-    opens = frozenset(g.adj[v] & code for v in members(code))
-    closeds = frozenset((g.adj[v] | (1 << v)) & code for v in members(code))
-    return SignatureFamilies(opens, closeds, opens | closeds)
-
-
 def is_dominating(g: Graph, code: int) -> bool:
     """Every vertex has a nonempty closed signature."""
     return all((g.adj[v] | (1 << v)) & code for v in range(g.order))
@@ -110,8 +80,8 @@ def is_separating(g: Graph, code: int, separation: Separation) -> bool:
     Pure distinctness: domination is checked separately."""
     if separation is Separation.FULL:
         return all(is_separating(g, code, sep) for sep in (Separation.OPEN, Separation.CLOSED))
-    # the signatures of open_signature and closed_signature, read off g.adj
-    # as is_dominating does: every v here is a vertex of g
+    # N(v) & code (open) or N[v] & code (closed), read off g.adj as
+    # is_dominating does
     closed = separation is Separation.CLOSED
     skip = code if separation is Separation.LOCATION else 0
     sigs = [(nb | closed << v) & code for v, nb in enumerate(g.adj) if not skip >> v & 1]

@@ -272,27 +272,6 @@ def verify_extremal(
     return ExtremalCheck(kind, me.k, valid, report.number, report)
 
 
-def characterization_family(
-    kind: CodeKind,
-    k: int,
-    inner: Graph,
-    outer: OuterPolicy | None = None,
-):
-    """Yield every materialization reachable by deleting an allowed-size
-    subset of outer vertices, smallest deletions first, labels in
-    lexicographic order."""
-    outer = outer or OuterPolicy.empty()
-    if not is_admissible(inner, kind):
-        raise BlueprintError(f"inner graph is not {kind.name}-admissible")
-    labels = eligible_outer_labels(kind.separation, inner)
-    cap = min(removal_cap(kind, k, inner), len(labels))
-    for r in range(cap + 1):
-        for removed in itertools.combinations(labels, r):
-            yield materialize(
-                ExtremalBlueprint(kind.separation, k, inner, outer, removed)
-            )
-
-
 @dataclass(frozen=True)
 class StructureCheck:
     """Does a graph, relative to one of its codes, exhibit the construction

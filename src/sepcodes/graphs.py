@@ -17,8 +17,9 @@ from typing import Iterable, Iterator, Sequence
 from .errors import GuardError
 
 MAX_VERTICES = 62
-# census at order 9 reads only class_parents(9), the classes on 8 vertices;
-# class_children, packing each adjacency row into one byte, fails there first
+# census and the class routes stop at order 8 for run time: order 9 would
+# extend every one of the 12346 classes on 8 vertices (class_children packs
+# rows of up to 16 vertices, so the packing sets no limit here)
 CENSUS_GUARD = 8
 ISOMORPHISM_GUARD = 10
 
@@ -145,23 +146,6 @@ def matching_graph(order: int) -> Graph:
 def complement(g: Graph) -> Graph:
     full = g.vertex_mask
     return Graph(g.order, tuple(full ^ nb ^ (1 << v) for v, nb in enumerate(g.adj)))
-
-
-def _check_vertex(g: Graph, v: int) -> None:
-    if not 0 <= v < g.order:
-        raise ValueError(f"vertex {v} out of range for order {g.order}")
-
-
-def open_neighborhood(g: Graph, v: int) -> int:
-    """Neighbors of v, never including v itself."""
-    _check_vertex(g, v)
-    return g.adj[v]
-
-
-def closed_neighborhood(g: Graph, v: int) -> int:
-    """Neighbors of v together with v itself."""
-    _check_vertex(g, v)
-    return g.adj[v] | (1 << v)
 
 
 def induced_subgraph(g: Graph, keep: int) -> Graph:
@@ -502,12 +486,12 @@ Canonical = tuple[int, int, tuple[tuple[int, ...], ...], list[int], list[int]]
 # holds the class records on m vertices in the order extend_classes emits
 # them, each level extended from the one below; _CHILDREN[m] packs the
 # classes on m vertices as accepted_children gives them from _LEVELS[m - 1],
-# the adjacency rows of each in turn, one byte a row (m <= CENSUS_GUARD),
+# the adjacency rows of each in turn, 16 bits a row (m <= 16),
 # and their |Aut|s. The lock keeps two threads from appending the same
 # level twice; two threads may pack the same children, with equal results.
 _LEVELS: list[tuple[ClassRecord, ...]] = [(_ROOT,)]
 _LEVELS_LOCK = threading.Lock()
-_CHILDREN: dict[int, tuple[bytes, array[int]]] = {}
+_CHILDREN: dict[int, tuple[array[int], array[int]]] = {}
 
 
 def accepted_children(
@@ -609,19 +593,19 @@ def class_children(order: int, lo: int = 0, hi: int | None = None) -> Iterator[t
     labeling augmentation gives it; over all the parents, one graph of
     every class. A child gets a canonical form only when the acceptance
     test needs one. The children of the whole order are packed into
-    _CHILDREN (about 0.2 MB at order 8) and read back by every later call;
+    _CHILDREN (about 0.3 MB at order 8) and read back by every later call;
     a slice of the parents, as a pool worker takes, is built and not kept.
     Guarded at CENSUS_GUARD, checked before any work."""
     parents = class_parents(order)
     whole = lo == 0 and hi in (None, len(parents))
     packed = _CHILDREN.get(order) if whole else None
     if packed is None:
-        rows = bytearray()
+        rows = array("H")
         auts = array("L")
         for adj, aut, _, _ in accepted_children(order, parents[lo:hi]):
-            rows += bytes(adj)
+            rows.extend(adj)
             auts.append(aut)
-        packed = (bytes(rows), auts)
+        packed = (rows, auts)
         if whole:
             _CHILDREN[order] = packed
     rows, auts = packed

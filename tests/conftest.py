@@ -65,6 +65,14 @@ def two_k1() -> Graph:
     return build_graph(2, [])
 
 
+def own_signature_families(g: Graph, code: int) -> tuple[frozenset[int], frozenset[int]]:
+    """The signatures of the code's own vertices, by definition: the open
+    family {N(v) & C} and the closed family {N[v] & C}, v in C."""
+    opens = frozenset(g.adj[v] & code for v in members(code))
+    closeds = frozenset((g.adj[v] | 1 << v) & code for v in members(code))
+    return opens, closeds
+
+
 def edge_bit_pairs(order: int) -> list[tuple[int, int]]:
     """Upper-triangle vertex pairs in column-major order: (0,1), (0,2),
     (1,2), (0,3), ...; pair t is bit t of an edge code."""

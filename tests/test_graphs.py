@@ -40,7 +40,6 @@ from sepcodes import (
     build_graph,
     census,
     canonical_form,
-    closed_neighborhood,
     complement,
     complete_graph,
     cycle_graph,
@@ -55,7 +54,6 @@ from sepcodes import (
     labeled_graph_count,
     matching_graph,
     members,
-    open_neighborhood,
     path_graph,
     vset,
 )
@@ -110,17 +108,6 @@ def test_graph_validates_symmetry():
         Graph(2, (0b10, 0b00))
 
 
-def test_neighborhoods():
-    assert open_neighborhood(p3(), 1) == vset([0, 2])
-    assert open_neighborhood(k1(), 0) == 0
-    assert open_neighborhood(k3(), 0) == vset([1, 2])
-    assert closed_neighborhood(p3(), 1) == vset([0, 1, 2])
-    assert closed_neighborhood(k1(), 0) == vset([0])
-    assert closed_neighborhood(p3(), 0) == vset([0, 1])
-    with pytest.raises(ValueError, match="out of range"):
-        open_neighborhood(p3(), 3)
-
-
 def test_induced_subgraph():
     assert induced_subgraph(k3(), vset([0, 1])).edges() == ((0, 1),)
     assert induced_subgraph(p4(), vset([0, 3])).edges() == ()
@@ -161,9 +148,9 @@ def test_enumeration_order_is_ascending_code():
 def test_generated_graphs_are_well_formed():
     for n in range(1, 5):
         for g in labeled_graphs(n):
-            for v in range(n):
-                assert not open_neighborhood(g, v) >> v & 1
-                assert closed_neighborhood(g, v) == open_neighborhood(g, v) | 1 << v
+            for v, nb in enumerate(g.adj):
+                assert not nb >> v & 1
+                assert nb & ~g.vertex_mask == 0
 
 
 def test_graph_code_roundtrip():
@@ -465,7 +452,19 @@ def test_class_children_keep_the_whole_order_only(cold_classes, monkeypatch):
     assert list(class_children(6)) == whole
     assert list(class_children(6, 0, total)) == whole
     rows, auts = sepcodes.graphs._CHILDREN[6]
-    assert isinstance(rows, bytes) and len(rows) == 6 * len(auts) == 6 * 156
+    assert rows.typecode == "H" and len(rows) == 6 * len(auts) == 6 * 156
+
+
+def test_class_children_pack_rows_past_one_byte(monkeypatch):
+    # at order 9 a row that meets vertex 8 is 256 or more; one parent on 8
+    # vertices, the first child of the last class on 7, is enough to show it
+    levels = [sepcodes.graphs._level(m) for m in range(8)]
+    level8 = tuple(extend_classes(8, levels[7][-1:]))
+    monkeypatch.setattr("sepcodes.graphs.CENSUS_GUARD", 9)
+    monkeypatch.setattr("sepcodes.graphs._LEVELS", levels + [level8])
+    children = [(g.adj, aut) for g, aut in class_children(9, 0, 1)]
+    assert children == [(tuple(adj), aut) for adj, aut, _, _ in accepted_children(9, level8[:1])]
+    assert any(row >= 256 for adj, _ in children for row in adj)
 
 
 def test_unchecked_graph_equals_the_checked_one():
