@@ -30,7 +30,6 @@ from .extremal import (
     materialize,
     od_disconnection_case,
     parse_blueprint,
-    removal_cap,
     tight_family_presets,
     verify_extremal,
 )

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from bisect import bisect_left
 from collections import defaultdict
 # not used here: kept bound because bench/tracer.py patches this name
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
-from functools import partial
 from math import comb, factorial
 from typing import Iterable, Iterator
 
@@ -149,17 +147,6 @@ def eligible_outer_labels(separation: Separation, inner: Graph) -> tuple[int, ..
     return tuple(m for m in range(1, 1 << inner.order) if m not in excluded)
 
 
-def removal_cap(kind: CodeKind, k: int, inner: Graph) -> int:
-    """Largest number of outer vertices whose removal keeps the code
-    minimum at the logarithmic bound: the construction's order (with an
-    isolated inner vertex counted only for a D kind) minus the smallest
-    order whose bound is k, found by bisection as lower_bound is
-    nondecreasing in n."""
-    isolated = inner_has_isolated(inner) and not kind.total_domination
-    order0 = expected_order(kind.separation, k, isolated)
-    return order0 - bisect_left(range(order0 + 1), k, lo=1, key=partial(lower_bound, kind))
-
-
 def _validate_blueprint(bp: ExtremalBlueprint) -> tuple[int, ...]:
     minimum_k = smallest_k(CodeKind(bp.separation.value + "D"))
     if bp.k < minimum_k:
@@ -276,7 +263,7 @@ def verify_extremal(
 class StructureCheck:
     """Does a graph, relative to one of its codes, exhibit the construction
     structure (distinct nonempty eligible outer signatures, admissible inner
-    graph, removal count within the cap)?"""
+    graph, an order whose bound is k)?"""
 
     ok: bool
     reason: str = ""
@@ -302,12 +289,9 @@ def extremal_structure_check(g: Graph, code: int, kind: CodeKind) -> StructureCh
                 False, f"outer signature {members(sig)} collides with the code's own"
             )
         seen.add(sig)
-    removed = (1 << k) - 1 - len(excluded - {0}) - len(seen)
-    cap = removal_cap(kind, k, inner)
-    if removed > cap:
-        return StructureCheck(
-            False, f"{removed} outer labels unused, cap is {cap}"
-        )
+    bound = lower_bound(kind, g.order)
+    if bound < k:
+        return StructureCheck(False, f"order {g.order} has bound {bound}, below k = {k}")
     return StructureCheck(True)
 
 
@@ -343,7 +327,7 @@ def _family_patterns(kind: CodeKind, n: int, k: int) -> set[int]:
         inner = graph_from_code(k, inner_code)
         if not is_admissible(inner, kind):
             continue
-        # no removal cap is read: it binds only at orders whose bound is below k
+        # n has bound k by definition, so every such choice attains k
         labels = eligible_outer_labels(kind.separation, inner)
         for kept in itertools.combinations(labels, n - k):
             patterns.add(inner_code | sum(label << s for label, s in zip(kept, shifts)))

@@ -8,7 +8,7 @@ import os
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import pytest
 from conftest import (
@@ -28,7 +28,7 @@ from conftest import (
     relabeled,
     without_last_label,
 )
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from sepcodes import (
@@ -68,7 +68,6 @@ from sepcodes import (
     parse_blueprint,
     parse_graph6,
     path_graph,
-    removal_cap,
     tight_family_presets,
     verify_extremal,
     vset,
@@ -86,9 +85,7 @@ from sepcodes.extremal import (
     inner_has_isolated,
 )
 from sepcodes.graphs import canonical_form
-from sepcodes.solver import class_pass, smallest_k
-
-PATH_PLUS_ISOLATE_5 = Graph(5, tuple(path_graph(4).adj) + (0,))
+from sepcodes.solver import class_pass, separation_family, smallest_k
 
 
 def test_eligible_outer_labels():
@@ -309,11 +306,13 @@ def test_verify_extremal_guards():
 
 
 def construction_family(kind, k, inner):
-    """Every materialization of the construction with an allowed number of
-    its eligible outer vertices removed, smallest removals first."""
+    """Every materialization of the construction with some of its eligible
+    outer vertices removed, smallest removals first, while the order still
+    has bound k."""
     labels = eligible_outer_labels(kind.separation, inner)
-    cap = min(removal_cap(kind, k, inner), len(labels))
-    for r in range(cap + 1):
+    for r in range(len(labels) + 1):
+        if lower_bound(kind, k + len(labels) - r) < k:
+            break
         for removed in itertools.combinations(labels, r):
             yield materialize(ExtremalBlueprint(kind.separation, k, inner, removals=removed))
 
@@ -322,7 +321,7 @@ def test_characterization_family_counts():
     fam = list(construction_family(CodeKind.LD, 2, empty_graph(2)))
     assert len(fam) == 4  # C(3,0) + C(3,1) removals
     fam = list(construction_family(CodeKind.ID, 3, empty_graph(3)))
-    assert len(fam) == 15  # 4 removable outers, cap 3
+    assert len(fam) == 15  # 4 removable outers; order 4 is the least with bound 3
 
 
 def test_characterization_family_members_attain_k():
@@ -333,40 +332,6 @@ def test_characterization_family_members_attain_k():
     ]:
         for me in construction_family(kind, k, inner):
             assert min_code(me.graph, kind).number == k
-
-
-def test_removal_caps():
-    # every kind with an inner graph that has an isolated vertex and one that
-    # has none: isolation raises the cap of OD and FD only, never of a TD kind
-    edge_plus_isolate = build_graph(3, [(0, 1)])
-    for kind, k, isolated, isolate_free, caps in [
-        (CodeKind.LD, 4, empty_graph(4), path_graph(4), (3, 3)),
-        (CodeKind.LTD, 4, empty_graph(4), path_graph(4), (3, 3)),
-        (CodeKind.OD, 3, edge_plus_isolate, complete_graph(3), (3, 2)),
-        (CodeKind.OTD, 3, edge_plus_isolate, complete_graph(3), (3, 3)),
-        (CodeKind.ID, 3, empty_graph(3), path_graph(3), (3, 3)),
-        (CodeKind.ITD, 3, empty_graph(3), path_graph(3), (3, 3)),
-        (CodeKind.FD, 5, PATH_PLUS_ISOLATE_5, path_graph(5), (11, 10)),
-        (CodeKind.FTD, 5, PATH_PLUS_ISOLATE_5, path_graph(5), (11, 11)),
-    ]:
-        assert (removal_cap(kind, k, isolated), removal_cap(kind, k, isolate_free)) == caps, kind
-
-
-def test_no_removal_cap_binds_at_the_bound():
-    # the audit's family side reads no removal cap: at k = lower_bound(kind, n)
-    # keeping n - k of the eligible labels removes at most the cap, with
-    # equality at the smallest order whose bound is k
-    for kind in ALL_KINDS:
-        tight = 0
-        for n in range(1, 13):
-            k = lower_bound(kind, n)
-            for inner in labeled_graphs(k) if k >= 1 else ():
-                if is_admissible(inner, kind):
-                    removed = k + len(eligible_outer_labels(kind.separation, inner)) - n
-                    cap = removal_cap(kind, k, inner)
-                    assert removed <= cap, (kind, n, inner)
-                    tight += removed == cap
-        assert tight, kind
 
 
 def test_structure_check_reasons():
@@ -380,19 +345,20 @@ def test_structure_check_reasons():
         # the code {1, 2} is not at the front: 2's open signature is {1}
         (build_graph(3, [(1, 2), (0, 2)]), vset([1, 2]), CodeKind.OD,
          "outer signature (2,) collides with the code's own"),
-        # four eligible labels, none used, and order 4 is the least with bound 3
-        (empty_graph(3), vset([0, 1, 2]), CodeKind.ID, "4 outer labels unused, cap is 3"),
+        # four eligible labels, none used: order 3 has bound 2
+        (empty_graph(3), vset([0, 1, 2]), CodeKind.ID, "order 3 has bound 2, below k = 3"),
     ]:
         assert extremal_structure_check(g, code, kind) == StructureCheck(False, reason)
 
 
 def assert_structure_check_decides_the_code(g: Graph, code: int) -> None:
-    # the locality lemma, per graph: C is a kind-code exactly when g has the
-    # construction structure over C, the removal cap aside
+    # the locality lemma, per graph: g has the construction structure over C
+    # exactly when C is a kind-code and g's order has bound at least |C|
+    k = code.bit_count()
     for kind in ALL_KINDS:
         check = extremal_structure_check(g, code, kind)
-        expected = check.ok or "outer labels unused" in check.reason
-        assert is_code(g, code, kind) == expected, (g, code, kind, check)
+        expected = is_code(g, code, kind) and lower_bound(kind, g.order) >= k
+        assert check.ok == expected, (g, code, kind, check)
 
 
 def test_structure_check_decides_codes_up_to_the_removal_cap(classes_by_order):
@@ -414,6 +380,29 @@ def test_structure_check_decides_codes_on_random_graphs(g, data):
         codes.append(witness)
     for code in codes:
         assert_structure_check_decides_the_code(g, code)
+
+
+@given(st.data())
+def test_structure_check_reads_attainment_off_the_bound(data):
+    # relabeled construction members up to order 62: with every signature
+    # eligible, the structure check accepts exactly when the member's order
+    # has bound k, however many outer labels it leaves unused
+    kind = data.draw(st.sampled_from(ALL_KINDS), label="kind")
+    # k and the count of kept labels are drawn down from their largest, so
+    # that the examples Hypothesis favours are the largest members
+    k = 6 - data.draw(st.integers(0, 6 - smallest_k(kind)), label="k")
+    inner = graph_from_code(k, data.draw(st.integers(0, (1 << comb(k, 2)) - 1), label="inner"))
+    assume(is_admissible(inner, kind))
+    labels = eligible_outer_labels(kind.separation, inner)
+    most = min(len(labels), 62 - k)
+    count = most - data.draw(st.integers(0, most), label="count")
+    removals = tuple(data.draw(st.permutations(labels), label="labels")[count:])
+    outer = OuterPolicy.random(data.draw(st.integers(0, 2**32 - 1), label="seed"), 0.5)
+    me = materialize(ExtremalBlueprint(kind.separation, k, inner, outer, removals))
+    labeling = data.draw(st.permutations(range(me.graph.order)), label="labeling")
+    h = relabeled(me.graph, labeling)
+    code = vset(labeling[v] for v in members(me.code))
+    assert extremal_structure_check(h, code, kind).ok == (lower_bound(kind, h.order) >= k)
 
 
 def test_structure_check_negative():
@@ -569,6 +558,38 @@ def test_construction_counts_match_the_labeled_inner_graphs(k):
         assert report.family_counts[Separation.OPEN] == 64 + 3 * 1024 == 3136
 
 
+COUNTING_LEMMA_CASES = [
+    (kind, n, k) for kind in ALL_KINDS for n in range(1, 6) for k in range(1, n + 1)
+] + [(kind, n, lower_bound(kind, n)) for kind in ALL_KINDS for n in (6, 7)]
+
+
+@pytest.mark.parametrize("kind,n,k", COUNTING_LEMMA_CASES)
+def test_k_codes_count_as_the_lemma_says(kind, n, k):
+    """The lemma in counting form, with no removal bound on either side: a
+    k-set C of a labeled graph on n vertices is a kind-code exactly when its
+    inner graph I is admissible and the n - k vertices outside C carry
+    distinct labels of U(I), the eligible outer labels, with any edges among
+    them. So summed over the graphs, the k-codes number C(n, k) choices of C
+    times 2^C(n - k, 2) outer graphs times, summed over I, the
+    P(|U(I)|, n - k) ways to label the outer vertices. The left side counts
+    the k-sets that hit every set of the separation family, and reads
+    nothing of the construction."""
+
+    def k_codes(g):
+        family = separation_family(g, kind)
+        return sum(
+            all(s & vset(c) for s in family) for c in itertools.combinations(range(n), k)
+        )
+
+    left = sum(count * weight for count, weight in class_pass(k_codes, n).items())
+    labelings = sum(
+        perm(len(eligible_outer_labels(kind.separation, inner)), n - k)
+        for inner in labeled_graphs(k)
+        if is_admissible(inner, kind)
+    )
+    assert left == comb(n, k) * 2 ** comb(n - k, 2) * labelings
+
+
 def test_counting_guard():
     with pytest.raises(GuardError):
         counting(8)
@@ -719,7 +740,7 @@ def _fixed_partition_family(kind, n, k, labels=eligible_outer_labels):
         if not is_admissible(inner, kind):
             continue
         eligible = labels(kind.separation, inner)
-        if not 0 <= k + len(eligible) - n <= removal_cap(kind, k, inner):
+        if len(eligible) < n - k:
             continue
         for kept in itertools.combinations(eligible, n - k):
             edges = list(inner.edges())

@@ -101,11 +101,28 @@ def test_build_graph_rejects_bad_inputs():
         build_graph(0, [])
     with pytest.raises(ValueError):
         build_graph(63, [])
+    with pytest.raises(ValueError, match="a cycle needs at least 3 vertices"):
+        cycle_graph(2)
 
 
 def test_graph_validates_symmetry():
     with pytest.raises(ValueError, match="asymmetric"):
         Graph(2, (0b10, 0b00))
+
+
+@pytest.mark.parametrize(
+    "order,adj,message",
+    [
+        (0, (), r"order must be in \[1, 62\], got 0"),
+        (63, (0,) * 63, r"order must be in \[1, 62\], got 63"),
+        (2, (0,), "adjacency table length does not match order"),
+        (2, (0b100, 0), "vertex 0 has a neighbor outside the graph"),
+        (2, (0, 0b10), "self-loop at vertex 1"),
+    ],
+)
+def test_graph_rejects_malformed_tables(order, adj, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(order, adj)
 
 
 def test_induced_subgraph():
@@ -114,6 +131,8 @@ def test_induced_subgraph():
     assert induced_subgraph(p4(), vset([0, 1, 2])).edges() == ((0, 1), (1, 2))
     with pytest.raises(ValueError, match="empty"):
         induced_subgraph(k3(), 0)
+    with pytest.raises(ValueError, match="vertices outside the graph"):
+        induced_subgraph(k3(), vset([1, 3]))
 
 
 def test_induced_subgraph_relabels_ascending():

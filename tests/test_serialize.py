@@ -52,6 +52,11 @@ def test_parse_rejects_malformed():
         parse_graph6(b"~~~")
     with pytest.raises(FormatError, match="order 0"):
         parse_graph6(b"?")
+    # headers on either side of [63, 125], other than 126
+    with pytest.raises(FormatError, match="invalid graph6 header byte 33"):
+        parse_graph6(b"!")
+    with pytest.raises(FormatError, match="invalid graph6 header byte 127"):
+        parse_graph6(b"\x7f")
     with pytest.raises(FormatError, match="outside"):
         parse_graph6(b"A!")
     with pytest.raises(FormatError, match="padding"):
@@ -131,5 +136,11 @@ def test_edge_list_errors():
         parse_edge_list("3 2\n0 1\n")
     with pytest.raises(FormatError, match="non-integer"):
         parse_edge_list("3 one\n")
+    with pytest.raises(FormatError, match="expected edge line 'u v', got '0 1 2'"):
+        parse_edge_list("3 1\n0 1 2\n")
+    with pytest.raises(FormatError, match="expected edge line 'u v', got '0'"):
+        parse_edge_list("3 1\n0\n")
+    with pytest.raises(FormatError, match="non-integer edge line '0 x'"):
+        parse_edge_list("3 1\n0 x\n")
     with pytest.raises(FormatError, match="self-loop"):
         parse_edge_list("2 1\n1 1\n")
