@@ -44,7 +44,7 @@ class CodeKind(enum.Enum):
 
     @cached_property
     def separation(self) -> Separation:
-        # cached: every is_code call reads it, and min_code once per graph
+        # cached: every is_code call reads it
         return Separation(self.name[0])
 
     @property

@@ -25,21 +25,37 @@ ORACLE_GUARD = 20
 
 T = TypeVar("T")
 
+# each kind's rules as (total domination, L, O, I), F setting both O and I,
+# built once so that no call reads CodeKind's properties
+_RULES = {
+    kind: (
+        kind.total_domination,
+        kind.separation is Separation.LOCATION,
+        kind.separation in (Separation.OPEN, Separation.FULL),
+        kind.separation in (Separation.CLOSED, Separation.FULL),
+    )
+    for kind in CodeKind
+}
+# (a, b) with lower_bound(kind, n) = (n + a).bit_length() + b
+_BOUND_TERMS = {
+    CodeKind.LD: (0, -1),  # floor(log n)
+    CodeKind.LTD: (0, -1),  # floor(log n)
+    CodeKind.OD: (-1, 0),  # ceil(log n)
+    CodeKind.OTD: (0, 0),  # ceil(log (n+1))
+    CodeKind.ID: (0, 0),  # ceil(log (n+1))
+    CodeKind.ITD: (0, 0),  # ceil(log (n+1))
+    CodeKind.FD: (0, 0),  # 1 + floor(log n)
+    CodeKind.FTD: (1, 0),  # 1 + floor(log (n+1))
+}
+
 
 def lower_bound(kind: CodeKind, n: int) -> int:
     """Logarithmic lower bound on the kind-number of any admissible graph
     of order n (exact integer arithmetic, logs base 2)."""
     if n < 1:
         raise ValueError("order must be at least 1")
-    if kind in (CodeKind.LD, CodeKind.LTD):
-        return n.bit_length() - 1  # floor(log n)
-    if kind is CodeKind.OD:
-        return (n - 1).bit_length()  # ceil(log n)
-    if kind in (CodeKind.OTD, CodeKind.ID, CodeKind.ITD):
-        return n.bit_length()  # ceil(log (n+1))
-    if kind is CodeKind.FD:
-        return n.bit_length()  # 1 + floor(log n)
-    return (n + 1).bit_length()  # FTD: 1 + floor(log (n+1))
+    a, b = _BOUND_TERMS[kind]
+    return (n + a).bit_length() + b
 
 
 def expected_order(separation: Separation, k: int, inner_isolated: bool) -> int:
@@ -88,12 +104,10 @@ def make_mask_checker(n: int, adj: list[int], kind: CodeKind) -> Callable[[int],
     total or v lies outside c, when its open signature s repeats (L, O, F;
     for L only outside c), or when its closed signature s | ({v} & c) repeats
     (I, F). adj is read when called, so a caller may refill it in place."""
-    total = kind.total_domination
-    sep = kind.separation
+    total, location, opened, closed = _RULES[kind]
     # v's open signature is tested when c >> v & 1 < opens: never for I,
     # only outside c for L, always for O and F
-    opens = {Separation.CLOSED: 0, Separation.LOCATION: 1}.get(sep, 2)
-    closed = sep in (Separation.CLOSED, Separation.FULL)
+    opens = 2 if opened else int(location)
 
     def check(c: int) -> bool:
         oseen = set()
@@ -145,37 +159,47 @@ def separation_family(g: Graph, kind: CodeKind) -> list[int]:
 
     The family is deduplicated, reduced to its inclusion-minimal sets and
     sorted by largest vertex, then size, then value. It is [0] exactly
-    when g is inadmissible, and is returned as soon as the empty set
-    appears.
+    when some set is empty, that is when g is inadmissible: a TD kind and
+    an isolated vertex, or two open twins (N(u) = N(v)) for O and F, or two
+    closed twins (N[u] = N[v]) for I and F. These are tested first, so an
+    inadmissible graph builds no pair set.
 
     The sets are taken smallest first, and one is kept unless it contains a
-    kept set. The kept sets sit in (n+1)-bit fields of one int, each field
-    topped by a guard bit, so that one candidate is tested against all of
-    them at once: a field of kept & ~(s * ones) is zero exactly when its set
-    lies inside s, and adding fill (all n low bits of every field) carries
-    into the guard bit of every field that is not zero."""
+    kept set. The singletons come first and are all kept; forced, their
+    union, drops every later set that meets it with one AND. The kept sets
+    also sit in (n+1)-bit fields of one int, each field topped by a guard
+    bit, so that one candidate is tested against all of them at once: a
+    field of kept & ~(s * ones) is zero exactly when its set lies inside s,
+    and adding fill (all n low bits of every field) carries into the guard
+    bit of every field that is not zero."""
     n = g.order
     adj = g.adj
+    total, location, opens, closes = _RULES[kind]
     closed = [nb | (1 << v) for v, nb in enumerate(adj)]
-    sep = kind.separation
-    sets = set(adj if kind.total_domination else closed)
-    if sep is Separation.LOCATION:
+    if (
+        (total and 0 in adj)
+        or (opens and len(set(adj)) < n)
+        or (closes and len(set(closed)) < n)
+    ):
+        return [0]
+    sets = set(adj if total else closed)
+    if location:
         pairs = starmap(or_, combinations([1 << v for v in range(n)], 2))
         sets.update(map(or_, starmap(xor, combinations(adj, 2)), pairs))
-    if sep in (Separation.OPEN, Separation.FULL):
+    if opens:
         sets.update(starmap(xor, combinations(adj, 2)))
-    if sep in (Separation.CLOSED, Separation.FULL):
+    if closes:
         sets.update(starmap(xor, combinations(closed, 2)))
-    if 0 in sets:
-        return [0]
     minimal: list[int] = []
-    kept = ones = fill = guards = 0
+    forced = kept = ones = fill = guards = 0
     low = (1 << n) - 1
     # a set of one size cannot contain another of that size, so the order
     # within a size changes only the order of `minimal`, sorted below
     for s in sorted(sets, key=int.bit_count):
-        if ((kept & ~(s * ones)) + fill) & guards != guards:
+        if s & forced or ((kept & ~(s * ones)) + fill) & guards != guards:
             continue  # s contains a kept set
+        if not s & (s - 1):
+            forced |= s
         shift = len(minimal) * (n + 1)
         minimal.append(s)
         kept |= s << shift

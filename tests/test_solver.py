@@ -38,6 +38,7 @@ from sepcodes import (
     BudgetError,
     CodeKind,
     GuardError,
+    build_graph,
     census,
     census_kinds,
     cycle_graph,
@@ -55,7 +56,7 @@ from sepcodes import (
     separation_family,
     vset,
 )
-from sepcodes.graphs import _ROOT
+from sepcodes.graphs import _ROOT, class_children, class_parents
 from sepcodes.solver import (
     DEFAULT_BUDGET,
     class_pass,
@@ -83,6 +84,42 @@ def test_lower_bound(kind, n, expected):
 def test_lower_bound_rejects_zero():
     with pytest.raises(ValueError):
         lower_bound(CodeKind.LD, 0)
+
+
+def floor_log2(m: int) -> int:
+    """Largest e with 2**e <= m, by comparing with powers of two."""
+    e = 0
+    while 2 ** (e + 1) <= m:
+        e += 1
+    return e
+
+
+def ceil_log2(m: int) -> int:
+    """Least e with 2**e >= m, by comparing with powers of two."""
+    e = 0
+    while 2**e < m:
+        e += 1
+    return e
+
+
+LOG_FORMULAS = {
+    CodeKind.LD: floor_log2,
+    CodeKind.LTD: floor_log2,
+    CodeKind.OD: ceil_log2,
+    CodeKind.OTD: lambda n: ceil_log2(n + 1),
+    CodeKind.ID: lambda n: ceil_log2(n + 1),
+    CodeKind.ITD: lambda n: ceil_log2(n + 1),
+    CodeKind.FD: lambda n: 1 + floor_log2(n),
+    CodeKind.FTD: lambda n: 1 + floor_log2(n + 1),
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.name)
+def test_lower_bound_matches_the_log_formulas(kind):
+    formula = LOG_FORMULAS[kind]
+    assert [lower_bound(kind, n) for n in range(1, 4097)] == [
+        formula(n) for n in range(1, 4097)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -267,6 +304,70 @@ def test_family_matches_the_reference_filter_exhaustively():
         for g in labeled_graphs(n):
             for kind in ALL_KINDS:
                 assert separation_family(g, kind) == reference_separation_family(g, kind)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_family_matches_the_reference_filter_on_every_class(n):
+    for g, _ in class_children(n, 0, len(class_parents(n))):
+        for kind in ALL_KINDS:
+            family = separation_family(g, kind)
+            assert family == reference_separation_family(g, kind)
+            assert (family == [0]) == (not is_admissible(g, kind))
+
+
+def test_inadmissible_graphs_build_no_pair_set(monkeypatch):
+    # the twin rule decides admissibility before any pair set is built; a
+    # family that held the empty set would still sieve down to [0], so
+    # only the absence of pair sets shows that the rule ran first
+    def no_pairs(*args):
+        raise AssertionError("pair sets built for an inadmissible graph")
+
+    monkeypatch.setattr(sepcodes.solver, "combinations", no_pairs)
+    inadmissible = 0
+    for n in range(1, 7):
+        for g, _ in class_children(n, 0, len(class_parents(n))):
+            for kind in ALL_KINDS:
+                if not is_admissible(g, kind):
+                    assert separation_family(g, kind) == [0]
+                    inadmissible += 1
+    assert inadmissible > 600
+
+
+def star_graph(m: int):
+    return build_graph(m + 1, [(0, leaf) for leaf in range(1, m + 1)])
+
+
+def test_forced_vertices_drop_their_supersets():
+    # a singleton {x} in the family forces x into every code; the sieve
+    # keeps the union of the singletons and drops each later set meeting
+    # it. Stars and paths force the neighbours of their leaves for the TD
+    # kinds, and an isolated vertex forces itself for the D kinds
+    rng = random.Random(5)
+    isolate = empty_graph(1)
+    totals = [kind for kind in ALL_KINDS if kind.total_domination]
+    plains = [kind for kind in ALL_KINDS if not kind.total_domination]
+    cases = [(star_graph(m), totals) for m in range(1, 9)]
+    cases += [(path_graph(n), totals) for n in range(2, 13)]
+    cases += [
+        (disjoint_union(isolate, h), plains)
+        for h in [path_graph(n) for n in range(1, 11)]
+        + [cycle_graph(n) for n in range(3, 11)]
+        + [star_graph(m) for m in range(1, 8)]
+    ]
+    singletons = 0
+    for g, kinds in cases:
+        perm = list(range(g.order))
+        rng.shuffle(perm)
+        for h in (g, relabeled(g, perm)):
+            for kind in kinds:
+                family = separation_family(h, kind)
+                assert family == reference_separation_family(h, kind)
+                singletons += any(s.bit_count() == 1 for s in family)
+                report = min_code(h, kind)
+                assert (report.number, report.witness, report.subsets_tested) == (
+                    reference_min_code(h, kind, DEFAULT_BUDGET)
+                )
+    assert singletons > 100
 
 
 @given(graphs(max_order=20))
