@@ -12,7 +12,7 @@ from functools import partial
 from itertools import combinations, starmap
 from math import factorial
 from operator import or_, xor
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 # min_code reads admissibility off the separation family; is_admissible
 # stays bound here because bench/tracer.py patches it
@@ -35,6 +35,43 @@ _RULES = {
         kind.separation in (Separation.CLOSED, Separation.FULL),
     )
     for kind in CodeKind
+}
+# Each part of the separation family as (twin rule, candidate sets), both
+# read off the open and closed neighbourhoods (adj, closed); the twin rule
+# says, before any set is built, whether the part holds an empty set.
+# separation_family and census's _numbers read each kind's parts, by index,
+# from _KIND_PARTS.
+_Part = tuple[
+    Callable[[Sequence[int], list[int]], bool], Callable[[Sequence[int], list[int]], Iterable[int]]
+]
+_PARTS: tuple[_Part, ...] = (
+    # N(v), empty at an isolated vertex
+    (lambda adj, closed: 0 in adj, lambda adj, closed: adj),
+    # N[v], never empty
+    (lambda adj, closed: False, lambda adj, closed: closed),
+    # the location pairs (N(u) ^ N(v)) | {u, v}, never empty
+    (
+        lambda adj, closed: False,
+        lambda adj, closed: map(
+            or_,
+            starmap(xor, combinations(adj, 2)),
+            starmap(or_, combinations([1 << v for v in range(len(adj))], 2)),
+        ),
+    ),
+    # the open xors N(u) ^ N(v), empty at two open twins
+    (
+        lambda adj, closed: len(set(adj)) < len(adj),
+        lambda adj, closed: starmap(xor, combinations(adj, 2)),
+    ),
+    # the closed xors N[u] ^ N[v], empty at two closed twins
+    (
+        lambda adj, closed: len(set(closed)) < len(closed),
+        lambda adj, closed: starmap(xor, combinations(closed, 2)),
+    ),
+)
+_KIND_PARTS = {
+    kind: (0 if total else 1,) + (2,) * location + (3,) * opens + (4,) * closes
+    for kind, (total, location, opens, closes) in _RULES.items()
 }
 # (a, b) with lower_bound(kind, n) = (n + a).bit_length() + b
 _BOUND_TERMS = {
@@ -161,8 +198,9 @@ def separation_family(g: Graph, kind: CodeKind) -> list[int]:
     sorted by largest vertex, then size, then value. It is [0] exactly
     when some set is empty, that is when g is inadmissible: a TD kind and
     an isolated vertex, or two open twins (N(u) = N(v)) for O and F, or two
-    closed twins (N[u] = N[v]) for I and F. These are tested first, so an
-    inadmissible graph builds no pair set.
+    closed twins (N[u] = N[v]) for I and F. These twin rules are tested
+    first, so an inadmissible graph builds no pair set; each kind's parts
+    and their twin rules are read from _PARTS, as census reads them.
 
     The sets are taken smallest first, and one is kept unless it contains a
     kept set. The singletons come first and are all kept; forced, their
@@ -174,22 +212,14 @@ def separation_family(g: Graph, kind: CodeKind) -> list[int]:
     bit of every field that is not zero."""
     n = g.order
     adj = g.adj
-    total, location, opens, closes = _RULES[kind]
     closed = [nb | (1 << v) for v, nb in enumerate(adj)]
-    if (
-        (total and 0 in adj)
-        or (opens and len(set(adj)) < n)
-        or (closes and len(set(closed)) < n)
-    ):
-        return [0]
-    sets = set(adj if total else closed)
-    if location:
-        pairs = starmap(or_, combinations([1 << v for v in range(n)], 2))
-        sets.update(map(or_, starmap(xor, combinations(adj, 2)), pairs))
-    if opens:
-        sets.update(starmap(xor, combinations(adj, 2)))
-    if closes:
-        sets.update(starmap(xor, combinations(closed, 2)))
+    parts = _KIND_PARTS[kind]
+    for p in parts:
+        if _PARTS[p][0](adj, closed):
+            return [0]
+    sets: set[int] = set()
+    for p in parts:
+        sets.update(_PARTS[p][1](adj, closed))
     minimal: list[int] = []
     forced = kept = ones = fill = guards = 0
     low = (1 << n) - 1
@@ -399,16 +429,88 @@ def _class_chunk(key: Callable[[Graph], T], n: int, lo: int, hi: int) -> Counter
     return weights
 
 
-def _numbers(kinds: tuple[CodeKind, ...], g: Graph) -> tuple[int | None, ...]:
-    # a list, not a generator, as this runs once per class
-    return tuple([min_code(g, kind).number for kind in kinds])
+# The subset lattice of order n, built once per order and per process
+# (below[m] for every vertex set m, layers[k] for k = 0..n), as
+# graphs._CHILDREN is; two threads may build the same order, with equal
+# results. Its bits take at most 4^n/8 bytes (about 14 KB at n = 8 and 36 KB
+# at n = 9 as Python ints, headers included), and only the census key
+# builds it, which class_pass calls after class_children has checked n
+# against CENSUS_GUARD.
+_LATTICE: dict[int, tuple[list[int], list[int]]] = {}
+
+
+def _lattice(n: int) -> tuple[list[int], list[int]]:
+    """(below, layers) on n vertices. An int of 2^n bits stands for a
+    collection of vertex sets, bit C for set C: below[m] holds every set
+    inside m, and layers[k] every set of k vertices."""
+    lattice = _LATTICE.get(n)
+    if lattice is None:
+        below = [1]
+        for v in range(n):
+            below += [d | d << (1 << v) for d in below]
+        layers = [0] * (n + 1)
+        for c in range(1 << n):
+            layers[c.bit_count()] |= 1 << c
+        lattice = _LATTICE[n] = (below, layers)
+    return lattice
+
+
+def _numbers(plan: tuple[tuple[tuple[int, ...], int], ...], g: Graph) -> tuple[int | None, ...]:
+    """The number of g for each (parts, start) of `plan` (see _census_key),
+    as min_code gives it, read off the subset lattice. C is a code exactly
+    when it hits every candidate set s of the kind's parts, that is when C
+    lies inside no full ^ s, so the OR of below[full ^ s] over them holds
+    exactly the sets that are not codes; a superset's down-set lies inside
+    its subset's, so no set need be dropped. The number is then the least
+    k >= start with a k-set outside that OR, as min_code tries the sizes
+    from there. A kind whose twin rule finds an empty set is inadmissible
+    (None), decided before any OR is taken. Each part's twin rule and OR
+    are taken once and shared by the kinds that read it; an OR is never 0,
+    as it holds the empty set."""
+    n = g.order
+    adj = g.adj
+    closed = [nb | (1 << v) for v, nb in enumerate(adj)]
+    below, layers = _lattice(n)
+    full = (1 << n) - 1
+    empty: list[bool | None] = [None] * len(_PARTS)
+    missed = [0] * len(_PARTS)
+    numbers: list[int | None] = []
+    for parts, k in plan:
+        for p in parts:
+            if empty[p] is None:
+                empty[p] = _PARTS[p][0](adj, closed)
+            if empty[p]:
+                numbers.append(None)
+                break
+        else:
+            union = 0
+            for p in parts:
+                if not missed[p]:
+                    part = 0
+                    for s in _PARTS[p][1](adj, closed):
+                        part |= below[full ^ s]
+                    missed[p] = part
+                union |= missed[p]
+            while not layers[k] & ~union:
+                k += 1
+            numbers.append(k)
+    return tuple(numbers)
+
+
+def _census_key(kinds: tuple[CodeKind, ...], n: int) -> Callable[[Graph], tuple[int | None, ...]]:
+    """census's class key at order n: the numbers of g for `kinds`, in that
+    order. Each kind's parts and the size its search starts from,
+    max(1, lower_bound), are read once per pass."""
+    plan = tuple((_KIND_PARTS[kind], max(1, lower_bound(kind, n))) for kind in kinds)
+    return partial(_numbers, plan)
 
 
 def census_kinds(kinds: Iterable[CodeKind], n: int, jobs: int = 1) -> list[CensusReport]:
     """census for each of `kinds`, in that order, from one class_pass that
-    solves each class for every kind. Guarded at CENSUS_GUARD."""
+    reads every kind's number of each class off the subset lattice
+    (_numbers). Guarded at CENSUS_GUARD."""
     kinds = tuple(kinds)
-    weights = class_pass(partial(_numbers, kinds), n, jobs)
+    weights = class_pass(_census_key(kinds, n), n, jobs)
     reports = []
     for i, kind in enumerate(kinds):
         hist: Counter[int | None] = Counter()
@@ -421,8 +523,9 @@ def census_kinds(kinds: Iterable[CodeKind], n: int, jobs: int = 1) -> list[Censu
 
 def census(kind: CodeKind, n: int, jobs: int = 1) -> CensusReport:
     """Kind-number histogram over every labeled graph on n vertices, read
-    off class_pass: min_code solves one graph per isomorphism class, and
-    all n!/|Aut| labelings of it have the same kind-number. census_kinds
+    off class_pass: the number of one graph per isomorphism class is read
+    off the subset lattice (_numbers; it equals min_code's), and all
+    n!/|Aut| labelings of it have the same kind-number. census_kinds
     shares one pass among several kinds. Guarded at CENSUS_GUARD."""
     return census_kinds((kind,), n, jobs)[0]
 

@@ -59,6 +59,8 @@ from sepcodes import (
 from sepcodes.graphs import _ROOT, class_children, class_parents
 from sepcodes.solver import (
     DEFAULT_BUDGET,
+    _census_key,
+    _lattice,
     class_pass,
     make_mask_checker,
     resolve_jobs,
@@ -561,6 +563,43 @@ AUDIT_ORDER_SEVEN = {
 }
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_subset_lattice_lists_the_sets_below_each_set_and_of_each_size(n):
+    sets = range(1 << n)
+    below, layers = _lattice(n)
+    assert below == [sum(1 << c for c in sets if c & m == c) for m in sets]
+    assert layers == [sum(1 << c for c in sets if c.bit_count() == k) for k in range(n + 1)]
+
+
+def _census_numbers_agree(g) -> bool:
+    numbers = _census_key(ALL_KINDS, g.order)(g)
+    # the kinds share their parts' ORs, in whatever order they come
+    assert _census_key(ALL_KINDS[::-1], g.order)(g) == numbers[::-1]
+    return all(
+        number == min_code(g, kind).number and (number is None) == (not is_admissible(g, kind))
+        for kind, number in zip(ALL_KINDS, numbers)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_census_numbers_equal_min_code_on_every_class(n):
+    assert class_pass(_census_numbers_agree, n) == Counter({True: 2 ** comb(n, 2)})
+
+
+@given(graphs(max_order=8))
+def test_census_numbers_equal_min_code_on_labeled_graphs(g):
+    assert _census_numbers_agree(g)
+
+
+def test_census_calls_no_min_code(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("census called min_code")
+
+    monkeypatch.setattr("sepcodes.solver.min_code", refuse)
+    reports = census_kinds(ALL_KINDS, 6)
+    assert {r.kind: (r.histogram, r.inadmissible) for r in reports} == CENSUS_ORDER_SIX
+
+
 def test_census_order_seven_counts_the_audit_attaining_graphs():
     for kind, attaining in AUDIT_ORDER_SEVEN.items():
         report = census(kind, 7)
@@ -589,9 +628,10 @@ def test_census_jobs_are_clamped(spy_pools):
 def test_census_guard(cold_classes):
     with pytest.raises(GuardError):
         census(CodeKind.LD, 9)
-    # rejected before any class level is built
+    # rejected before any class level or subset lattice is built
     assert sepcodes.graphs._LEVELS == [(_ROOT,)]
     assert sepcodes.graphs._CHILDREN == {}
+    assert 9 not in sepcodes.solver._LATTICE
 
 
 @pytest.mark.parametrize("jobs", [(2, 1), (1, 2)], ids=["pool-first", "serial-first"])
