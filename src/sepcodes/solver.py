@@ -255,7 +255,10 @@ def min_code(g: Graph, kind: CodeKind, budget: int = DEFAULT_BUDGET) -> SolveRep
     vertex y, tops[i] is the largest vertex of family[i], and cut[i][j] is
     the AND of miss over the j largest vertices of family[i]. Choosing x
     then leaves unhit & miss[x] unhit, one AND per node, and the packing
-    bound takes each set i in one AND with its cut row. A family of [0]
+    bound takes each set i in one AND with its cut row. The last level
+    (one vertex left) is a scan for the first x that hits every set left,
+    whose nodes are counted, and tested against the budget, at once: the
+    same nodes and the same BudgetError as one at a time. A family of [0]
     means g is inadmissible (no is_admissible pass), and no node is
     searched."""
     lb = lower_bound(kind, g.order)
@@ -294,7 +297,28 @@ def min_code(g: Graph, kind: CodeKind, budget: int = DEFAULT_BUDGET) -> SolveRep
             # vertices after x are larger, so x may not pass the largest
             # vertex of the first set not yet hit (the family is sorted by
             # largest vertex, so the lowest bit of unhit has the smallest)
-            last = min(last, tops[(unhit & -unhit).bit_length() - 1])
+            top = tops[(unhit & -unhit).bit_length() - 1]
+            if top < last:
+                last = top
+        if left == 1:
+            # the last level: x is a node for each x from start up to the
+            # first that hits every set left, or up to last; they are
+            # counted at once, and the budget runs out inside them exactly
+            # when the count passes it
+            for x in range(start, last + 1):
+                if not unhit & miss[x]:
+                    found = 1 << x
+                    break
+            else:
+                found = None
+                x = last
+            nodes += x + 1 - start
+            if nodes > budget:
+                raise BudgetError(
+                    f"budget of {budget} search nodes exhausted at cardinality {size}",
+                    subsets_tested=budget + 1,
+                )
+            return found
         for x in range(start, last + 1):
             nodes += 1
             if nodes > budget:
@@ -303,24 +327,21 @@ def min_code(g: Graph, kind: CodeKind, budget: int = DEFAULT_BUDGET) -> SolveRep
                     subsets_tested=nodes,
                 )
             rest = unhit & miss[x]
-            if left == 1:
-                if not rest:
-                    return 1 << x
-                continue
             # greedy packing: sets not yet hit, disjoint above x, each need
             # their own vertex after x, and left - 1 slots remain. The sets
             # are taken in family order; free holds those not yet taken that
-            # miss every vertex above x of the ones taken so far. The
-            # vertices of set i above x are its largest ones, and there is
-            # one (x is not in i and does not pass its largest vertex), so
-            # its cut row drops i and every set meeting them
+            # miss every vertex above x of the ones taken so far, and packed
+            # counts the lowest of them as taken. The vertices of set i above
+            # x are its largest ones, and there is one (x is not in i and
+            # does not pass its largest vertex), so its cut row drops i and
+            # every set meeting them
             free = rest
-            packed = 0
+            packed = 1
             while free:
-                i = (free & -free).bit_length() - 1
-                packed += 1
                 if packed == left:
                     break
+                i = (free & -free).bit_length() - 1
+                packed += 1
                 free &= cut[i][(family[i] >> (x + 1)).bit_count()]
             else:
                 found = search(rest, x + 1, left - 1)

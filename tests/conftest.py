@@ -205,7 +205,8 @@ def reference_min_code(
     """Oracle for solver.min_code's search: the same lex-first hitting-set
     search, holding the unhit sets as a list and packing greedily by testing
     each one against the vertices used so far. Returns (number, witness,
-    nodes); raises BudgetError past `budget` nodes, as min_code does."""
+    nodes); raises BudgetError past `budget` nodes, naming the cardinality
+    it was searching, as min_code does."""
     if not is_admissible(g, kind):
         return None, None, 0
     n = g.order
@@ -220,7 +221,9 @@ def reference_min_code(
         for x in range(start, last + 1):
             nodes += 1
             if nodes > budget:
-                raise BudgetError("budget exhausted", subsets_tested=nodes)
+                raise BudgetError(
+                    f"budget exhausted at cardinality {size}", subsets_tested=nodes
+                )
             bit = 1 << x
             rest = [s for s in unhit if not s & bit]
             if left == 1:
@@ -247,6 +250,80 @@ def reference_min_code(
         if witness is not None:
             return size, witness, nodes
     raise AssertionError("admissible graph has no code")
+
+
+def window_number(g: Graph, kind: CodeKind) -> int | None:
+    """Oracle for the kind-number of a path or cycle, by dynamic programming
+    over the vertices in label order, with no separation family and no
+    search. Two vertices can have equal nonempty signatures only if their
+    closed neighbourhoods meet (a shared vertex is in both signatures), so
+    the definition is the conjunction of one check per vertex, that it is
+    dominated, and one per such pair, that their signatures differ, plus
+    one global rule: for open and full separation at most one vertex has
+    an empty open signature (for location separation every compared vertex
+    is dominated outside the code, and closed signatures are never empty).
+
+    A check runs once every bit it reads is decided; the state keeps only
+    the bits some later check reads, and whether an empty open signature
+    was seen. On a path those are the last four bits; a cycle keeps its
+    first four too, read by the checks that wrap around, so no state has
+    more than eight bits. Returns the least size of a code, or None when
+    there is none."""
+    n, adj = g.order, g.adj
+    closed = [nb | 1 << v for v, nb in enumerate(adj)]
+    sep = kind.separation
+    location = sep is Separation.LOCATION
+    opens = sep in (Separation.OPEN, Separation.FULL)
+    closes = sep in (Separation.CLOSED, Separation.FULL)
+    dom = adj if kind.total_domination else closed
+    # checks by the vertex whose bit is the last they read
+    due_vertices: list[list[int]] = [[] for _ in range(n)]
+    due_pairs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    reads_after = [0] * n  # the bits read by the checks due after each vertex
+    for v in range(n):
+        due_vertices[closed[v].bit_length() - 1].append(v)
+    for u, v in itertools.combinations(range(n), 2):
+        if closed[u] & closed[v]:
+            due_pairs[(closed[u] | closed[v]).bit_length() - 1].append((u, v))
+    for i in range(n):
+        for v in due_vertices[i]:
+            for j in range(i):
+                reads_after[j] |= closed[v]
+        for u, v in due_pairs[i]:
+            for j in range(i):
+                reads_after[j] |= closed[u] | closed[v]
+
+    def separated(c: int, u: int, v: int) -> bool:
+        if location and (c >> u & 1 or c >> v & 1):
+            return True
+        if (opens or location) and adj[u] & c == adj[v] & c:
+            return False
+        return not closes or closed[u] & c != closed[v] & c
+
+    best = {(0, False): 0}  # (kept bits, empty open signature seen): least size
+    for i in range(n):
+        keep = reads_after[i] & ((1 << (i + 1)) - 1)
+        after: dict[tuple[int, bool], int] = {}
+        for (c, empty), size in best.items():
+            for bit in (0, 1):
+                code = c | bit << i
+                state_empty = empty
+                ok = True
+                for v in due_vertices[i]:
+                    if not dom[v] & code:
+                        ok = False
+                    elif opens and not adj[v] & code:
+                        ok = not state_empty
+                        state_empty = True
+                    if not ok:
+                        break
+                if not ok or not all(separated(code, u, v) for u, v in due_pairs[i]):
+                    continue
+                state = (code & keep, state_empty)
+                if after.get(state, n + 1) > size + bit:
+                    after[state] = size + bit
+        best = after
+    return min(best.values(), default=None)
 
 
 def c0_edges(n: int, k: int) -> list[int]:

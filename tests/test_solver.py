@@ -6,9 +6,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
+import re
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -27,6 +29,7 @@ from conftest import (
     relabeled,
     sparse_graphs,
     two_k1,
+    window_number,
 )
 from hypothesis import given
 from hypothesis import strategies as st
@@ -299,6 +302,59 @@ def test_search_matches_the_reference_search_on_connected_sparse_graphs(g):
     # sparse_graphs mostly draws inadmissible graphs and short searches;
     # these reach searches of a thousand nodes and more
     assert_search_matches_the_reference(g)
+
+
+def search_outcome(search, g, kind, budget):
+    """(number, witness, nodes) of a search run with `budget`, or, when it
+    raises BudgetError, ("budget", subsets_tested, the cardinality its
+    message names)."""
+    try:
+        return search(g, kind, budget)
+    except BudgetError as exc:
+        cardinality = int(re.search(r"at cardinality (\d+)", str(exc)).group(1))
+        return "budget", exc.subsets_tested, cardinality
+
+
+def budget_edge_graphs():
+    rng = random.Random(7)
+    yield from (make(n) for make in MAKERS.values() for n in range(4, 13))
+    for _ in range(25):
+        n = rng.randint(5, 12)
+        yield build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.4])
+
+
+def test_every_budget_gives_the_reference_outcome():
+    # the last level counts its nodes at once, so a budget that runs out
+    # inside it must still stop at the same node and cardinality as the
+    # one-node-at-a-time reference
+    def solve(g, kind, budget):
+        report = min_code(g, kind, budget)
+        return report.number, report.witness, report.subsets_tested
+
+    for g in budget_edge_graphs():
+        for kind in ALL_KINDS:
+            nodes = reference_min_code(g, kind, DEFAULT_BUDGET)[2]
+            for budget in range(1, nodes + 2):
+                want = search_outcome(reference_min_code, g, kind, budget)
+                assert search_outcome(solve, g, kind, budget) == want, (g, kind, budget)
+
+
+@pytest.mark.parametrize("family", MAKERS)
+def test_window_number_matches_the_oracle(family):
+    for n in range(2 if family == "path" else 3, 15):
+        g = MAKERS[family](n)
+        for kind in ALL_KINDS:
+            assert window_number(g, kind) == oracle_min_code(g, kind).number, (family, n, kind)
+
+
+@pytest.mark.parametrize("family", MAKERS)
+def test_numbers_of_paths_and_cycles_equal_the_window_number(family):
+    # the sparse graphs whose searches are the longest, checked against a
+    # route with no separation family and no search
+    for n in range(2 if family == "path" else 3, 31):
+        g = MAKERS[family](n)
+        for kind in ALL_KINDS:
+            assert min_code(g, kind).number == window_number(g, kind), (family, n, kind)
 
 
 def test_family_matches_the_reference_filter_exhaustively():
