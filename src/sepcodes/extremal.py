@@ -45,7 +45,7 @@ from .serialize import emit_graph6, parse_graph6
 from .solver import (
     DEFAULT_BUDGET,
     SolveReport,
-    class_pass,
+    census_kinds,
     expected_order,
     lower_bound,
     make_mask_checker,
@@ -559,10 +559,6 @@ class CountReport:
     family_counts: dict[Separation, int]
 
 
-def _admissibility(g: Graph) -> tuple[bool, ...]:
-    return tuple(is_admissible(g, kind) for kind in ALL_KINDS)
-
-
 def _product(factor: int, graph_order: int) -> int:
     if graph_order < 0:
         if factor != 0:
@@ -572,22 +568,20 @@ def _product(factor: int, graph_order: int) -> int:
 
 
 def counting(k: int) -> CountReport:
-    """Admitting-graph counts at size k, summed over isomorphism classes,
-    together with the construction-count formulas (free parts counted by
-    formula, never enumerated)."""
+    """Admitting-graph counts at size k, each all labeled graphs but the
+    inadmissible ones of one census_kinds pass, with the construction-count
+    formulas (free parts counted by formula, never enumerated)."""
     # at k = 8 every construction count has more than 4300 digits, Python's
     # default limit for converting an int to str, so no output could print
     # it; at k = 7 the longest has 2415
     if not 2 <= k <= 7:
         raise GuardError(f"counting is supported for 2 <= k <= 7, got {k}")
     eta = labeled_graph_count(k)
-    weights = class_pass(_admissibility, k)
     totals = dict.fromkeys(Separation, 0)
     iso_free = dict.fromkeys(Separation, 0)
-    for admissible, weight in weights.items():
-        for kind, ok in zip(ALL_KINDS, admissible):
-            by_sep = iso_free if kind.total_domination else totals
-            by_sep[kind.separation] += weight * ok
+    for report in census_kinds(ALL_KINDS, k):
+        by_sep = iso_free if report.kind.total_domination else totals
+        by_sep[report.kind.separation] = eta - report.inadmissible
     # an inner graph admissible for the D kind but not the TD kind has an
     # isolated vertex, which frees one more outer label where the
     # separation lets it

@@ -36,6 +36,9 @@ def vset(vertices: Iterable[int]) -> int:
 
 def members(mask: int) -> tuple[int, ...]:
     """Unpack a bitmask into ascending vertex indices."""
+    if mask < 0:
+        # a negative int has infinitely many set bits
+        raise ValueError(f"mask must be nonnegative, got {mask}")
     out = []
     while mask:
         low = mask & -mask

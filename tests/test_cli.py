@@ -3,10 +3,12 @@ byte-identical deterministic output."""
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -402,12 +404,21 @@ FINGERPRINT_KINDS = "ld ltd od otd id itd fd ftd".split()
             "497afba2f0a4b974c9b2edd8ed54b0a41279635764d08e87b29833ebd832e8f4",
             id="census",
         ),
+        pytest.param(
+            [
+                ["count", "--k", str(k), "--format", fmt]
+                for fmt in ("json", "text")
+                for k in range(1, 9)
+            ],
+            "dc3991137248914f4a954d1b12f1a78de3b607c53838d1247ff1f4f4d7affad1",
+            id="count",
+        ),
     ],
 )
 def test_audit_and_census_payloads_stay_byte_identical(capsys, argvs, digest):
     # one sha256 over each call's argv, exit code and stdout, in order; the
-    # digests pin every payload byte, so a refactor of the audit, census or
-    # class generation that changes any of them fails here
+    # digests pin every payload byte, so a refactor of the audit, census,
+    # count or class generation that changes any of them fails here
     h = hashlib.sha256()
     for argv in argvs:
         status, out, _ = run(capsys, argv)
@@ -568,3 +579,48 @@ def test_readme_library_tour_runs():
     tour = readme.split("## Library quick tour", 1)[1]
     code = tour.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_install_block_covers_the_test_extra():
+    # every package of pyproject's `test` extra is installed by a `pip
+    # install` line of README.md's "Install and test" block, so following
+    # the README gives a suite that collects
+    root = Path(__file__).resolve().parents[1]
+    extra = re.search(r"^test = \[(.*)\]$", (root / "pyproject.toml").read_text(), re.M)
+    wanted = {re.match(r"[A-Za-z0-9_.-]+", req).group() for req in re.findall(r'"([^"]+)"', extra[1])}
+    readme = (root / "README.md").read_text()
+    block = readme.split("## Install and test", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    installed = {
+        word
+        for line in block.splitlines()
+        if line.startswith("pip install")
+        for word in line.split("#", 1)[0].split()[2:]
+    }
+    assert wanted and wanted <= installed, wanted - installed
+
+
+def test_every_import_is_used():
+    # no linter runs here, so this is the unused-import check: every name a
+    # module of the package imports is read in that module, save those on
+    # lines marked `noqa: F401`, which are kept bound only for the names
+    # bench/tracer.py patches
+    package = Path(sepcodes.__file__).parent
+    unused, marked = set(), set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        noqa = "noqa: F401" in lines[node.end_lineno - 1]
+                        (marked if noqa else unused).add((path.stem, name))
+    assert not unused
+    assert marked == {("extremal", "ProcessPoolExecutor"), ("solver", "is_admissible")}

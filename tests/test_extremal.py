@@ -12,6 +12,7 @@ from math import comb, factorial, perm
 
 import pytest
 from conftest import (
+    admissibility,
     ascending,
     attaining_codes,
     c0_edges,
@@ -44,7 +45,6 @@ from sepcodes import (
     Separation,
     audit_characterization,
     build_graph,
-    census,
     complete_graph,
     counting,
     eligible_outer_labels,
@@ -76,7 +76,6 @@ from sepcodes.cli import main
 from sepcodes.extremal import (
     _TIGHT_RECIPES,
     StructureCheck,
-    _admissibility,
     _attaining_patterns,
     _classes,
     _family_patterns,
@@ -499,15 +498,15 @@ PINNED_COUNTS = {
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
 def test_counting_matches_census(k):
-    """The class sums against the census, whose inadmissible count weighs
-    each class by k!/|Aut|: the admitting graphs of a separation are those
-    admissible for its D kind, the isolate-free ones those admissible for
-    its TD kind."""
+    """counting reads census's twin rules; the definitional key, summed
+    over one class pass, is the independent route to the same counts: the
+    admitting graphs of a separation are those admissible for its D kind,
+    the isolate-free ones those admissible for its TD kind."""
     report = counting(k)
-    for sep in Separation:
-        for by_sep, suffix in ((report.eta_by_sep, "D"), (report.eta_bar_by_sep, "TD")):
-            kind = CodeKind(sep.value + suffix)
-            assert by_sep[sep] == 2 ** comb(k, 2) - census(kind, k).inadmissible, (sep, suffix)
+    weights = class_pass(admissibility, k)
+    for i, kind in enumerate(ALL_KINDS):
+        by_sep = report.eta_bar_by_sep if kind.total_domination else report.eta_by_sep
+        assert by_sep[kind.separation] == sum(w for key, w in weights.items() if key[i]), kind
     # complementation swaps open and closed twins
     assert report.eta_by_sep[Separation.OPEN] == report.eta_by_sep[Separation.CLOSED]
     if k in PINNED_COUNTS:
@@ -532,11 +531,11 @@ def test_isolate_free_location_counts_are_a006129():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_class_sums_equal_the_labeled_counts(m, monkeypatch):
-    weights = class_pass(_admissibility, m)
+    weights = class_pass(admissibility, m)
     assert sum(weights.values()) == 2 ** comb(m, 2)
-    assert weights == Counter(map(_admissibility, labeled_graphs(m)))
+    assert weights == Counter(map(admissibility, labeled_graphs(m)))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert class_pass(_admissibility, m, jobs=2) == weights
+    assert class_pass(admissibility, m, jobs=2) == weights
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])

@@ -76,6 +76,9 @@ def test_vset_members_roundtrip():
     assert members(0b101001) == (0, 3, 5)
     assert vset([]) == 0
     assert members(0) == ()
+    for mask in (-1, -0b101001):
+        with pytest.raises(ValueError, match="nonnegative"):
+            members(mask)
 
 
 def test_build_graph_path_and_clique():
