@@ -89,8 +89,11 @@ def is_separating(g: Graph, code: int, separation: Separation) -> bool:
 
 
 def is_code(g: Graph, code: int, kind: CodeKind) -> bool:
-    """True iff `code` is a kind-code: separating per kind.separation and
-    (total-)dominating per kind."""
+    """True iff `code` is a kind-code: a set of g's vertices (not a
+    negative mask, no bit at or above g.order), separating per
+    kind.separation and (total-)dominating per kind."""
+    if code < 0 or code >> g.order:
+        return False
     if not is_separating(g, code, kind.separation):
         return False
     if kind.total_domination:

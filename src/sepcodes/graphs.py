@@ -11,6 +11,7 @@ from __future__ import annotations
 import threading
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -614,10 +615,8 @@ def class_children(order: int, lo: int = 0, hi: int | None = None) -> Iterator[t
         if whole:
             _CHILDREN[order] = packed
     rows, auts = packed
-    return (
-        (Graph._unchecked(order, tuple(rows[start : start + order])), aut)
-        for start, aut in zip(range(0, len(rows), order), auts)
-    )
+    # each child's row tuple is `order` consecutive entries of one iterator
+    return zip(map(partial(Graph._unchecked, order), zip(*[iter(rows)] * order)), auts)
 
 
 def graph_classes(order: int) -> dict[int, int]:

@@ -8,7 +8,7 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import combinations, starmap
 from math import factorial
 from operator import or_, xor
@@ -52,11 +52,7 @@ _PARTS: tuple[_Part, ...] = (
     # the location pairs (N(u) ^ N(v)) | {u, v}, never empty
     (
         lambda adj, closed: False,
-        lambda adj, closed: map(
-            or_,
-            starmap(xor, combinations(adj, 2)),
-            starmap(or_, combinations([1 << v for v in range(len(adj))], 2)),
-        ),
+        lambda adj, closed: map(or_, starmap(xor, combinations(adj, 2)), _units(len(adj))[1]),
     ),
     # the open xors N(u) ^ N(v), empty at two open twins
     (
@@ -73,6 +69,16 @@ _KIND_PARTS = {
     kind: (0 if total else 1,) + (2,) * location + (3,) * opens + (4,) * closes
     for kind, (total, location, opens, closes) in _RULES.items()
 }
+
+
+@cache
+def _units(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The singletons {v} and the pairs {u, v} of order n as masks, in
+    combinations order, built once per order."""
+    units = tuple(1 << v for v in range(n))
+    return units, tuple(starmap(or_, combinations(units, 2)))
+
+
 # (a, b) with lower_bound(kind, n) = (n + a).bit_length() + b
 _BOUND_TERMS = {
     CodeKind.LD: (0, -1),  # floor(log n)
@@ -136,11 +142,12 @@ def max_order(kind: CodeKind, k: int) -> int:
 
 def make_mask_checker(n: int, adj: list[int], kind: CodeKind) -> Callable[[int], bool]:
     """Fused separation+domination test of a code mask c; agrees with
-    codes.is_code on every input (property-tested exhaustively). Each vertex
-    v reads s = N(v) & c once and fails c when s is empty and the kind is
-    total or v lies outside c, when its open signature s repeats (L, O, F;
-    for L only outside c), or when its closed signature s | ({v} & c) repeats
-    (I, F). adj is read when called, so a caller may refill it in place."""
+    codes.is_code on every vertex set of the graph (property-tested
+    exhaustively). Each vertex v reads s = N(v) & c once and fails c when s
+    is empty and the kind is total or v lies outside c, when its open
+    signature s repeats (L, O, F; for L only outside c), or when its closed
+    signature s | ({v} & c) repeats (I, F). adj is read when called, so a
+    caller may refill it in place."""
     total, location, opened, closed = _RULES[kind]
     # v's open signature is tested when c >> v & 1 < opens: never for I,
     # only outside c for L, always for O and F
@@ -451,7 +458,7 @@ def _class_chunk(key: Callable[[Graph], T], n: int, lo: int, hi: int) -> Counter
 
 
 # The subset lattice of order n, built once per order and per process
-# (below[m] for every vertex set m, layers[k] for k = 0..n), as
+# (away[s] for every vertex set s, layers[k] for k = 0..n), as
 # graphs._CHILDREN is; two threads may build the same order, with equal
 # results. Its bits take at most 4^n/8 bytes (about 14 KB at n = 8 and 36 KB
 # at n = 9 as Python ints, headers included), and only the census key
@@ -461,38 +468,39 @@ _LATTICE: dict[int, tuple[list[int], list[int]]] = {}
 
 
 def _lattice(n: int) -> tuple[list[int], list[int]]:
-    """(below, layers) on n vertices. An int of 2^n bits stands for a
-    collection of vertex sets, bit C for set C: below[m] holds every set
-    inside m, and layers[k] every set of k vertices."""
+    """(away, layers) on n vertices. An int of 2^n bits stands for a
+    collection of vertex sets, bit C for set C: away[s] holds every set
+    disjoint from s, and layers[k] every set of k vertices. With vertex v
+    added, a set without v is disjoint also from its disjoint sets plus v
+    (d << (1 << v)), and a set with v from those of the set without v."""
     lattice = _LATTICE.get(n)
     if lattice is None:
-        below = [1]
+        away = [1]
         for v in range(n):
-            below += [d | d << (1 << v) for d in below]
+            away = [d | d << (1 << v) for d in away] + away
         layers = [0] * (n + 1)
         for c in range(1 << n):
             layers[c.bit_count()] |= 1 << c
-        lattice = _LATTICE[n] = (below, layers)
+        lattice = _LATTICE[n] = (away, layers)
     return lattice
 
 
 def _numbers(plan: tuple[tuple[tuple[int, ...], int], ...], g: Graph) -> tuple[int | None, ...]:
     """The number of g for each (parts, start) of `plan` (see _census_key),
     as min_code gives it, read off the subset lattice. C is a code exactly
-    when it hits every candidate set s of the kind's parts, that is when C
-    lies inside no full ^ s, so the OR of below[full ^ s] over them holds
-    exactly the sets that are not codes; a superset's down-set lies inside
-    its subset's, so no set need be dropped. The number is then the least
-    k >= start with a k-set outside that OR, as min_code tries the sizes
-    from there. A kind whose twin rule finds an empty set is inadmissible
-    (None), decided before any OR is taken. Each part's twin rule and OR
-    are taken once and shared by the kinds that read it; an OR is never 0,
-    as it holds the empty set."""
+    when it hits every candidate set s of the kind's parts, so the OR of
+    away[s] over them holds exactly the sets that are not codes; a
+    superset's sets lie among its subset's, so no set need be dropped. The
+    number is then the least k >= start with a k-set outside that OR, as
+    min_code tries the sizes from there. A kind's twin rules are tested
+    before any of its ORs is taken, and a kind with a part that holds an
+    empty set is inadmissible (None). Each part's twin rule and OR are
+    taken once per class and shared by the kinds that read it; an OR is
+    never 0, as it holds the empty set."""
     n = g.order
     adj = g.adj
-    closed = [nb | (1 << v) for v, nb in enumerate(adj)]
-    below, layers = _lattice(n)
-    full = (1 << n) - 1
+    closed = tuple(map(or_, adj, _units(n)[0]))
+    away, layers = _lattice(n)
     empty: list[bool | None] = [None] * len(_PARTS)
     missed = [0] * len(_PARTS)
     numbers: list[int | None] = []
@@ -509,7 +517,7 @@ def _numbers(plan: tuple[tuple[tuple[int, ...], int], ...], g: Graph) -> tuple[i
                 if not missed[p]:
                     part = 0
                     for s in _PARTS[p][1](adj, closed):
-                        part |= below[full ^ s]
+                        part |= away[s]
                     missed[p] = part
                 union |= missed[p]
             while not layers[k] & ~union:

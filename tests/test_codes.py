@@ -78,6 +78,10 @@ def test_is_code_examples():
     assert is_code(k3(), vset([0, 1]), CodeKind.OD)
     assert is_code(p3(), vset([0, 2]), CodeKind.ID)
     assert not is_code(k2(), vset([0, 1]), CodeKind.ID)
+    # a mask with a bit outside the graph is no vertex set of it
+    assert not is_code(p4(), -1, CodeKind.LD)
+    assert not is_code(p4(), 0b10110, CodeKind.LD)
+    assert is_code(p4(), 0b0110, CodeKind.LD)
 
 
 def test_is_admissible_examples():

@@ -508,6 +508,119 @@ def test_ld_number_of_paths_and_cycles(n):
     _assert_solved(cycle_graph(n), CodeKind.LD, -(-2 * n // 5))
 
 
+# The eight numbers of P_n and then of C_n, n = 1..62, in ALL_KINDS order
+# (LD LTD OD OTD ID ITD FD FTD), as window_number gives them: "-" where the
+# graph admits no code of the kind, "." where there is no cycle.
+PATHS_AND_CYCLES = """
+ 1   1  -  1  -  1  -  1  -    .  .  .  .  .  .  .  .
+ 2   1  2  1  2  -  -  -  -    .  .  .  .  .  .  .  .
+ 3   2  2  -  -  2  3  -  -    2  2  2  2  -  -  -  -
+ 4   2  2  3  4  3  3  4  4    2  2  -  -  3  3  -  -
+ 5   2  3  3  4  3  3  4  4    2  3  3  4  3  3  4  4
+ 6   3  4  4  4  4  4  4  4    3  4  4  4  3  4  4  4
+ 7   3  4  5  5  4  5  5  5    3  4  5  5  5  5  5  5
+ 8   4  4  5  6  5  6  6  6    4  4  5  6  4  6  6  6
+ 9   4  5  6  7  5  6  7  7    4  5  6  6  6  6  7  7
+10   4  6  7  8  6  6  8  8    4  6  7  8  5  6  8  8
+11   5  6  7  8  6  7  8  8    5  6  7  8  7  7  8  8
+12   5  6  8  8  7  8  8  8    5  6  8  8  6  8  8  8
+13   6  7  9  9  7  9  9  9    6  7  9  9  8  9  9  9
+14   6  8  9 10  8  9 10 10    6  8  9 10  7  9 10 10
+15   6  8 10 11  8  9 11 11    6  8 10 10  9  9 11 11
+16   7  8 11 12  9 10 12 12    7  8 11 12  8 10 12 12
+17   7  9 11 12  9 11 12 12    7  9 11 12 10 11 12 12
+18   8 10 12 12 10 12 12 12    8 10 12 12  9 12 12 12
+19   8 10 13 13 10 12 13 13    8 10 13 13 11 12 13 13
+20   8 10 13 14 11 12 14 14    8 10 13 14 10 12 14 14
+21   9 11 14 15 11 13 15 15    9 11 14 14 12 13 15 15
+22   9 12 15 16 12 14 16 16    9 12 15 16 11 14 16 16
+23  10 12 15 16 12 15 16 16   10 12 15 16 13 15 16 16
+24  10 12 16 16 13 15 16 16   10 12 16 16 12 15 16 16
+25  10 13 17 17 13 15 17 17   10 13 17 17 14 15 17 17
+26  11 14 17 18 14 16 18 18   11 14 17 18 13 16 18 18
+27  11 14 18 19 14 17 19 19   11 14 18 18 15 17 19 19
+28  12 14 19 20 15 18 20 20   12 14 19 20 14 18 20 20
+29  12 15 19 20 15 18 20 20   12 15 19 20 16 18 20 20
+30  12 16 20 20 16 18 20 20   12 16 20 20 15 18 20 20
+31  13 16 21 21 16 19 21 21   13 16 21 21 17 19 21 21
+32  13 16 21 22 17 20 22 22   13 16 21 22 16 20 22 22
+33  14 17 22 23 17 21 23 23   14 17 22 22 18 21 23 23
+34  14 18 23 24 18 21 24 24   14 18 23 24 17 21 24 24
+35  14 18 23 24 18 21 24 24   14 18 23 24 19 21 24 24
+36  15 18 24 24 19 22 24 24   15 18 24 24 18 22 24 24
+37  15 19 25 25 19 23 25 25   15 19 25 25 20 23 25 25
+38  16 20 25 26 20 24 26 26   16 20 25 26 19 24 26 26
+39  16 20 26 27 20 24 27 27   16 20 26 26 21 24 27 27
+40  16 20 27 28 21 24 28 28   16 20 27 28 20 24 28 28
+41  17 21 27 28 21 25 28 28   17 21 27 28 22 25 28 28
+42  17 22 28 28 22 26 28 28   17 22 28 28 21 26 28 28
+43  18 22 29 29 22 27 29 29   18 22 29 29 23 27 29 29
+44  18 22 29 30 23 27 30 30   18 22 29 30 22 27 30 30
+45  18 23 30 31 23 27 31 31   18 23 30 30 24 27 31 31
+46  19 24 31 32 24 28 32 32   19 24 31 32 23 28 32 32
+47  19 24 31 32 24 29 32 32   19 24 31 32 25 29 32 32
+48  20 24 32 32 25 30 32 32   20 24 32 32 24 30 32 32
+49  20 25 33 33 25 30 33 33   20 25 33 33 26 30 33 33
+50  20 26 33 34 26 30 34 34   20 26 33 34 25 30 34 34
+51  21 26 34 35 26 31 35 35   21 26 34 34 27 31 35 35
+52  21 26 35 36 27 32 36 36   21 26 35 36 26 32 36 36
+53  22 27 35 36 27 33 36 36   22 27 35 36 28 33 36 36
+54  22 28 36 36 28 33 36 36   22 28 36 36 27 33 36 36
+55  22 28 37 37 28 33 37 37   22 28 37 37 29 33 37 37
+56  23 28 37 38 29 34 38 38   23 28 37 38 28 34 38 38
+57  23 29 38 39 29 35 39 39   23 29 38 38 30 35 39 39
+58  24 30 39 40 30 36 40 40   24 30 39 40 29 36 40 40
+59  24 30 39 40 30 36 40 40   24 30 39 40 31 36 40 40
+60  24 30 40 40 31 36 40 40   24 30 40 40 30 36 40 40
+61  25 31 41 41 31 37 41 41   25 31 41 41 32 37 41 41
+62  25 32 41 42 32 38 42 42   25 32 41 42 31 38 42 42
+"""
+
+
+def _pinned_paths_and_cycles() -> dict[tuple[str, int], list[int | None]]:
+    table = {}
+    for line in PATHS_AND_CYCLES.strip().splitlines():
+        n, *numbers = line.split()
+        numbers = [None if x == "-" else x if x == "." else int(x) for x in numbers]
+        table["path", int(n)], table["cycle", int(n)] = numbers[:8], numbers[8:]
+    return table
+
+
+def test_numbers_of_paths_and_cycles_match_the_pinned_table():
+    table = _pinned_paths_and_cycles()
+    assert sorted({n for _, n in table}) == list(range(1, sepcodes.graphs.MAX_VERTICES + 1))
+    for (family, n), pinned in table.items():
+        if family == "cycle" and n < 3:
+            assert pinned == ["."] * 8
+            continue
+        g = MAKERS[family](n)
+        assert [window_number(g, kind) for kind in ALL_KINDS] == pinned, (family, n)
+
+
+def test_closed_forms_hold_on_the_pinned_table():
+    # the closed forms bench/workloads.py checks solve against (Slater;
+    # Bertrand, Charon, Hudry and Lobstein 2004), the odd cycles' ID number
+    # from the same paper, and OTD(C_n) = ceil(2n/3) (Seo and Slater's OLD),
+    # which the table exceeds by one exactly at the orders listed, as
+    # measured up to 62
+    table = _pinned_paths_and_cycles()
+    ld, otd, id_ = (ALL_KINDS.index(kind) for kind in (CodeKind.LD, CodeKind.OTD, CodeKind.ID))
+    above = []
+    for n in range(3, sepcodes.graphs.MAX_VERTICES + 1):
+        path, cycle = table["path", n], table["cycle", n]
+        assert path[id_] == (n + 2) // 2, n
+        if n >= 6:
+            assert cycle[id_] == (n // 2 if n % 2 == 0 else (n + 3) // 2), n
+        if n >= 4:
+            assert path[ld] == cycle[ld] == -(-2 * n // 5), n
+        if n != 4:  # C_4 has two open twins
+            assert cycle[otd] - -(-2 * n // 3) in (0, 1), n
+            if cycle[otd] > -(-2 * n // 3):
+                above.append(n)
+    assert table["cycle", 4][otd] is None
+    assert above == [10, 16, 22, 28, 34, 40, 46, 52, 58]
+
+
 def test_relation_check_p4():
     report = relation_check(p4())
     numbers = {kind.name: report.numbers[kind] for kind in ALL_KINDS}
@@ -621,9 +734,10 @@ AUDIT_ORDER_SEVEN = {
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_subset_lattice_lists_the_sets_below_each_set_and_of_each_size(n):
+    # away[s] lists the sets disjoint from s, that is below its complement
     sets = range(1 << n)
-    below, layers = _lattice(n)
-    assert below == [sum(1 << c for c in sets if c & m == c) for m in sets]
+    away, layers = _lattice(n)
+    assert away == [sum(1 << c for c in sets if not c & s) for s in sets]
     assert layers == [sum(1 << c for c in sets if c.bit_count() == k) for k in range(n + 1)]
 
 
