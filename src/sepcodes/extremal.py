@@ -519,9 +519,15 @@ def od_disconnection_case(k: int, inner: Graph | None = None) -> DisconnectionRe
     smaller construction and still has OD-number k."""
     if k < 3:
         raise BlueprintError(f"the disconnection case requires k >= 3, got {k}")
+    # an edge plus the isolate-free smaller construction, before any label is listed
+    order = 2 + expected_order(Separation.OPEN, k - 1, False)
+    if order > MAX_VERTICES:
+        raise BlueprintError(f"construction order {order} exceeds capacity {MAX_VERTICES}")
     if inner is None:
         clique = complete_graph(k - 1)
         inner = Graph(k, tuple(clique.adj) + (0,))
+    if inner.order != k:
+        raise BlueprintError(f"inner graph has order {inner.order}, expected k = {k}")
     isolated = [v for v in range(inner.order) if inner.adj[v] == 0]
     if len(isolated) != 1:
         raise BlueprintError(

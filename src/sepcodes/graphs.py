@@ -231,7 +231,7 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     """Exact isomorphism test by degree-pruned permutation search."""
     if g.order > ISOMORPHISM_GUARD or h.order > ISOMORPHISM_GUARD:
         raise GuardError(f"isomorphism search is guarded at order {ISOMORPHISM_GUARD}")
-    if g.order != h.order or g.edge_count() != h.edge_count():
+    if g.order != h.order:
         return False
     n = g.order
     dg = [nb.bit_count() for nb in g.adj]

@@ -25,22 +25,12 @@ ORACLE_GUARD = 20
 
 T = TypeVar("T")
 
-# each kind's rules as (total domination, L, O, I), F setting both O and I,
-# built once so that no call reads CodeKind's properties
-_RULES = {
-    kind: (
-        kind.total_domination,
-        kind.separation is Separation.LOCATION,
-        kind.separation in (Separation.OPEN, Separation.FULL),
-        kind.separation in (Separation.CLOSED, Separation.FULL),
-    )
-    for kind in CodeKind
-}
 # Each part of the separation family as (twin rule, candidate sets), both
 # read off the open and closed neighbourhoods (adj, closed); the twin rule
 # says, before any set is built, whether the part holds an empty set.
-# separation_family and census's _numbers read each kind's parts, by index,
-# from _KIND_PARTS.
+# separation_family, census's _numbers and make_mask_checker read each kind's
+# parts, by index, from _KIND_PARTS: N(v) for TD kinds or N[v] for D kinds,
+# then the pairs of its separation.
 _Part = tuple[
     Callable[[Sequence[int], list[int]], bool], Callable[[Sequence[int], list[int]], Iterable[int]]
 ]
@@ -66,8 +56,9 @@ _PARTS: tuple[_Part, ...] = (
     ),
 )
 _KIND_PARTS = {
-    kind: (0 if total else 1,) + (2,) * location + (3,) * opens + (4,) * closes
-    for kind, (total, location, opens, closes) in _RULES.items()
+    kind: (0 if kind.total_domination else 1,)
+    + {"L": (2,), "O": (3,), "I": (4,), "F": (3, 4)}[kind.separation.value]
+    for kind in CodeKind
 }
 
 
@@ -146,12 +137,13 @@ def make_mask_checker(n: int, adj: list[int], kind: CodeKind) -> Callable[[int],
     exhaustively). Each vertex v reads s = N(v) & c once and fails c when s
     is empty and the kind is total or v lies outside c, when its open
     signature s repeats (L, O, F; for L only outside c), or when its closed
-    signature s | ({v} & c) repeats (I, F). adj is read when called, so a
-    caller may refill it in place."""
-    total, location, opened, closed = _RULES[kind]
+    signature s | ({v} & c) repeats (I, F), as the kind's parts say. adj is
+    read when called, so a caller may refill it in place."""
+    parts = _KIND_PARTS[kind]
+    total, closed = 0 in parts, 4 in parts
     # v's open signature is tested when c >> v & 1 < opens: never for I,
     # only outside c for L, always for O and F
-    opens = 2 if opened else int(location)
+    opens = 2 if 3 in parts else int(2 in parts)
 
     def check(c: int) -> bool:
         oseen = set()
@@ -457,44 +449,32 @@ def _class_chunk(key: Callable[[Graph], T], n: int, lo: int, hi: int) -> Counter
     return weights
 
 
-# The subset lattice of order n, built once per order and per process
-# (away[s] for every vertex set s, layers[k] for k = 0..n), as
-# graphs._CHILDREN is; two threads may build the same order, with equal
-# results. Its bits take at most 4^n/8 bytes (about 14 KB at n = 8 and 36 KB
-# at n = 9 as Python ints, headers included), and only the census key
-# builds it, which class_pass calls after class_children has checked n
-# against CENSUS_GUARD.
-_LATTICE: dict[int, tuple[list[int], list[int]]] = {}
-
-
+@cache
 def _lattice(n: int) -> tuple[list[int], list[int]]:
     """(away, layers) on n vertices. An int of 2^n bits stands for a
     collection of vertex sets, bit C for set C: away[s] holds every set
     disjoint from s, and layers[k] every set of k vertices. With vertex v
     added, a set without v is disjoint also from its disjoint sets plus v
-    (d << (1 << v)), and a set with v from those of the set without v."""
-    lattice = _LATTICE.get(n)
-    if lattice is None:
-        away = [1]
-        for v in range(n):
-            away = [d | d << (1 << v) for d in away] + away
-        layers = [0] * (n + 1)
-        for c in range(1 << n):
-            layers[c.bit_count()] |= 1 << c
-        lattice = _LATTICE[n] = (away, layers)
-    return lattice
+    (d << (1 << v)), and a set with v from those of the set without v. Kept
+    per order: at most 4^n/8 bytes (14 KB at n = 8, 36 KB at n = 9 as Python
+    ints), and only census builds it, after the CENSUS_GUARD check."""
+    away = [1]
+    for v in range(n):
+        away = [d | d << (1 << v) for d in away] + away
+    layers = [0] * (n + 1)
+    for c in range(1 << n):
+        layers[c.bit_count()] |= 1 << c
+    return away, layers
 
 
-def _numbers(plan: tuple[tuple[tuple[int, ...], int], ...], g: Graph) -> tuple[int | None, ...]:
-    """The number of g for each (parts, start) of `plan` (see _census_key),
-    as min_code gives it, read off the subset lattice. C is a code exactly
-    when it hits every candidate set s of the kind's parts, so the OR of
-    away[s] over them holds exactly the sets that are not codes; a
-    superset's sets lie among its subset's, so no set need be dropped. The
-    number is then the least k >= start with a k-set outside that OR, as
-    min_code tries the sizes from there. A kind's twin rules are tested
-    before any of its ORs is taken, and a kind with a part that holds an
-    empty set is inadmissible (None). Each part's twin rule and OR are
+def _numbers(plan: tuple[tuple[int, ...], ...], g: Graph) -> tuple[int | None, ...]:
+    """The number of g for each kind's parts in `plan`, as min_code gives
+    it, read off the subset lattice. C is a code exactly when it hits every
+    candidate set s of the parts, so the OR of away[s] over them holds
+    exactly the sets that are not codes. The number is the least k >= 1
+    with a k-set outside that OR: census assumes no lower bound, so it
+    checks them. A kind whose twin rules find an empty set is inadmissible
+    (None), and its ORs are not taken. Each part's twin rule and OR are
     taken once per class and shared by the kinds that read it; an OR is
     never 0, as it holds the empty set."""
     n = g.order
@@ -504,7 +484,7 @@ def _numbers(plan: tuple[tuple[tuple[int, ...], int], ...], g: Graph) -> tuple[i
     empty: list[bool | None] = [None] * len(_PARTS)
     missed = [0] * len(_PARTS)
     numbers: list[int | None] = []
-    for parts, k in plan:
+    for parts in plan:
         for p in parts:
             if empty[p] is None:
                 empty[p] = _PARTS[p][0](adj, closed)
@@ -520,18 +500,17 @@ def _numbers(plan: tuple[tuple[tuple[int, ...], int], ...], g: Graph) -> tuple[i
                         part |= away[s]
                     missed[p] = part
                 union |= missed[p]
+            k = 1
             while not layers[k] & ~union:
                 k += 1
             numbers.append(k)
     return tuple(numbers)
 
 
-def _census_key(kinds: tuple[CodeKind, ...], n: int) -> Callable[[Graph], tuple[int | None, ...]]:
-    """census's class key at order n: the numbers of g for `kinds`, in that
-    order. Each kind's parts and the size its search starts from,
-    max(1, lower_bound), are read once per pass."""
-    plan = tuple((_KIND_PARTS[kind], max(1, lower_bound(kind, n))) for kind in kinds)
-    return partial(_numbers, plan)
+def _census_key(kinds: tuple[CodeKind, ...]) -> Callable[[Graph], tuple[int | None, ...]]:
+    """census's class key: the numbers of g for `kinds`, in that order,
+    each read off its kind's parts."""
+    return partial(_numbers, tuple(_KIND_PARTS[kind] for kind in kinds))
 
 
 def census_kinds(kinds: Iterable[CodeKind], n: int, jobs: int = 1) -> list[CensusReport]:
@@ -539,7 +518,7 @@ def census_kinds(kinds: Iterable[CodeKind], n: int, jobs: int = 1) -> list[Censu
     reads every kind's number of each class off the subset lattice
     (_numbers). Guarded at CENSUS_GUARD."""
     kinds = tuple(kinds)
-    weights = class_pass(_census_key(kinds, n), n, jobs)
+    weights = class_pass(_census_key(kinds), n, jobs)
     reports = []
     for i, kind in enumerate(kinds):
         hist: Counter[int | None] = Counter()

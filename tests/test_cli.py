@@ -603,15 +603,38 @@ def test_every_import_is_used():
     # no linter runs here, so this is the unused-import check: every name a
     # module of the package imports is read in that module, save those on
     # lines marked `noqa: F401`, which are kept bound only for the names
-    # bench/tracer.py patches
+    # bench/tracer.py patches. It is also the dead-name check: every
+    # module-level private name (function, class or assignment) is read by
+    # some module of the package
     package = Path(sepcodes.__file__).parent
-    unused, marked = set(), set()
+    unused, marked, private, loaded = set(), set(), set(), set()
     for path in sorted(package.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         source = path.read_text()
         lines = source.splitlines()
         tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            private.update(
+                (path.stem, name)
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+            )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                loaded.update(alias.name for alias in node.names)
+        if path.name == "__init__.py":
+            continue
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -623,4 +646,5 @@ def test_every_import_is_used():
                         noqa = "noqa: F401" in lines[node.end_lineno - 1]
                         (marked if noqa else unused).add((path.stem, name))
     assert not unused
+    assert {(module, name) for module, name in private if name not in loaded} == set()
     assert marked == {("extremal", "ProcessPoolExecutor"), ("solver", "is_admissible")}

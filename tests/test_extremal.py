@@ -457,6 +457,20 @@ def test_od_disconnection_guards():
         od_disconnection_case(4, inner=Graph(4, (2, 1, 0, 0)))
 
 
+def test_od_disconnection_checks_order_and_capacity_before_listing_labels(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("listed the outer labels")
+
+    monkeypatch.setattr("sepcodes.extremal.eligible_outer_labels", refuse)
+    # 2^39 + 1 vertices: listing 2^40 - 1 labels first would exhaust memory
+    with pytest.raises(BlueprintError, match=r"construction order \d+ exceeds capacity 62"):
+        od_disconnection_case(40)
+    # an order-40 inner graph with one isolated vertex, given for k = 3
+    inner = Graph(40, tuple(complete_graph(39).adj) + (0,))
+    with pytest.raises(BlueprintError, match="inner graph has order 40, expected k = 3"):
+        od_disconnection_case(3, inner=inner)
+
+
 def test_counting_two():
     report = counting(2)
     assert report.eta == 2

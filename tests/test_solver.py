@@ -742,9 +742,9 @@ def test_subset_lattice_lists_the_sets_below_each_set_and_of_each_size(n):
 
 
 def _census_numbers_agree(g) -> bool:
-    numbers = _census_key(ALL_KINDS, g.order)(g)
+    numbers = _census_key(ALL_KINDS)(g)
     # the kinds share their parts' ORs, in whatever order they come
-    assert _census_key(ALL_KINDS[::-1], g.order)(g) == numbers[::-1]
+    assert _census_key(ALL_KINDS[::-1])(g) == numbers[::-1]
     return all(
         number == min_code(g, kind).number and (number is None) == (not is_admissible(g, kind))
         for kind, number in zip(ALL_KINDS, numbers)
@@ -768,6 +768,30 @@ def test_census_calls_no_min_code(monkeypatch):
     monkeypatch.setattr("sepcodes.solver.min_code", refuse)
     reports = census_kinds(ALL_KINDS, 6)
     assert {r.kind: (r.histogram, r.inadmissible) for r in reports} == CENSUS_ORDER_SIX
+
+
+def test_census_calls_no_lower_bound(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("census called lower_bound")
+
+    monkeypatch.setattr("sepcodes.solver.lower_bound", refuse)
+    reports = census_kinds(ALL_KINDS, 7)
+    assert {r.kind: (r.histogram, r.inadmissible) for r in reports} == CENSUS_ORDER_SEVEN
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_census_checks_the_lower_bounds_on_every_labeled_graph(n):
+    # census searches every number from k = 1, so its histograms check the
+    # logarithmic lower bound on every labeled graph on n vertices; from
+    # n = 4 the least number is the exact bound: the least k the
+    # construction takes whose largest admissible order reaches n
+    for report in census_kinds(ALL_KINDS, n):
+        assert all(number >= lower_bound(report.kind, n) for number in report.histogram)
+        if n >= 4:
+            k = smallest_k(report.kind)
+            while max_order(report.kind, k) < n:
+                k += 1
+            assert min(report.histogram) == k
 
 
 def test_census_order_seven_counts_the_audit_attaining_graphs():
@@ -796,12 +820,13 @@ def test_census_jobs_are_clamped(spy_pools):
 
 
 def test_census_guard(cold_classes):
+    lattices = _lattice.cache_info().currsize
     with pytest.raises(GuardError):
         census(CodeKind.LD, 9)
     # rejected before any class level or subset lattice is built
     assert sepcodes.graphs._LEVELS == [(_ROOT,)]
     assert sepcodes.graphs._CHILDREN == {}
-    assert 9 not in sepcodes.solver._LATTICE
+    assert _lattice.cache_info().currsize == lattices
 
 
 @pytest.mark.parametrize("jobs", [(2, 1), (1, 2)], ids=["pool-first", "serial-first"])
