@@ -8,10 +8,9 @@ value is deterministic.
 
 from __future__ import annotations
 
-import threading
 from array import array
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -228,11 +227,12 @@ def graph_code(g: Graph) -> int:
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """Exact isomorphism test by degree-pruned permutation search."""
-    if g.order > ISOMORPHISM_GUARD or h.order > ISOMORPHISM_GUARD:
-        raise GuardError(f"isomorphism search is guarded at order {ISOMORPHISM_GUARD}")
+    """Exact isomorphism test by degree-pruned permutation search, guarded
+    at ISOMORPHISM_GUARD; graphs of unequal order are never isomorphic."""
     if g.order != h.order:
         return False
+    if g.order > ISOMORPHISM_GUARD:
+        raise GuardError(f"isomorphism search is guarded at order {ISOMORPHISM_GUARD}")
     n = g.order
     dg = [nb.bit_count() for nb in g.adj]
     dh = [nb.bit_count() for nb in h.adj]
@@ -488,16 +488,6 @@ ClassRecord = tuple[int, int, tuple[tuple[int, ...], ...], int]
 _ROOT: ClassRecord = (0, 1, (), 0)
 # What _canonical returns: certificate, |Aut|, automorphisms, labeling, orbits.
 Canonical = tuple[int, int, tuple[tuple[int, ...], ...], list[int], list[int]]
-# Per order m, built once per process and then only read: _LEVELS[m]
-# holds the class records on m vertices in the order extend_classes emits
-# them, each level extended from the one below; _CHILDREN[m] packs the
-# classes on m vertices as accepted_children gives them from _LEVELS[m - 1],
-# the adjacency rows of each in turn, 16 bits a row (m <= 16),
-# and their |Aut|s. The lock keeps two threads from appending the same
-# level twice; two threads may pack the same children, with equal results.
-_LEVELS: list[tuple[ClassRecord, ...]] = [(_ROOT,)]
-_LEVELS_LOCK = threading.Lock()
-_CHILDREN: dict[int, tuple[array[int], array[int]]] = {}
 
 
 def accepted_children(
@@ -570,27 +560,36 @@ def extend_classes(m: int, parents: Iterable[ClassRecord]) -> Iterator[ClassReco
         yield cert, aut, found, d
 
 
+@cache
 def _level(m: int) -> tuple[ClassRecord, ...]:
-    """The class records on m vertices, from _LEVELS, building the missing
-    levels up to m. A level once appended never changes, so a reader that
-    finds it built does not take the lock: a forked worker reads the levels
-    it inherits even when another thread of its parent held the lock at
-    the fork, as that lock is never released in the worker."""
-    if m < len(_LEVELS):
-        return _LEVELS[m]
-    with _LEVELS_LOCK:
-        while len(_LEVELS) <= m:
-            _LEVELS.append(tuple(extend_classes(len(_LEVELS), _LEVELS[-1])))
-    return _LEVELS[m]
+    """The class records on m vertices, in the order extend_classes emits
+    them, each level extended from the one below; built once per process
+    (about 0.4 MB for the levels on 0..7 vertices, 3.5 MB for the one on 8)."""
+    return tuple(extend_classes(m, _level(m - 1))) if m else (_ROOT,)
 
 
 def class_parents(order: int) -> tuple[ClassRecord, ...]:
     """The class records on order - 1 vertices, which extend_classes(order,
     ...) extends to every class on `order` vertices, built once per process
-    (_LEVELS). Guarded at CENSUS_GUARD, checked for `order` before any
+    (_level). Guarded at CENSUS_GUARD, checked for `order` before any
     work."""
     _check_census_order(order)
     return _level(order - 1)
+
+
+@cache
+def _children(order: int, lo: int = 0, hi: int | None = None) -> tuple[array[int], array[int]]:
+    """The children on `order` vertices that accepted_children accepts from
+    class_parents(order)[lo:hi], packed: the adjacency rows of each in turn,
+    16 bits a row (order <= 16), and their |Aut|s. Kept for a whole order,
+    once per process (0.3 MB at order 8: 0.204 MB of rows, 0.103 MB of
+    |Aut|s); a slice is packed through __wrapped__ and not kept."""
+    rows = array("H")
+    auts = array("L")
+    for adj, aut, _, _ in accepted_children(order, _level(order - 1)[lo:hi]):
+        rows.extend(adj)
+        auts.append(aut)
+    return rows, auts
 
 
 def class_children(order: int, lo: int = 0, hi: int | None = None) -> Iterator[tuple[Graph, int]]:
@@ -598,23 +597,13 @@ def class_children(order: int, lo: int = 0, hi: int | None = None) -> Iterator[t
     accepted_children accepts from class_parents(order)[lo:hi], in the
     labeling augmentation gives it; over all the parents, one graph of
     every class. A child gets a canonical form only when the acceptance
-    test needs one. The children of the whole order are packed into
-    _CHILDREN (about 0.3 MB at order 8) and read back by every later call;
-    a slice of the parents, as a pool worker takes, is built and not kept.
-    Guarded at CENSUS_GUARD, checked before any work."""
+    test needs one. The children of the whole order are kept (_children)
+    and read back by every later call; a slice of the parents, as a pool
+    worker takes, is packed and not kept. Guarded at CENSUS_GUARD, checked
+    before any work."""
     parents = class_parents(order)
     whole = lo == 0 and hi in (None, len(parents))
-    packed = _CHILDREN.get(order) if whole else None
-    if packed is None:
-        rows = array("H")
-        auts = array("L")
-        for adj, aut, _, _ in accepted_children(order, parents[lo:hi]):
-            rows.extend(adj)
-            auts.append(aut)
-        packed = (rows, auts)
-        if whole:
-            _CHILDREN[order] = packed
-    rows, auts = packed
+    rows, auts = _children(order) if whole else _children.__wrapped__(order, lo, hi)
     # each child's row tuple is `order` consecutive entries of one iterator
     return zip(map(partial(Graph._unchecked, order), zip(*[iter(rows)] * order)), auts)
 
@@ -635,8 +624,7 @@ def graph_classes(order: int) -> dict[int, int]:
     new vertex that does not minimise the invariant, is rejected before any
     canonical form is computed, and a new vertex that alone minimises it is
     accepted without one (accepted_children); graph_classes then computes
-    the certificate. The records are built once per process (_LEVELS:
-    about 0.4 MB for the levels on 0..7 vertices, 3.5 MB for the one on 8).
+    the certificate. The records are built once per process (_level).
     The class of a graph holds order!/|Aut| labeled graphs. Guarded at
     CENSUS_GUARD, checked before any work."""
     _check_census_order(order)

@@ -507,18 +507,12 @@ def _numbers(plan: tuple[tuple[int, ...], ...], g: Graph) -> tuple[int | None, .
     return tuple(numbers)
 
 
-def _census_key(kinds: tuple[CodeKind, ...]) -> Callable[[Graph], tuple[int | None, ...]]:
-    """census's class key: the numbers of g for `kinds`, in that order,
-    each read off its kind's parts."""
-    return partial(_numbers, tuple(_KIND_PARTS[kind] for kind in kinds))
-
-
 def census_kinds(kinds: Iterable[CodeKind], n: int, jobs: int = 1) -> list[CensusReport]:
     """census for each of `kinds`, in that order, from one class_pass that
     reads every kind's number of each class off the subset lattice
     (_numbers). Guarded at CENSUS_GUARD."""
     kinds = tuple(kinds)
-    weights = class_pass(_census_key(kinds), n, jobs)
+    weights = class_pass(partial(_numbers, tuple(_KIND_PARTS[kind] for kind in kinds)), n, jobs)
     reports = []
     for i, kind in enumerate(kinds):
         hist: Counter[int | None] = Counter()

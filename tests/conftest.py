@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from functools import cache
 from math import comb
 
 import pytest
@@ -31,7 +32,7 @@ from sepcodes.extremal import (
     _free_edge_codes,
     eligible_outer_labels,
 )
-from sepcodes.graphs import _ROOT, _refine, decode_edges
+from sepcodes.graphs import _children, _level, _refine, decode_edges
 from sepcodes.solver import make_mask_checker
 
 # Property tests draw the same examples on every run and stay bounded, so
@@ -506,10 +507,10 @@ def classes_by_order() -> dict[int, dict[int, int]]:
 
 @pytest.fixture
 def cold_classes(monkeypatch):
-    """An empty class level table and children memo, as in a fresh
-    process; the warm ones come back after the test."""
-    monkeypatch.setattr("sepcodes.graphs._LEVELS", [(_ROOT,)])
-    monkeypatch.setattr("sepcodes.graphs._CHILDREN", {})
+    """Empty class level and children caches, as in a fresh process; the
+    warm ones come back after the test."""
+    monkeypatch.setattr("sepcodes.graphs._level", cache(_level.__wrapped__))
+    monkeypatch.setattr("sepcodes.graphs._children", cache(_children.__wrapped__))
 
 
 @pytest.fixture

@@ -648,3 +648,70 @@ def test_every_import_is_used():
     assert not unused
     assert {(module, name) for module, name in private if name not in loaded} == set()
     assert marked == {("extremal", "ProcessPoolExecutor"), ("solver", "is_admissible")}
+
+
+MUTATING_METHODS = {
+    "append", "extend", "insert", "pop", "popitem", "remove", "clear",
+    "update", "setdefault", "add", "discard", "sort", "reverse",
+}
+
+
+def test_no_function_mutates_module_state():
+    # a memo in the package is a functools.cache, so no function keeps
+    # state of its own at module level: none has a `global` statement,
+    # stores or deletes through a subscript or attribute of a module-level
+    # name, or calls a mutating method on one
+    package = Path(sepcodes.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        module_names, functions = set(), []
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions.append(node)
+            elif isinstance(node, ast.ClassDef):
+                functions += [f for f in node.body if isinstance(f, ast.FunctionDef)]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                module_names.add(node.name)
+                continue
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+                    module_names.add(sub.id)
+                elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+                    module_names.update((a.asname or a.name).split(".")[0] for a in sub.names)
+        for function in functions:
+            # names bound anywhere in the function, nested scopes included
+            local = set()
+            for sub in ast.walk(function):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, (ast.Store, ast.Del)):
+                    local.add(sub.id)
+                elif isinstance(sub, ast.arg):
+                    local.add(sub.arg)
+                elif isinstance(sub, ast.ExceptHandler) and sub.name:
+                    local.add(sub.name)
+
+            shared = module_names - local
+
+            def module_level(node: ast.AST) -> bool:
+                while isinstance(node, (ast.Subscript, ast.Attribute)):
+                    node = node.value
+                return isinstance(node, ast.Name) and node.id in shared
+
+            where = (path.stem, function.name)
+            for sub in ast.walk(function):
+                if isinstance(sub, ast.Global):
+                    found.add((*where, "global " + ", ".join(sub.names)))
+                elif (
+                    isinstance(sub, (ast.Subscript, ast.Attribute))
+                    and isinstance(sub.ctx, (ast.Store, ast.Del))
+                    and module_level(sub)
+                ):
+                    found.add((*where, ast.unparse(sub)))
+                elif (
+                    isinstance(sub, ast.Call)
+                    and isinstance(sub.func, ast.Attribute)
+                    and sub.func.attr in MUTATING_METHODS
+                    and module_level(sub.func.value)
+                ):
+                    found.add((*where, ast.unparse(sub.func)))
+    assert found == set()

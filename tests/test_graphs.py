@@ -234,6 +234,9 @@ def test_is_isomorphic_examples():
 def test_is_isomorphic_guard():
     with pytest.raises(GuardError):
         is_isomorphic(empty_graph(11), empty_graph(11))
+    # unequal orders are answered before the guard, with no search
+    assert not is_isomorphic(path_graph(11), path_graph(5))
+    assert not is_isomorphic(path_graph(5), path_graph(11))
 
 
 def test_is_isomorphic_is_equivalence_on_samples():
@@ -398,10 +401,10 @@ def test_class_parents_build_each_level_once(cold_classes, monkeypatch):
     class_parents(6)
     # each level extends the highest one already built
     assert built == [1, 2, 3, 4, 5]
-    assert len(sepcodes.graphs._LEVELS) == 6
-    # graph_classes reads the same table, and keeps the level it adds
+    assert sepcodes.graphs._level.cache_info().currsize == 6
+    # graph_classes reads the same levels, and keeps the level it adds
     assert graph_classes(6) == graph_classes(6)
-    assert graph_classes(4) == {cert: aut for cert, aut, _, _ in sepcodes.graphs._LEVELS[4]}
+    assert graph_classes(4) == {cert: aut for cert, aut, _, _ in sepcodes.graphs._level(4)}
     assert built == [1, 2, 3, 4, 5, 6]
     # the stored levels are immutable, records and automorphisms included
     assert isinstance(level, tuple)
@@ -411,7 +414,7 @@ def test_class_parents_build_each_level_once(cold_classes, monkeypatch):
 
 
 def test_class_parents_from_many_threads(cold_classes):
-    # each level is appended once, whichever thread builds it
+    # whichever threads build a level, every thread reads equal records
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -423,23 +426,26 @@ def test_class_parents_from_many_threads(cold_classes):
     records = (_ROOT,)
     for m in range(1, 7):
         records = tuple(extend_classes(m, records))
-        assert sepcodes.graphs._LEVELS[m] == records
-    assert len(sepcodes.graphs._LEVELS) == 7
-    assert all(level is sepcodes.graphs._LEVELS[1 + i % 6] for i, level in enumerate(levels))
+        assert sepcodes.graphs._level(m) == records
+    assert sepcodes.graphs._level.cache_info().currsize == 7
+    assert all(level == sepcodes.graphs._level(1 + i % 6) for i, level in enumerate(levels))
 
 
-def test_a_fork_reads_the_built_levels_while_another_thread_holds_the_lock():
-    # the forked process inherits the lock held, and nothing in it will
-    # release it; census there must still read the levels built before
+def test_a_fork_reads_the_built_levels_while_another_thread_builds_one(cold_classes, monkeypatch):
+    # the forked process inherits a level build in progress, which nothing
+    # in it will finish; census there must still read the levels built before
     class_parents(6)
     held, release = threading.Event(), threading.Event()
+    extend = sepcodes.graphs.extend_classes
 
-    def hold() -> None:
-        with sepcodes.graphs._LEVELS_LOCK:
+    def blocking(m, parents):
+        if m == 7:
             held.set()
             release.wait(60)
+        return extend(m, parents)
 
-    holder = threading.Thread(target=hold)
+    monkeypatch.setattr("sepcodes.graphs.extend_classes", blocking)
+    holder = threading.Thread(target=class_parents, args=(8,))
     holder.start()
     try:
         assert held.wait(60)
@@ -459,7 +465,7 @@ def test_a_fork_reads_the_built_levels_while_another_thread_holds_the_lock():
 
 def test_class_children_keep_the_whole_order_only(cold_classes, monkeypatch):
     whole = list(class_children(6))
-    assert list(sepcodes.graphs._CHILDREN) == [6]
+    assert sepcodes.graphs._children.cache_info().currsize == 1
     # one graph of every class on 6 vertices, as accepted_children labels it
     expected = [(Graph(6, tuple(adj)), aut) for adj, aut, _, _ in accepted_children(6, class_parents(6))]
     assert whole == expected
@@ -468,12 +474,12 @@ def test_class_children_keep_the_whole_order_only(cold_classes, monkeypatch):
     total = len(class_parents(6))
     sliced = [c for lo in range(0, total, 5) for c in class_children(6, lo, min(lo + 5, total))]
     assert sliced == whole
-    assert list(sepcodes.graphs._CHILDREN) == [6]
+    assert sepcodes.graphs._children.cache_info().currsize == 1
     # a later call reads the packed children back without building them
     monkeypatch.setattr("sepcodes.graphs.accepted_children", None)
     assert list(class_children(6)) == whole
     assert list(class_children(6, 0, total)) == whole
-    rows, auts = sepcodes.graphs._CHILDREN[6]
+    rows, auts = sepcodes.graphs._children(6)
     assert rows.typecode == "H" and len(rows) == 6 * len(auts) == 6 * 156
 
 
@@ -483,7 +489,7 @@ def test_class_children_pack_rows_past_one_byte(monkeypatch):
     levels = [sepcodes.graphs._level(m) for m in range(8)]
     level8 = tuple(extend_classes(8, levels[7][-1:]))
     monkeypatch.setattr("sepcodes.graphs.CENSUS_GUARD", 9)
-    monkeypatch.setattr("sepcodes.graphs._LEVELS", levels + [level8])
+    monkeypatch.setattr("sepcodes.graphs._level", (levels + [level8]).__getitem__)
     children = [(g.adj, aut) for g, aut in class_children(9, 0, 1)]
     assert children == [(tuple(adj), aut) for adj, aut, _, _ in accepted_children(9, level8[:1])]
     assert any(row >= 256 for adj, _ in children for row in adj)

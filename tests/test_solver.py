@@ -59,11 +59,12 @@ from sepcodes import (
     separation_family,
     vset,
 )
-from sepcodes.graphs import _ROOT, class_children, class_parents
+from sepcodes.graphs import class_children, class_parents
 from sepcodes.solver import (
     DEFAULT_BUDGET,
-    _census_key,
+    _KIND_PARTS,
     _lattice,
+    _numbers,
     class_pass,
     make_mask_checker,
     resolve_jobs,
@@ -742,9 +743,10 @@ def test_subset_lattice_lists_the_sets_below_each_set_and_of_each_size(n):
 
 
 def _census_numbers_agree(g) -> bool:
-    numbers = _census_key(ALL_KINDS)(g)
+    plan = tuple(_KIND_PARTS[kind] for kind in ALL_KINDS)
+    numbers = _numbers(plan, g)
     # the kinds share their parts' ORs, in whatever order they come
-    assert _census_key(ALL_KINDS[::-1])(g) == numbers[::-1]
+    assert _numbers(plan[::-1], g) == numbers[::-1]
     return all(
         number == min_code(g, kind).number and (number is None) == (not is_admissible(g, kind))
         for kind, number in zip(ALL_KINDS, numbers)
@@ -824,8 +826,8 @@ def test_census_guard(cold_classes):
     with pytest.raises(GuardError):
         census(CodeKind.LD, 9)
     # rejected before any class level or subset lattice is built
-    assert sepcodes.graphs._LEVELS == [(_ROOT,)]
-    assert sepcodes.graphs._CHILDREN == {}
+    assert sepcodes.graphs._level.cache_info().currsize == 0
+    assert sepcodes.graphs._children.cache_info().currsize == 0
     assert _lattice.cache_info().currsize == lattices
 
 
@@ -836,14 +838,14 @@ def test_census_from_cold_does_not_depend_on_jobs(cold_classes, jobs, monkeypatc
     # every child on 6 vertices, keeps them
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for kind in (CodeKind.LD, CodeKind.OTD, CodeKind.FTD):
-        kept = 6 in sepcodes.graphs._CHILDREN
+        kept = sepcodes.graphs._children.cache_info().currsize == 1
         first = census(kind, 6, jobs=jobs[0])
-        assert (6 in sepcodes.graphs._CHILDREN) == (kept or jobs[0] == 1)
+        assert (sepcodes.graphs._children.cache_info().currsize == 1) == (kept or jobs[0] == 1)
         second = census(kind, 6, jobs=jobs[1])
         assert first == second
         assert (first.histogram, first.inadmissible) == CENSUS_ORDER_SIX[kind]
-    assert len(sepcodes.graphs._LEVELS) == 6
-    assert list(sepcodes.graphs._CHILDREN) == [6]
+    assert sepcodes.graphs._level.cache_info().currsize == 6
+    assert sepcodes.graphs._children.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
