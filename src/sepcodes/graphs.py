@@ -414,7 +414,13 @@ def _canonical(n: int, adj: Sequence[int]) -> Canonical:
         return below * sum(_find(root, w) == v for w in members(cell))
 
     full = (1 << n) - 1
-    aut = first_path(_refine(adj, [full], [full]))
+    try:
+        aut = first_path(_refine(adj, [full], [full]))
+    finally:
+        # explore and first_path hold themselves through their closures:
+        # break those cycles, so that the search is freed on return, not at
+        # a later garbage collection
+        explore = first_path = None  # noqa: F841
     label = [0] * n
     for p, v in enumerate(best_order):
         label[v] = p

@@ -14,7 +14,7 @@ from math import factorial
 from operator import or_, xor
 from typing import Callable, Iterable, Sequence, TypeVar
 
-# min_code reads admissibility off the separation family; is_admissible
+# min_code reads admissibility off _candidates's twin rules; is_admissible
 # stays bound here because bench/tracer.py patches it
 from .codes import ALL_KINDS, CodeKind, Separation, is_admissible, is_code  # noqa: F401
 from .errors import BudgetError, GuardError
@@ -183,6 +183,33 @@ class SolveReport:
         return self.number is None
 
 
+def _candidates(g: Graph, kind: CodeKind) -> list[int]:
+    """Every candidate set of the kind's separation family once, sorted by
+    largest vertex, then size, then value; [0] when some set is empty, that
+    is when g is inadmissible: a TD kind and an isolated vertex, or two open
+    twins (N(u) = N(v)) for O and F, or two closed twins (N[u] = N[v]) for
+    I and F. These twin rules are tested first, so an inadmissible graph
+    builds no pair set; each kind's parts and their twin rules are read
+    from _PARTS, as census reads them.
+
+    In this order every set comes after each set it strictly contains: a
+    subset has no larger largest vertex, and with the same one it is
+    smaller."""
+    adj = g.adj
+    closed = [nb | (1 << v) for v, nb in enumerate(adj)]
+    parts = _KIND_PARTS[kind]
+    for p in parts:
+        if _PARTS[p][0](adj, closed):
+            return [0]
+    sets: set[int] = set()
+    for p in parts:
+        sets.update(_PARTS[p][1](adj, closed))
+    candidates = sorted(sets)
+    candidates.sort(key=int.bit_count)
+    candidates.sort(key=int.bit_length)  # stable: by largest vertex, size, value
+    return candidates
+
+
 def separation_family(g: Graph, kind: CodeKind) -> list[int]:
     """The kind's separation hypergraph: a vertex set C is a kind-code
     exactly when it hits every set in the family. It holds N[v] for D kinds
@@ -193,38 +220,25 @@ def separation_family(g: Graph, kind: CodeKind) -> list[int]:
     - CLOSED: N[u] ^ N[v];
     - FULL: both of the above.
 
-    The family is deduplicated, reduced to its inclusion-minimal sets and
-    sorted by largest vertex, then size, then value. It is [0] exactly
-    when some set is empty, that is when g is inadmissible: a TD kind and
-    an isolated vertex, or two open twins (N(u) = N(v)) for O and F, or two
-    closed twins (N[u] = N[v]) for I and F. These twin rules are tested
-    first, so an inadmissible graph builds no pair set; each kind's parts
-    and their twin rules are read from _PARTS, as census reads them.
+    The family is the inclusion-minimal sets of _candidates, in its order:
+    by largest vertex, then size, then value. It is [0] exactly when g is
+    inadmissible, by the twin rules _candidates tests first.
 
-    The sets are taken smallest first, and one is kept unless it contains a
-    kept set. The singletons come first and are all kept; forced, their
-    union, drops every later set that meets it with one AND. The kept sets
-    also sit in (n+1)-bit fields of one int, each field topped by a guard
-    bit, so that one candidate is tested against all of them at once: a
-    field of kept & ~(s * ones) is zero exactly when its set lies inside s,
-    and adding fill (all n low bits of every field) carries into the guard
-    bit of every field that is not zero."""
+    The candidates are sieved in that order, which puts every set after
+    each set it strictly contains, and one is kept unless it contains a
+    kept set. A kept singleton is forced; their union drops every later
+    set that meets it with one AND. The kept sets also sit in (n+1)-bit
+    fields of one int, each field topped by a guard bit, so that one
+    candidate is tested against all of them at once: a field of
+    kept & ~(s * ones) is zero exactly when its set lies inside s, and
+    adding fill (all n low bits of every field) carries into the guard bit
+    of every field that is not zero."""
+    candidates = _candidates(g, kind)
     n = g.order
-    adj = g.adj
-    closed = [nb | (1 << v) for v, nb in enumerate(adj)]
-    parts = _KIND_PARTS[kind]
-    for p in parts:
-        if _PARTS[p][0](adj, closed):
-            return [0]
-    sets: set[int] = set()
-    for p in parts:
-        sets.update(_PARTS[p][1](adj, closed))
     minimal: list[int] = []
     forced = kept = ones = fill = guards = 0
     low = (1 << n) - 1
-    # a set of one size cannot contain another of that size, so the order
-    # within a size changes only the order of `minimal`, sorted below
-    for s in sorted(sets, key=int.bit_count):
+    for s in candidates:
         if s & forced or ((kept & ~(s * ones)) + fill) & guards != guards:
             continue  # s contains a kept set
         if not s & (s - 1):
@@ -235,10 +249,12 @@ def separation_family(g: Graph, kind: CodeKind) -> list[int]:
         ones |= 1 << shift
         fill |= low << shift
         guards |= 1 << (shift + n)
-    minimal.sort()
-    minimal.sort(key=int.bit_count)
-    minimal.sort(key=int.bit_length)  # stable: by largest vertex, size, value
     return minimal
+
+
+# _BITS[b] translates a byte to the digit b"1" when its bit b is set and to
+# b"0" otherwise: bit b of 0..255 runs 2^b zeros, then 2^b ones, and repeats
+_BITS = tuple((b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8))
 
 
 def min_code(g: Graph, kind: CodeKind, budget: int = DEFAULT_BUDGET) -> SolveReport:
@@ -249,42 +265,37 @@ def min_code(g: Graph, kind: CodeKind, budget: int = DEFAULT_BUDGET) -> SolveRep
     itertools.combinations order would return. subsets_tested counts search
     nodes, and budget caps them.
 
+    The search runs over every candidate set (_candidates), not only the
+    inclusion-minimal ones, and takes the same nodes: in that order every
+    set comes after each set it strictly contains, so the first set not yet
+    hit is always minimal, the packing below never takes a set that is not
+    (a subset before it drops it), and a vertex hits every set left exactly
+    when it hits every minimal one.
+
     The search holds the unhit sets as a bitmask over family indices.
-    Three tables are built once: miss[y] has bit i set when family[i] lacks
+    Three tables are built: miss[y] has bit i set when family[i] lacks
     vertex y, tops[i] is the largest vertex of family[i], and cut[i][j] is
-    the AND of miss over the j largest vertices of family[i]. Choosing x
-    then leaves unhit & miss[x] unhit, one AND per node, and the packing
-    bound takes each set i in one AND with its cut row. The last level
-    (one vertex left) is a scan for the first x that hits every set left,
-    whose nodes are counted, and tested against the budget, at once: the
-    same nodes and the same BudgetError as one at a time. A family of [0]
-    means g is inadmissible (no is_admissible pass), and no node is
-    searched."""
+    the AND of miss over the j largest vertices of family[i]. miss is one
+    transposition: the sets are packed in bytes, last set first, and
+    vertex y's column of them is read as a binary numeral. A cut row is
+    built the first time the packing takes its set. Choosing x then leaves
+    unhit & miss[x] unhit, one AND per node, and the packing bound takes
+    each set i in one AND with its cut row. The last level (one vertex
+    left) is a scan for the first x that hits every set left, whose nodes
+    are counted, and tested against the budget, at once: the same nodes
+    and the same BudgetError as one at a time. A family of [0] means g is
+    inadmissible (no is_admissible pass), and no node is searched."""
     lb = lower_bound(kind, g.order)
-    family = separation_family(g, kind)
+    family = _candidates(g, kind)
     if family[0] == 0:
         return SolveReport(kind, None, None, 0, lb)
     n = g.order
     every = (1 << len(family)) - 1
-    miss = [every] * n
-    verts = []  # the vertices of each set, largest first
-    bit = 1
-    for s in family:
-        vs = []
-        while s:
-            y = s.bit_length() - 1
-            vs.append(y)
-            miss[y] ^= bit
-            s ^= 1 << y
-        verts.append(vs)
-        bit <<= 1
-    tops = [vs[0] for vs in verts]
-    cut = []
-    for vs in verts:
-        row = [every]
-        for y in vs:
-            row.append(row[-1] & miss[y])
-        cut.append(row)
+    width = (n + 7) // 8
+    data = b"".join(s.to_bytes(width, "little") for s in reversed(family))
+    miss = [every ^ int(data[y >> 3 :: width].translate(_BITS[y & 7]), 2) for y in range(n)]
+    tops = [s.bit_length() - 1 for s in family]
+    cut: list[list[int] | None] = [None] * len(family)
     nodes = 0
 
     def search(unhit: int, start: int, left: int) -> int | None:
@@ -341,7 +352,15 @@ def min_code(g: Graph, kind: CodeKind, budget: int = DEFAULT_BUDGET) -> SolveRep
                     break
                 i = (free & -free).bit_length() - 1
                 packed += 1
-                free &= cut[i][(family[i] >> (x + 1)).bit_count()]
+                row = cut[i]
+                if row is None:
+                    row = cut[i] = [every]
+                    s = family[i]
+                    while s:
+                        y = s.bit_length() - 1
+                        row.append(row[-1] & miss[y])
+                        s ^= 1 << y
+                free &= row[(family[i] >> (x + 1)).bit_count()]
             else:
                 found = search(rest, x + 1, left - 1)
                 if found is not None:

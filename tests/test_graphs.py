@@ -3,6 +3,7 @@ partition-family membership."""
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import random
 import sys
@@ -302,6 +303,21 @@ def test_canonical_form_matches_the_unpruned_search_exhaustively():
 @given(graphs(max_order=7))
 def test_canonical_form_matches_the_unpruned_search(g):
     assert canonical_form(g) == unpruned_canonical_form(g)
+
+
+def test_canonical_form_leaves_no_reference_cycles():
+    # the search's nested functions refer to themselves; they must be freed
+    # on return, with no work left for the cyclic collector
+    g = cycle_graph(7)
+    canonical_form(g)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            canonical_form(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_automorphism_counts_at_order_eight_in_closed_form():

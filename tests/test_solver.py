@@ -63,6 +63,7 @@ from sepcodes.graphs import class_children, class_parents
 from sepcodes.solver import (
     DEFAULT_BUDGET,
     _KIND_PARTS,
+    _candidates,
     _lattice,
     _numbers,
     class_pass,
@@ -372,6 +373,30 @@ def test_family_matches_the_reference_filter_on_every_class(n):
             family = separation_family(g, kind)
             assert family == reference_separation_family(g, kind)
             assert (family == [0]) == (not is_admissible(g, kind))
+
+
+def assert_candidates_put_subsets_first(g):
+    # the lemma min_code's search rests on: _candidates lists each set once
+    # and puts every set after each set it strictly contains, and the
+    # separation family is its inclusion-minimal members, in its order
+    for kind in ALL_KINDS:
+        candidates = _candidates(g, kind)
+        assert len(set(candidates)) == len(candidates), kind
+        for j, s in enumerate(candidates):
+            assert all(t & s != s for t in candidates[:j]), (kind, s)
+        minimal = [s for s in candidates if all(t & s != t or t == s for t in candidates)]
+        assert separation_family(g, kind) == minimal, kind
+
+
+def test_candidates_put_subsets_first_on_every_class():
+    for n in range(1, 7):
+        for g, _ in class_children(n, 0, len(class_parents(n))):
+            assert_candidates_put_subsets_first(g)
+
+
+@given(graphs(max_order=20))
+def test_candidates_put_subsets_first_on_random_graphs(g):
+    assert_candidates_put_subsets_first(g)
 
 
 def test_inadmissible_graphs_build_no_pair_set(monkeypatch):
