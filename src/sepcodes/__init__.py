@@ -68,7 +68,6 @@ from .solver import (
     min_code,
     oracle_min_code,
     relation_check,
-    separation_family,
 )
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ T = TypeVar("T")
 # Each part of the separation family as (twin rule, candidate sets), both
 # read off the open and closed neighbourhoods (adj, closed); the twin rule
 # says, before any set is built, whether the part holds an empty set.
-# separation_family, census's _numbers and make_mask_checker read each kind's
+# _candidates, census's _numbers and make_mask_checker read each kind's
 # parts, by index, from _KIND_PARTS: N(v) for TD kinds or N[v] for D kinds,
 # then the pairs of its separation.
 _Part = tuple[
@@ -192,6 +192,7 @@ def _candidates(g: Graph, kind: CodeKind) -> list[int]:
     builds no pair set; each kind's parts and their twin rules are read
     from _PARTS, as census reads them.
 
+    A vertex set is a kind-code exactly when it hits every candidate set.
     In this order every set comes after each set it strictly contains: a
     subset has no larger largest vertex, and with the same one it is
     smaller."""
@@ -208,48 +209,6 @@ def _candidates(g: Graph, kind: CodeKind) -> list[int]:
     candidates.sort(key=int.bit_count)
     candidates.sort(key=int.bit_length)  # stable: by largest vertex, size, value
     return candidates
-
-
-def separation_family(g: Graph, kind: CodeKind) -> list[int]:
-    """The kind's separation hypergraph: a vertex set C is a kind-code
-    exactly when it hits every set in the family. It holds N[v] for D kinds
-    or N(v) for TD kinds, and for each pair u, v:
-
-    - LOCATION: (N(u) ^ N(v)) | {u, v};
-    - OPEN: N(u) ^ N(v);
-    - CLOSED: N[u] ^ N[v];
-    - FULL: both of the above.
-
-    The family is the inclusion-minimal sets of _candidates, in its order:
-    by largest vertex, then size, then value. It is [0] exactly when g is
-    inadmissible, by the twin rules _candidates tests first.
-
-    The candidates are sieved in that order, which puts every set after
-    each set it strictly contains, and one is kept unless it contains a
-    kept set. A kept singleton is forced; their union drops every later
-    set that meets it with one AND. The kept sets also sit in (n+1)-bit
-    fields of one int, each field topped by a guard bit, so that one
-    candidate is tested against all of them at once: a field of
-    kept & ~(s * ones) is zero exactly when its set lies inside s, and
-    adding fill (all n low bits of every field) carries into the guard bit
-    of every field that is not zero."""
-    candidates = _candidates(g, kind)
-    n = g.order
-    minimal: list[int] = []
-    forced = kept = ones = fill = guards = 0
-    low = (1 << n) - 1
-    for s in candidates:
-        if s & forced or ((kept & ~(s * ones)) + fill) & guards != guards:
-            continue  # s contains a kept set
-        if not s & (s - 1):
-            forced |= s
-        shift = len(minimal) * (n + 1)
-        minimal.append(s)
-        kept |= s << shift
-        ones |= 1 << shift
-        fill |= low << shift
-        guards |= 1 << (shift + n)
-    return minimal
 
 
 # _BITS[b] translates a byte to the digit b"1" when its bit b is set and to

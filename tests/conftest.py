@@ -25,7 +25,6 @@ from sepcodes import (
     is_admissible,
     lower_bound,
     members,
-    separation_family,
 )
 from sepcodes.extremal import (
     _attaining_patterns,
@@ -186,9 +185,15 @@ def twin_free_for(g: Graph, kind: CodeKind) -> bool:
 
 
 def reference_separation_family(g: Graph, kind: CodeKind) -> list[int]:
-    """Oracle for solver.separation_family: the same sets, built pair by
-    pair, and cut to the inclusion-minimal ones by testing each candidate,
-    smallest first, against every set kept so far."""
+    """The kind's separation family, built pair by pair from the adjacency:
+    N[v] for D kinds or N(v) for TD kinds, and for each pair u, v
+    (N(u) ^ N(v)) | {u, v} for location, N(u) ^ N(v) for open and
+    N[u] ^ N[v] for closed separation (both for full). A vertex set is a
+    kind-code exactly when it hits every set. It is cut to the
+    inclusion-minimal sets by testing each one, smallest first, against
+    every set kept so far, and ordered by largest vertex, then size, then
+    value; it is [0] exactly when g is inadmissible. It shares no code with
+    solver._candidates, whose minimal members the tests compare with it."""
     adj = g.adj
     closed = [nb | (1 << v) for v, nb in enumerate(adj)]
     sep = kind.separation
@@ -212,10 +217,11 @@ def reference_min_code(
     g: Graph, kind: CodeKind, budget: int
 ) -> tuple[int | None, int | None, int]:
     """Oracle for solver.min_code's search: the same lex-first hitting-set
-    search, holding the unhit sets as a list and packing greedily by testing
-    each one against the vertices used so far. Returns (number, witness,
-    nodes); raises BudgetError past `budget` nodes, naming the cardinality
-    it was searching, as min_code does."""
+    search over reference_separation_family, holding the unhit sets as a
+    list and packing greedily by testing each one against the vertices used
+    so far. Of sepcodes.solver it calls only lower_bound. Returns (number,
+    witness, nodes); raises BudgetError past `budget` nodes, naming the
+    cardinality it was searching, as min_code does."""
     if not is_admissible(g, kind):
         return None, None, 0
     n = g.order
@@ -253,7 +259,7 @@ def reference_min_code(
                     return found | bit
         return None
 
-    family = separation_family(g, kind)
+    family = reference_separation_family(g, kind)
     for size in range(max(1, lower_bound(kind, n)), n + 1):
         witness = search(family, 0, size)
         if witness is not None:

@@ -84,7 +84,7 @@ from sepcodes.extremal import (
     inner_has_isolated,
 )
 from sepcodes.graphs import canonical_form
-from sepcodes.solver import class_pass, separation_family, smallest_k
+from sepcodes.solver import _candidates, class_pass, smallest_k
 
 
 def test_eligible_outer_labels():
@@ -589,7 +589,7 @@ def test_k_codes_count_as_the_lemma_says(kind, n, k):
     nothing of the construction."""
 
     def k_codes(g):
-        family = separation_family(g, kind)
+        family = _candidates(g, kind)
         return sum(
             all(s & vset(c) for s in family) for c in itertools.combinations(range(n), k)
         )

@@ -56,7 +56,6 @@ from sepcodes import (
     oracle_min_code,
     path_graph,
     relation_check,
-    separation_family,
     vset,
 )
 from sepcodes.graphs import class_children, class_parents
@@ -275,6 +274,28 @@ def test_search_nodes_are_pinned_and_are_the_least_budget(family, n):
         assert exc.value.subsets_tested == budget + 1
 
 
+def test_the_reference_search_reads_nothing_of_the_candidates(monkeypatch):
+    # reference_min_code builds its own family, so a fault in _candidates
+    # cannot reach both sides of a comparison with it: with _candidates
+    # patched to raise, it still gives the pinned nodes and min_code's
+    # number and witness
+    cases = [(family, n) for family in MAKERS for n in (10, 15)]
+    solved = {
+        (family, n): [min_code(MAKERS[family](n), kind) for kind in ALL_KINDS]
+        for family, n in cases
+    }
+
+    def no_candidates(*args):
+        raise AssertionError("the reference search read _candidates")
+
+    monkeypatch.setattr(sepcodes.solver, "_candidates", no_candidates)
+    for family, n in cases:
+        g = MAKERS[family](n)
+        for kind, report, nodes in zip(ALL_KINDS, solved[family, n], SEARCH_NODES[family, n]):
+            want = (report.number, report.witness, nodes)
+            assert reference_min_code(g, kind, DEFAULT_BUDGET) == want, (family, n, kind)
+
+
 def assert_search_matches_the_reference(g):
     """min_code gives the reference search's number, witness and node
     count for every kind, and one node less of budget raises BudgetError
@@ -359,33 +380,38 @@ def test_numbers_of_paths_and_cycles_equal_the_window_number(family):
             assert min_code(g, kind).number == window_number(g, kind), (family, n, kind)
 
 
+def minimal_candidates(g, kind):
+    """The inclusion-minimal members of _candidates, in its order."""
+    candidates = _candidates(g, kind)
+    return [s for s in candidates if all(t & s != t or t == s for t in candidates)]
+
+
 def test_family_matches_the_reference_filter_exhaustively():
     for n in range(1, 6):
         for g in labeled_graphs(n):
             for kind in ALL_KINDS:
-                assert separation_family(g, kind) == reference_separation_family(g, kind)
+                assert minimal_candidates(g, kind) == reference_separation_family(g, kind)
 
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_family_matches_the_reference_filter_on_every_class(n):
     for g, _ in class_children(n, 0, len(class_parents(n))):
         for kind in ALL_KINDS:
-            family = separation_family(g, kind)
+            family = minimal_candidates(g, kind)
             assert family == reference_separation_family(g, kind)
             assert (family == [0]) == (not is_admissible(g, kind))
 
 
 def assert_candidates_put_subsets_first(g):
     # the lemma min_code's search rests on: _candidates lists each set once
-    # and puts every set after each set it strictly contains, and the
-    # separation family is its inclusion-minimal members, in its order
+    # and puts every set after each set it strictly contains, and its
+    # inclusion-minimal members, in its order, are the separation family
     for kind in ALL_KINDS:
         candidates = _candidates(g, kind)
         assert len(set(candidates)) == len(candidates), kind
         for j, s in enumerate(candidates):
             assert all(t & s != s for t in candidates[:j]), (kind, s)
-        minimal = [s for s in candidates if all(t & s != t or t == s for t in candidates)]
-        assert separation_family(g, kind) == minimal, kind
+        assert minimal_candidates(g, kind) == reference_separation_family(g, kind), kind
 
 
 def test_candidates_put_subsets_first_on_every_class():
@@ -400,9 +426,9 @@ def test_candidates_put_subsets_first_on_random_graphs(g):
 
 
 def test_inadmissible_graphs_build_no_pair_set(monkeypatch):
-    # the twin rule decides admissibility before any pair set is built; a
-    # family that held the empty set would still sieve down to [0], so
-    # only the absence of pair sets shows that the rule ran first
+    # the twin rule decides admissibility before any pair set is built, so
+    # _candidates is [0] and min_code searches no node with combinations
+    # patched to raise
     def no_pairs(*args):
         raise AssertionError("pair sets built for an inadmissible graph")
 
@@ -412,7 +438,9 @@ def test_inadmissible_graphs_build_no_pair_set(monkeypatch):
         for g, _ in class_children(n, 0, len(class_parents(n))):
             for kind in ALL_KINDS:
                 if not is_admissible(g, kind):
-                    assert separation_family(g, kind) == [0]
+                    assert _candidates(g, kind) == [0]
+                    report = min_code(g, kind)
+                    assert (report.number, report.subsets_tested) == (None, 0)
                     inadmissible += 1
     assert inadmissible > 600
 
@@ -421,11 +449,11 @@ def star_graph(m: int):
     return build_graph(m + 1, [(0, leaf) for leaf in range(1, m + 1)])
 
 
-def test_forced_vertices_drop_their_supersets():
-    # a singleton {x} in the family forces x into every code; the sieve
-    # keeps the union of the singletons and drops each later set meeting
-    # it. Stars and paths force the neighbours of their leaves for the TD
-    # kinds, and an isolated vertex forces itself for the D kinds
+def test_search_matches_the_reference_where_vertices_are_forced():
+    # a singleton {x} in the family forces x into every code, and every
+    # larger set meeting x is hit with it. Stars and paths force the
+    # neighbours of their leaves for the TD kinds, and an isolated vertex
+    # forces itself for the D kinds
     rng = random.Random(5)
     isolate = empty_graph(1)
     totals = [kind for kind in ALL_KINDS if kind.total_domination]
@@ -444,8 +472,7 @@ def test_forced_vertices_drop_their_supersets():
         rng.shuffle(perm)
         for h in (g, relabeled(g, perm)):
             for kind in kinds:
-                family = separation_family(h, kind)
-                assert family == reference_separation_family(h, kind)
+                family = reference_separation_family(h, kind)
                 singletons += any(s.bit_count() == 1 for s in family)
                 report = min_code(h, kind)
                 assert (report.number, report.witness, report.subsets_tested) == (
@@ -457,15 +484,15 @@ def test_forced_vertices_drop_their_supersets():
 @given(graphs(max_order=20))
 def test_family_matches_the_reference_filter_on_random_graphs(g):
     for kind in ALL_KINDS:
-        assert separation_family(g, kind) == reference_separation_family(g, kind)
+        assert minimal_candidates(g, kind) == reference_separation_family(g, kind)
 
 
 def assert_inadmissible_exactly_when_the_family_holds_the_empty_set(g):
-    # min_code reads admissibility off the family alone: it is [0] exactly
+    # min_code reads admissibility off _candidates alone: it is [0] exactly
     # when g has no kind-code, and then no node is searched
     for kind in ALL_KINDS:
         inadmissible = not is_admissible(g, kind)
-        assert (separation_family(g, kind) == [0]) == inadmissible
+        assert (_candidates(g, kind) == [0]) == inadmissible
         report = min_code(g, kind)
         assert (report.number is None) == inadmissible
         if inadmissible:
@@ -493,8 +520,10 @@ def test_solver_matches_oracle_on_random_graphs(g):
 
 @given(graphs(), st.data())
 def test_family_hitting_agrees_with_is_code(g, data):
+    # the statement min_code rests on: C hits every candidate set exactly
+    # when it is a code
     for kind in ALL_KINDS:
-        family = separation_family(g, kind)
+        family = _candidates(g, kind)
         assert (family == [0]) == (not is_admissible(g, kind))
         for _ in range(8):
             mask = data.draw(st.integers(0, (1 << g.order) - 1))
