@@ -5,6 +5,8 @@ orders read off it, and the relation checks between the eight numbers."""
 from __future__ import annotations
 
 import os
+import sys
+from array import array
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -231,29 +233,34 @@ def min_code(g: Graph, kind: CodeKind, budget: int = DEFAULT_BUDGET) -> SolveRep
     (a subset before it drops it), and a vertex hits every set left exactly
     when it hits every minimal one.
 
-    The search holds the unhit sets as a bitmask over family indices.
-    Three tables are built: miss[y] has bit i set when family[i] lacks
-    vertex y, tops[i] is the largest vertex of family[i], and cut[i][j] is
-    the AND of miss over the j largest vertices of family[i]. miss is one
-    transposition: the sets are packed in bytes, last set first, and
-    vertex y's column of them is read as a binary numeral. A cut row is
-    built the first time the packing takes its set. Choosing x then leaves
-    unhit & miss[x] unhit, one AND per node, and the packing bound takes
-    each set i in one AND with its cut row. The last level (one vertex
-    left) is a scan for the first x that hits every set left, whose nodes
-    are counted, and tested against the budget, at once: the same nodes
-    and the same BudgetError as one at a time. A family of [0] means g is
-    inadmissible (no is_admissible pass), and no node is searched."""
+    The search holds the unhit sets as a bitmask with the first set at
+    the highest bit: bit i stands for family[~i]. Three tables are built:
+    miss[y] has bit i set when family[~i] lacks vertex y, tops[i] is the
+    largest vertex of family[~i], and cut[i][x] is the AND of miss over
+    the vertices of family[~i] above x, for each x below its largest.
+    miss is one transposition: the sets are packed by one array("Q")
+    call, eight little-endian bytes each (MAX_VERTICES is 62), first set
+    first, and vertex y's column of them is read as a binary numeral. A
+    cut row is built the first time the packing takes its set. Choosing x
+    then leaves unhit & miss[x] unhit, one AND per node, and the packing
+    bound takes each set i in one AND with cut[i][x]. The last level (one
+    vertex left) is a scan for the first x that hits every set left,
+    whose nodes are counted, and tested against the budget, at once: the
+    same nodes and the same BudgetError as one at a time. A family of [0]
+    means g is inadmissible (no is_admissible pass), and no node is
+    searched."""
     lb = lower_bound(kind, g.order)
     family = _candidates(g, kind)
     if family[0] == 0:
         return SolveReport(kind, None, None, 0, lb)
     n = g.order
     every = (1 << len(family)) - 1
-    width = (n + 7) // 8
-    data = b"".join(s.to_bytes(width, "little") for s in reversed(family))
-    miss = [every ^ int(data[y >> 3 :: width].translate(_BITS[y & 7]), 2) for y in range(n)]
-    tops = [s.bit_length() - 1 for s in family]
+    sets = array("Q", family)
+    if sys.byteorder == "big":
+        sets.byteswap()
+    data = sets.tobytes()
+    miss = [every ^ int(data[y >> 3 :: 8].translate(_BITS[y & 7]), 2) for y in range(n)]
+    tops = [s.bit_length() - 1 for s in reversed(family)]
     cut: list[list[int] | None] = [None] * len(family)
     nodes = 0
 
@@ -265,8 +272,8 @@ def min_code(g: Graph, kind: CodeKind, budget: int = DEFAULT_BUDGET) -> SolveRep
         if unhit:
             # vertices after x are larger, so x may not pass the largest
             # vertex of the first set not yet hit (the family is sorted by
-            # largest vertex, so the lowest bit of unhit has the smallest)
-            top = tops[(unhit & -unhit).bit_length() - 1]
+            # largest vertex, so the highest bit of unhit has the smallest)
+            top = tops[unhit.bit_length() - 1]
             if top < last:
                 last = top
         if left == 1:
@@ -300,26 +307,31 @@ def min_code(g: Graph, kind: CodeKind, budget: int = DEFAULT_BUDGET) -> SolveRep
             # their own vertex after x, and left - 1 slots remain. The sets
             # are taken in family order; free holds those not yet taken that
             # miss every vertex above x of the ones taken so far, and packed
-            # counts the lowest of them as taken. The vertices of set i above
-            # x are its largest ones, and there is one (x is not in i and
-            # does not pass its largest vertex), so its cut row drops i and
-            # every set meeting them
+            # counts the highest of them as taken. Set i has a vertex above
+            # x (x is not in it and does not pass its largest vertex), so
+            # its cut row drops i and every set meeting its vertices above x
             free = rest
             packed = 1
             while free:
                 if packed == left:
                     break
-                i = (free & -free).bit_length() - 1
+                i = free.bit_length() - 1
                 packed += 1
                 row = cut[i]
                 if row is None:
-                    row = cut[i] = [every]
-                    s = family[i]
+                    s = family[~i]
+                    y = s.bit_length() - 1
+                    row = cut[i] = [0] * y
+                    acc = every
                     while s:
-                        y = s.bit_length() - 1
-                        row.append(row[-1] & miss[y])
+                        acc &= miss[y]
                         s ^= 1 << y
-                free &= row[(family[i] >> (x + 1)).bit_count()]
+                        # for x from the next vertex down (or 0) to y - 1,
+                        # the vertices above x are y and those above it
+                        z = (s.bit_length() or 1) - 1
+                        row[z:y] = [acc] * (y - z)
+                        y = z
+                free &= row[x]
             else:
                 found = search(rest, x + 1, left - 1)
                 if found is not None:

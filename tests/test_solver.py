@@ -327,6 +327,21 @@ def test_search_matches_the_reference_search_on_connected_sparse_graphs(g):
     assert_search_matches_the_reference(g)
 
 
+@pytest.mark.parametrize("family", MAKERS)
+@pytest.mark.parametrize("n", (33, 48, 57, 62))
+def test_search_matches_the_reference_search_on_long_paths_and_cycles(family, n):
+    # min_code packs each set in eight bytes, and the comparisons above stop
+    # at order 24, where only the low three hold a vertex; these orders end
+    # in the fifth, sixth and eighth byte, and the reference search packs none
+    g = MAKERS[family](n)
+    number, witness, nodes = reference_min_code(g, CodeKind.ID, DEFAULT_BUDGET)
+    report = min_code(g, CodeKind.ID)
+    assert (report.number, report.witness, report.subsets_tested) == (number, witness, nodes)
+    with pytest.raises(BudgetError) as exc:
+        min_code(g, CodeKind.ID, budget=nodes - 1)
+    assert exc.value.subsets_tested == nodes
+
+
 def search_outcome(search, g, kind, budget):
     """(number, witness, nodes) of a search run with `budget`, or, when it
     raises BudgetError, ("budget", subsets_tested, the cardinality its
