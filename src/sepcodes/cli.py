@@ -18,6 +18,8 @@ from typing import Any
 from .codes import ALL_KINDS, CodeKind
 from .errors import FormatError, GuardError
 from .extremal import (
+    ExtremalBlueprint,
+    MaterializedExtremal,
     audit_characterization,
     counting,
     materialize,
@@ -115,10 +117,17 @@ def _solve_payload(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     return payload, EXIT_OK
 
 
-def _construct_payload(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
+def _load_blueprint(
+    args: argparse.Namespace,
+) -> tuple[bytes, ExtremalBlueprint, MaterializedExtremal]:
+    """The blueprint input's bytes, its blueprint and the materialized graph."""
     raw = _read_input(args.blueprint)
     bp = parse_blueprint(raw.decode("ascii", errors="replace"))
-    me = materialize(bp)
+    return raw, bp, materialize(bp)
+
+
+def _construct_payload(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
+    raw, bp, me = _load_blueprint(args)
     payload = {
         "command": "construct",
         "input_digest": _digest(raw),
@@ -138,9 +147,7 @@ def _construct_payload(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
 
 
 def _verify_payload(args: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    raw = _read_input(args.blueprint)
-    bp = parse_blueprint(raw.decode("ascii", errors="replace"))
-    me = materialize(bp)
+    raw, _, me = _load_blueprint(args)
     kind = CodeKind.parse(args.kind)
     check = verify_extremal(me, kind, _at_least_one(args, "budget"))
     payload = {

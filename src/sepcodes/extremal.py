@@ -234,8 +234,11 @@ class ExtremalCheck:
     kind: CodeKind
     k: int
     code_is_valid: bool
-    number: int | None
     solve: SolveReport
+
+    @property
+    def number(self) -> int | None:
+        return self.solve.number
 
     @property
     def passed(self) -> bool:
@@ -255,8 +258,7 @@ def verify_extremal(
             f"{kind.name} requires an isolate-free inner graph"
         )
     valid = is_code(me.graph, me.code, kind)
-    report = min_code(me.graph, kind, budget)
-    return ExtremalCheck(kind, me.k, valid, report.number, report)
+    return ExtremalCheck(kind, me.k, valid, min_code(me.graph, kind, budget))
 
 
 @dataclass(frozen=True)
@@ -380,17 +382,14 @@ def _attaining_patterns(kind: CodeKind, n: int, k: int) -> set[int]:
         return set()
     c0 = (1 << k) - 1
     shifts = [comb(j, 2) for j in range(k, n)]
-    adj = [0] * n
-    # the checker reads adj when called, and only its bits in C0: each inner
-    # code fills the code vertices with its adjacency, and each choice of
-    # signatures the outer vertices
-    check = make_mask_checker(n, adj, kind)
+    # the checker reads only the bits of the adjacency in C0: the inner
+    # code's rows for the code vertices, the signatures for the outer ones
+    check = make_mask_checker(kind)
     out: set[int] = set()
     for inner in range(1 << comb(k, 2)):
-        adj[:k] = decode_edges(k, inner)
+        base = tuple(decode_edges(k, inner))
         for sigs in itertools.combinations(range(1, c0 + 1), n - k):
-            adj[k:] = sigs
-            if check(c0):
+            if check(base + sigs, c0):
                 out.add(inner | sum(sig << s for sig, s in zip(sigs, shifts)))
     return out
 

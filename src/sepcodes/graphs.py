@@ -70,12 +70,9 @@ class Graph:
                 raise ValueError(f"vertex {v} has a neighbor outside the graph")
             if nb >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-            rest = nb
-            while rest:
-                u = (rest & -rest).bit_length() - 1
+            for u in members(nb):
                 if not self.adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
-                rest &= rest - 1
 
     @classmethod
     def _unchecked(cls, order: int, adj: tuple[int, ...]) -> Graph:
@@ -92,14 +89,9 @@ class Graph:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as (u, v) pairs with u < v, lexicographically sorted."""
-        out = []
-        for v in range(self.order):
-            rest = self.adj[v] >> (v + 1) << (v + 1)
-            while rest:
-                u = (rest & -rest).bit_length() - 1
-                out.append((v, u))
-                rest &= rest - 1
-        return tuple(out)
+        return tuple(
+            (v, u) for v, nb in enumerate(self.adj) for u in members(nb >> (v + 1) << (v + 1))
+        )
 
     def edge_count(self) -> int:
         return sum(nb.bit_count() for nb in self.adj) // 2
@@ -164,11 +156,8 @@ def induced_subgraph(g: Graph, keep: int) -> Graph:
     index = {v: i for i, v in enumerate(old)}
     adj = [0] * len(old)
     for v in old:
-        rest = g.adj[v] & keep
-        while rest:
-            u = (rest & -rest).bit_length() - 1
+        for u in members(g.adj[v] & keep):
             adj[index[v]] |= 1 << index[u]
-            rest &= rest - 1
     return Graph(len(old), tuple(adj))
 
 
@@ -489,21 +478,21 @@ def _subset_orbits(k: int, automorphisms: Sequence[tuple[int, ...]]) -> list[tup
 
 
 # A class record: (certificate, |Aut|, automorphisms in the canonical
-# labeling, minimum degree). Generation starts from the graph on no vertices.
-ClassRecord = tuple[int, int, tuple[tuple[int, ...], ...], int]
-_ROOT: ClassRecord = (0, 1, (), 0)
+# labeling). Generation starts from the graph on no vertices.
+ClassRecord = tuple[int, int, tuple[tuple[int, ...], ...]]
+_ROOT: ClassRecord = (0, 1, ())
 # What _canonical returns: certificate, |Aut|, automorphisms, labeling, orbits.
 Canonical = tuple[int, int, tuple[tuple[int, ...], ...], list[int], list[int]]
 
 
 def accepted_children(
     m: int, parents: Iterable[ClassRecord]
-) -> Iterator[tuple[list[int], int, Canonical | None, int]]:
-    """(adjacency, |Aut|, canonical result or None, minimum degree) for
-    each child on m vertices that canonical augmentation accepts from
-    `parents`, classes on m - 1 vertices: given all of them, each class on
-    m vertices comes out exactly once; see graph_classes. The adjacency is
-    the parent's canonical labeling with the new vertex m - 1 added.
+) -> Iterator[tuple[list[int], int, Canonical | None]]:
+    """(adjacency, |Aut|, canonical result or None) for each child on m
+    vertices that canonical augmentation accepts from `parents`, classes
+    on m - 1 vertices: given all of them, each class on m vertices comes
+    out exactly once; see graph_classes. The adjacency is the parent's
+    canonical labeling with the new vertex m - 1 added.
 
     The canonical form is computed only where the acceptance test needs
     it, when other vertices tie with the new one on the invariant; the
@@ -514,8 +503,9 @@ def accepted_children(
     the canonical result is then None."""
     new = m - 1
     top = 1 << new
-    for code, parent_aut, automorphisms, low in parents:
+    for code, parent_aut, automorphisms in parents:
         base = decode_edges(new, code)
+        low = min(map(int.bit_count, base), default=0)
         for s, orbit in _subset_orbits(new, automorphisms):
             d = s.bit_count()
             # the new vertex must have the least degree, so d is the child's
@@ -542,7 +532,7 @@ def accepted_children(
             if any(rank[v] < mine for v in tied):
                 continue
             if not tied:
-                yield adj, parent_aut // orbit, None, d
+                yield adj, parent_aut // orbit, None
                 continue
             canon = _canonical(m, adj)
             _, aut, _, label, orbits = canon
@@ -552,18 +542,17 @@ def accepted_children(
             pick = max(tied, key=label.__getitem__)
             if label[pick] > label[new] and _find(orbits, pick) != _find(orbits, new):
                 continue
-            yield adj, aut, canon, d
+            yield adj, aut, canon
 
 
 def extend_classes(m: int, parents: Iterable[ClassRecord]) -> Iterator[ClassRecord]:
     """The class records on m vertices that canonical augmentation accepts
     from `parents`, classes on m - 1 vertices: given all of them, each class
     on m vertices comes out exactly once; see graph_classes."""
-    for adj, _, canon, d in accepted_children(m, parents):
+    for adj, _, canon in accepted_children(m, parents):
         if canon is None:
             canon = _canonical(m, adj)
-        cert, aut, found = canon[:3]
-        yield cert, aut, found, d
+        yield canon[:3]
 
 
 @cache
@@ -592,7 +581,7 @@ def _children(order: int, lo: int = 0, hi: int | None = None) -> tuple[array[int
     |Aut|s); a slice is packed through __wrapped__ and not kept."""
     rows = array("H")
     auts = array("L")
-    for adj, aut, _, _ in accepted_children(order, _level(order - 1)[lo:hi]):
+    for adj, aut, _ in accepted_children(order, _level(order - 1)[lo:hi]):
         rows.extend(adj)
         auts.append(aut)
     return rows, auts
@@ -634,7 +623,7 @@ def graph_classes(order: int) -> dict[int, int]:
     The class of a graph holds order!/|Aut| labeled graphs. Guarded at
     CENSUS_GUARD, checked before any work."""
     _check_census_order(order)
-    return {cert: aut for cert, aut, _, _ in _level(order)}
+    return {cert: aut for cert, aut, _ in _level(order)}
 
 
 @dataclass(frozen=True)
@@ -653,10 +642,7 @@ def _is_bipartite(g: Graph) -> bool:
         stack = [start]
         while stack:
             v = stack.pop()
-            rest = g.adj[v]
-            while rest:
-                u = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
+            for u in members(g.adj[v]):
                 if color[u] == -1:
                     color[u] = 1 - color[v]
                     stack.append(u)

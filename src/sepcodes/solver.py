@@ -34,7 +34,8 @@ T = TypeVar("T")
 # parts, by index, from _KIND_PARTS: N(v) for TD kinds or N[v] for D kinds,
 # then the pairs of its separation.
 _Part = tuple[
-    Callable[[Sequence[int], list[int]], bool], Callable[[Sequence[int], list[int]], Iterable[int]]
+    Callable[[Sequence[int], Sequence[int]], bool],
+    Callable[[Sequence[int], Sequence[int]], Iterable[int]],
 ]
 _PARTS: tuple[_Part, ...] = (
     # N(v), empty at an isolated vertex
@@ -133,25 +134,25 @@ def max_order(kind: CodeKind, k: int) -> int:
     return expected_order(kind.separation, k, isolated)
 
 
-def make_mask_checker(n: int, adj: list[int], kind: CodeKind) -> Callable[[int], bool]:
-    """Fused separation+domination test of a code mask c; agrees with
-    codes.is_code on every vertex set of the graph (property-tested
-    exhaustively). Each vertex v reads s = N(v) & c once and fails c when s
-    is empty and the kind is total or v lies outside c, when its open
-    signature s repeats (L, O, F; for L only outside c), or when its closed
-    signature s | ({v} & c) repeats (I, F), as the kind's parts say. adj is
-    read when called, so a caller may refill it in place."""
+def make_mask_checker(kind: CodeKind) -> Callable[[Sequence[int], int], bool]:
+    """Fused separation+domination test check(adj, c) of a code mask c on
+    the graph with adjacency masks adj; agrees with codes.is_code on every
+    vertex set of every graph (property-tested exhaustively). Each vertex v
+    reads s = N(v) & c once and fails c when s is empty and the kind is
+    total or v lies outside c, when its open signature s repeats (L, O, F;
+    for L only outside c), or when its closed signature s | ({v} & c)
+    repeats (I, F), as the kind's parts say."""
     parts = _KIND_PARTS[kind]
     total, closed = 0 in parts, 4 in parts
     # v's open signature is tested when c >> v & 1 < opens: never for I,
     # only outside c for L, always for O and F
     opens = 2 if 3 in parts else int(2 in parts)
 
-    def check(c: int) -> bool:
+    def check(adj: Sequence[int], c: int) -> bool:
         oseen = set()
         cseen = set()
-        for v in range(n):
-            s = adj[v] & c
+        for v, nb in enumerate(adj):
+            s = nb & c
             inside = c >> v & 1
             if not s and (total or not inside):
                 return False
@@ -199,7 +200,7 @@ def _candidates(g: Graph, kind: CodeKind) -> list[int]:
     subset has no larger largest vertex, and with the same one it is
     smaller."""
     adj = g.adj
-    closed = [nb | (1 << v) for v, nb in enumerate(adj)]
+    closed = tuple(map(or_, adj, _units(g.order)[0]))
     parts = _KIND_PARTS[kind]
     for p in parts:
         if _PARTS[p][0](adj, closed):
@@ -289,54 +290,54 @@ def min_code(g: Graph, kind: CodeKind, budget: int = DEFAULT_BUDGET) -> SolveRep
                 found = None
                 x = last
             nodes += x + 1 - start
-            if nodes > budget:
-                raise BudgetError(
-                    f"budget of {budget} search nodes exhausted at cardinality {size}",
-                    subsets_tested=budget + 1,
-                )
-            return found
-        for x in range(start, last + 1):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetError(
-                    f"budget of {budget} search nodes exhausted at cardinality {size}",
-                    subsets_tested=nodes,
-                )
-            rest = unhit & miss[x]
-            # greedy packing: sets not yet hit, disjoint above x, each need
-            # their own vertex after x, and left - 1 slots remain. The sets
-            # are taken in family order; free holds those not yet taken that
-            # miss every vertex above x of the ones taken so far, and packed
-            # counts the highest of them as taken. Set i has a vertex above
-            # x (x is not in it and does not pass its largest vertex), so
-            # its cut row drops i and every set meeting its vertices above x
-            free = rest
-            packed = 1
-            while free:
-                if packed == left:
+            if nodes <= budget:
+                return found
+        else:
+            for x in range(start, last + 1):
+                nodes += 1
+                if nodes > budget:
                     break
-                i = free.bit_length() - 1
-                packed += 1
-                row = cut[i]
-                if row is None:
-                    s = family[~i]
-                    y = s.bit_length() - 1
-                    row = cut[i] = [0] * y
-                    acc = every
-                    while s:
-                        acc &= miss[y]
-                        s ^= 1 << y
-                        # for x from the next vertex down (or 0) to y - 1,
-                        # the vertices above x are y and those above it
-                        z = (s.bit_length() or 1) - 1
-                        row[z:y] = [acc] * (y - z)
-                        y = z
-                free &= row[x]
+                rest = unhit & miss[x]
+                # greedy packing: sets not yet hit, disjoint above x, each need
+                # their own vertex after x, and left - 1 slots remain. The sets
+                # are taken in family order; free holds those not yet taken that
+                # miss every vertex above x of the ones taken so far, and packed
+                # counts the highest of them as taken. Set i has a vertex above
+                # x (x is not in it and does not pass its largest vertex), so
+                # its cut row drops i and every set meeting its vertices above x
+                free = rest
+                packed = 1
+                while free:
+                    if packed == left:
+                        break
+                    i = free.bit_length() - 1
+                    packed += 1
+                    row = cut[i]
+                    if row is None:
+                        s = family[~i]
+                        y = s.bit_length() - 1
+                        row = cut[i] = [0] * y
+                        acc = every
+                        while s:
+                            acc &= miss[y]
+                            s ^= 1 << y
+                            # for x from the next vertex down (or 0) to y - 1,
+                            # the vertices above x are y and those above it
+                            z = (s.bit_length() or 1) - 1
+                            row[z:y] = [acc] * (y - z)
+                            y = z
+                    free &= row[x]
+                else:
+                    found = search(rest, x + 1, left - 1)
+                    if found is not None:
+                        return found | 1 << x
             else:
-                found = search(rest, x + 1, left - 1)
-                if found is not None:
-                    return found | 1 << x
-        return None
+                return None
+        # the budget ran out at node budget + 1
+        raise BudgetError(
+            f"budget of {budget} search nodes exhausted at cardinality {size}",
+            subsets_tested=budget + 1,
+        )
 
     try:
         for size in range(max(1, lb), n + 1):
@@ -388,8 +389,8 @@ class RelationReport:
         return all(self.checks.values())
 
 
-def relation_check(g: Graph, budget: int = DEFAULT_BUDGET) -> RelationReport:
-    numbers = {kind: min_code(g, kind, budget).number for kind in ALL_KINDS}
+def relation_check(g: Graph) -> RelationReport:
+    numbers = {kind: min_code(g, kind).number for kind in ALL_KINDS}
     ld = numbers[CodeKind.LD]
     ftd = numbers[CodeKind.FTD]
     checks = {

@@ -23,6 +23,7 @@ from sepcodes import (
     graph_code,
     graph_from_code,
     is_admissible,
+    is_code,
     lower_bound,
     members,
 )
@@ -32,7 +33,6 @@ from sepcodes.extremal import (
     eligible_outer_labels,
 )
 from sepcodes.graphs import _children, _level, _refine, decode_edges
-from sepcodes.solver import make_mask_checker
 
 # Property tests draw the same examples on every run and stay bounded, so
 # the suite is deterministic and fast; no example database is written.
@@ -366,19 +366,17 @@ def ascending(patterns, n: int, k: int) -> set[int]:
 def full_c0_patterns(kind: CodeKind, n: int, k: int) -> set[int]:
     """Oracle for extremal._attaining_patterns: every one of the
     2^|c0_edges(n, k)| C0-patterns, each decoded as a graph of order n and
-    tested with make_mask_checker, with no filter on the outer signatures.
-    No k-set fits in fewer than k vertices, so there are none when n < k."""
+    tested with the definitional codes.is_code, not with the mask test the
+    scan uses, with no filter on the outer signatures. No k-set fits in
+    fewer than k vertices, so there are none when n < k."""
     if n < k:
         return set()
     c0 = (1 << k) - 1
-    adj = [0] * n
-    check = make_mask_checker(n, adj, kind)
-    out = set()
-    for pattern in _free_edge_codes(c0_edges(n, k)):
-        adj[:] = decode_edges(n, pattern)
-        if check(c0):
-            out.add(pattern)
-    return out
+    return {
+        pattern
+        for pattern in _free_edge_codes(c0_edges(n, k))
+        if is_code(graph_from_code(n, pattern), c0, kind)
+    }
 
 
 def full_family_patterns(kind: CodeKind, n: int, k: int) -> set[int]:

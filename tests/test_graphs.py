@@ -379,20 +379,16 @@ def test_augmentation_emits_each_class_once(classes_by_order):
     records = class_parents(1)
     for m in range(1, 8):
         records = list(extend_classes(m, records))
-        certs = [cert for cert, _, _, _ in records]
+        certs = [cert for cert, _, _ in records]
         assert len(certs) == len(set(certs)) == CLASS_COUNTS[m]
-        assert {cert: aut for cert, aut, _, _ in records} == classes_by_order[m]
-        assert all(
-            low == min(nb.bit_count() for nb in graph_from_code(m, cert).adj)
-            for cert, _, _, low in records
-        )
+        assert {cert: aut for cert, aut, _ in records} == classes_by_order[m]
 
 
 def test_graph_classes_at_order_eight():
     records = list(extend_classes(8, class_parents(8)))
-    certs = [cert for cert, _, _, _ in records]
+    certs = [cert for cert, _, _ in records]
     assert len(certs) == len(set(certs)) == 12346  # OEIS A000088
-    assert sum(factorial(8) // aut for _, aut, _, _ in records) == labeled_graph_count(8)
+    assert sum(factorial(8) // aut for _, aut, _ in records) == labeled_graph_count(8)
 
 
 def test_class_parents_equal_a_cold_rebuild():
@@ -420,11 +416,11 @@ def test_class_parents_build_each_level_once(cold_classes, monkeypatch):
     assert sepcodes.graphs._level.cache_info().currsize == 6
     # graph_classes reads the same levels, and keeps the level it adds
     assert graph_classes(6) == graph_classes(6)
-    assert graph_classes(4) == {cert: aut for cert, aut, _, _ in sepcodes.graphs._level(4)}
+    assert graph_classes(4) == {cert: aut for cert, aut, _ in sepcodes.graphs._level(4)}
     assert built == [1, 2, 3, 4, 5, 6]
     # the stored levels are immutable, records and automorphisms included
     assert isinstance(level, tuple)
-    assert all(isinstance(found, tuple) for _, _, found, _ in level)
+    assert all(isinstance(found, tuple) for _, _, found in level)
     with pytest.raises(TypeError):
         level[0] = _ROOT
 
@@ -483,7 +479,7 @@ def test_class_children_keep_the_whole_order_only(cold_classes, monkeypatch):
     whole = list(class_children(6))
     assert sepcodes.graphs._children.cache_info().currsize == 1
     # one graph of every class on 6 vertices, as accepted_children labels it
-    expected = [(Graph(6, tuple(adj)), aut) for adj, aut, _, _ in accepted_children(6, class_parents(6))]
+    expected = [(Graph(6, tuple(adj)), aut) for adj, aut, _ in accepted_children(6, class_parents(6))]
     assert whole == expected
     assert Counter(canonical_form(g) for g, _ in whole) == Counter(graph_classes(6).items())
     # slices of the parents, as pool workers take them, are built and not kept
@@ -507,7 +503,7 @@ def test_class_children_pack_rows_past_one_byte(monkeypatch):
     monkeypatch.setattr("sepcodes.graphs.CENSUS_GUARD", 9)
     monkeypatch.setattr("sepcodes.graphs._level", (levels + [level8]).__getitem__)
     children = [(g.adj, aut) for g, aut in class_children(9, 0, 1)]
-    assert children == [(tuple(adj), aut) for adj, aut, _, _ in accepted_children(9, level8[:1])]
+    assert children == [(tuple(adj), aut) for adj, aut, _ in accepted_children(9, level8[:1])]
     assert any(row >= 256 for adj, _ in children for row in adj)
 
 
@@ -539,17 +535,16 @@ def test_accepted_children_are_the_classes_of_extend_classes(class_records):
     for m in range(1, 9):
         parents = class_records[m - 1]
         children = list(accepted_children(m, parents))
-        forms = [canonical_form(Graph(m, tuple(adj))) for adj, _, _, _ in children]
+        forms = [canonical_form(Graph(m, tuple(adj))) for adj, _, _ in children]
         records = extend_classes(m, parents)
-        assert Counter(forms) == Counter((cert, aut) for cert, aut, _, _ in records)
-        for (adj, aut, canon, low), form in zip(children, forms):
+        assert Counter(forms) == Counter((cert, aut) for cert, aut, _ in records)
+        for (adj, aut, canon), form in zip(children, forms):
             # the canonical search runs exactly when the new vertex has a tie
             assert (canon is not None) == _ties_with_the_new_vertex(adj)
             assert canon is None or canon[:2] == form
             # without a tie, |Aut| is |Aut(parent)| / |orbit of S|
             assert aut == form[1]
-            assert low == min(a.bit_count() for a in adj)
-        assert sum(canon is None for _, _, canon, _ in children) == TIE_FREE_CLASSES[m]
+        assert sum(canon is None for _, _, canon in children) == TIE_FREE_CLASSES[m]
 
 
 # classes on m vertices whose new vertex alone minimises (degree, sum of
@@ -559,7 +554,7 @@ TIE_FREE_CLASSES = {1: 1, 2: 0, 3: 1, 4: 3, 5: 15, 6: 80, 7: 686, 8: 9236}
 
 def test_subset_orbit_sizes_cover_every_subset(class_records):
     for k in range(1, 8):
-        for _, aut, automorphisms, _ in class_records[k]:
+        for _, aut, automorphisms in class_records[k]:
             orbits = _subset_orbits(k, automorphisms)
             assert sum(size for _, size in orbits) == 1 << k
             assert all(aut % size == 0 for _, size in orbits)
@@ -595,7 +590,7 @@ def test_canonical_hands_over_the_orbits_of_its_automorphisms(class_records):
     # canonical labeling: vertex v has canonical label label[v]
     rng = random.Random(30)
     for n in range(1, 8):
-        for cert, _, _, _ in class_records[n]:
+        for cert, _, _ in class_records[n]:
             g = graph_from_code(n, cert)
             for h in (g, relabeled(g, rng.sample(range(n), n))):
                 _, aut, found, label, forest = _canonical(n, h.adj)
@@ -618,7 +613,7 @@ def test_census_path_weights_every_labeled_graph_at_order_eight(class_records, m
     monkeypatch.setattr("sepcodes.graphs._canonical", counted)
     children = list(accepted_children(8, class_records[7]))
     assert len(children) == 12346
-    assert sum(factorial(8) // aut for _, aut, _, _ in children) == 1 << 28
+    assert sum(factorial(8) // aut for _, aut, _ in children) == 1 << 28
     assert calls == 4038
 
 

@@ -220,16 +220,14 @@ def test_witness_validity_and_bounds_on_samples():
 
 
 def test_mask_checker_agrees_with_is_code_exhaustively():
-    # one checker per (n, kind), kept while its adjacency list is refilled
-    # in place with each labeled graph, as extremal._attaining_patterns does
+    # one checker per kind, called on every labeled graph of every order, so
+    # a checker that kept any state between graphs or orders would fail
+    checks = {kind: make_mask_checker(kind) for kind in ALL_KINDS}
     for n in range(1, 6):
-        adj = [0] * n
-        checks = {kind: make_mask_checker(n, adj, kind) for kind in ALL_KINDS}
         for g in labeled_graphs(n):
-            adj[:] = g.adj
             for kind, check in checks.items():
                 for mask in range(1 << n):
-                    assert check(mask) == is_code(g, mask, kind), (g, mask, kind)
+                    assert check(g.adj, mask) == is_code(g, mask, kind), (g, mask, kind)
 
 
 def test_solver_is_deterministic():
@@ -496,7 +494,7 @@ def test_search_matches_the_reference_where_vertices_are_forced():
     assert singletons > 100
 
 
-@given(graphs(max_order=20))
+@given(connected_sparse_graphs())
 def test_family_matches_the_reference_filter_on_random_graphs(g):
     for kind in ALL_KINDS:
         assert minimal_candidates(g, kind) == reference_separation_family(g, kind)
