@@ -53,8 +53,9 @@ from .solver import (
     smallest_k,
 )
 
-# at n = 8 the ID scan of 2^6 * C(15, 4) = 87360 C0-patterns takes 0.12-0.15 s,
-# but `_classes` takes 70-80 s on the 675840 graphs they make (2-vCPU host)
+# at n = 8 the ID scan of 2^6 * C(15, 4) = 87360 C0-patterns takes 0.12-0.16 s;
+# the 10560 that pass, one graph per orbit of Sym(C0), make 29740 graphs, which
+# `_classes` sorts into 5843 classes in 1.5 s (the whole audit 1.9 s, 2-vCPU host)
 AUDIT_EXHAUSTIVE_GUARD = 7
 AUDIT_SAMPLED_GUARD = 10
 
@@ -346,6 +347,55 @@ def _free_edge_codes(bits: Iterable[int]) -> list[int]:
     return free
 
 
+def _c0_image(pattern: int, sigma: tuple[int, ...], n: int, k: int) -> tuple[int, list[int]]:
+    """A C0-pattern with its distinct outer signatures relabeled: the code
+    vertices 0..k-1 by `sigma`, then the outer vertices k..n-1 re-sorted so
+    that their new signatures ascend. Returns the image pattern and the
+    images of the single-bit codes of the edges ij among the outer vertices,
+    listed by j, then i, as `_c0_orbit_codes` lists them, so `_free_edge_codes`
+    of the images holds each setting's image at the setting's index."""
+
+    def bit(a: int, b: int) -> int:
+        return 1 << comb(max(a, b), 2) + min(a, b)
+
+    # a pattern has no edges among the outer vertices: their rows are the signatures
+    adj = decode_edges(n, pattern)
+    inner = sum(bit(sigma[i], sigma[j]) for j in range(k) for i in members(adj[j] & ((1 << j) - 1)))
+    sigs = [sum(1 << sigma[v] for v in members(nb)) for nb in adj[k:]]
+    place = [0] * (n - k)
+    for r, j in enumerate(sorted(range(n - k), key=sigs.__getitem__)):
+        place[j] = k + r
+    image = inner | sum(sig << comb(v, 2) for sig, v in zip(sigs, place))
+    return image, [bit(place[i], place[j]) for j in range(n - k) for i in range(j)]
+
+
+def _c0_orbit_codes(patterns: Iterable[int], n: int, k: int) -> list[int]:
+    """One edge code per orbit of Sym(C0) among the patterns joined with
+    every setting of the edges among the outer vertices. σ maps each graph
+    to an isomorphic one (`_c0_image`), so the kept codes meet every
+    isomorphism class the full list meets, whether or not `patterns` is
+    closed under σ. A pattern in the orbit of an earlier one is skipped, as
+    each of its graphs is an image of one of the earlier pattern's; within
+    a pattern only the σ that fix it map its settings among themselves, so
+    a setting is kept unless it is such an image of a kept one."""
+    free = _free_edge_codes(1 << (comb(j, 2) + i) for j in range(k, n) for i in range(k, j))
+    sigmas = list(itertools.permutations(range(k)))
+    done: set[int] = set()
+    kept = []
+    for p in sorted(patterns):
+        if p in done:
+            continue
+        images = [_c0_image(p, sigma, n, k) for sigma in sigmas]
+        done.update(q for q, _ in images)
+        fixing = [_free_edge_codes(bits) for q, bits in images if q == p]
+        seen: set[int] = set()
+        for t, f in enumerate(free):
+            if f not in seen:
+                kept.append(p | f)
+                seen.update(settings[t] for settings in fixing)
+    return kept
+
+
 def _invariant_key(g: Graph) -> tuple:
     """Each vertex's degree and its neighbours' sorted degrees, sorted."""
     degs = [nb.bit_count() for nb in g.adj]
@@ -410,10 +460,11 @@ def audit_characterization(
     closed under relabeling of the outer vertices k..n-1, so every labeled
     graph with a pattern of either on some k-set is isomorphic to a pattern
     of the side joined with a setting of the edges among the outer
-    vertices, which no code test of the k-set reads. `_classes` sorts those into
-    isomorphism classes, {certificate: |Aut|}, and a class stands for
-    n!/|Aut| labeled graphs. The attaining side keeps the patterns under
-    which C0 is a code; as no code is smaller than k, a graph attains k
+    vertices, which no code test of the k-set reads. `_classes` sorts one of
+    those per orbit of Sym(C0) (`_c0_orbit_codes`) into isomorphism
+    classes, {certificate: |Aut|}, and a class stands for n!/|Aut| labeled
+    graphs. The attaining side keeps the patterns under which C0 is a
+    code; as no code is smaller than k, a graph attains k
     exactly when some k-set is a code. It uses nothing of the construction,
     so the two sides stay independent. The family side takes every
     admissible inner graph and every choice of n - k of its eligible outer
@@ -433,10 +484,9 @@ def audit_characterization(
             )
         attaining_patterns = _attaining_patterns(kind, n, k)
         patterns = _family_patterns(kind, n, k)
-        free = _free_edge_codes(1 << (comb(j, 2) + i) for j in range(k, n) for i in range(k, j))
 
         def side_classes(side: set[int]) -> dict[int, int]:
-            return _classes([p | f for p in side for f in free], n)
+            return _classes(_c0_orbit_codes(side, n, k), n)
 
         family = side_classes(patterns)
         attaining = family if attaining_patterns == patterns else side_classes(attaining_patterns)

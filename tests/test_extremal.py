@@ -23,9 +23,11 @@ from conftest import (
     label_closure,
     labeled_graphs,
     outer_closure,
+    outer_signatures,
     own_signature_families,
     p4,
     random_graph,
+    relabel_codes,
     relabeled,
     without_last_label,
 )
@@ -77,6 +79,8 @@ from sepcodes.extremal import (
     _TIGHT_RECIPES,
     StructureCheck,
     _attaining_patterns,
+    _c0_image,
+    _c0_orbit_codes,
     _classes,
     _family_patterns,
     _free_edge_codes,
@@ -701,17 +705,83 @@ def test_audit_exhaustive_other_kinds(kind, n, attaining, classes):
     assert report.family_class_count == classes
 
 
+def outer_settings(n, k):
+    """Every setting of the edges among the outer vertices k..n-1."""
+    return _free_edge_codes(1 << t for t, (i, _) in enumerate(edge_bit_pairs(n)) if i >= k)
+
+
+def every_setting_classes(patterns, n, k):
+    """Oracle for the audit's route: the classes of every pattern joined
+    with every setting of the edges among the outer vertices."""
+    return _classes([p | f for p in patterns for f in outer_settings(n, k)], n)
+
+
 def pattern_classes(patterns, n, k):
-    """The audit's route: the classes of the patterns joined with every
-    setting of the edges among the outer vertices."""
-    free = _free_edge_codes(1 << t for t, (i, _) in enumerate(edge_bit_pairs(n)) if i >= k)
-    return _classes([p | f for p in patterns for f in free], n)
+    """The audit's route: the classes of one graph per orbit of Sym(C0) on
+    the patterns joined with every outer setting."""
+    return _classes(_c0_orbit_codes(patterns, n, k), n)
 
 
 def class_weight(patterns, n, k):
     """Labeled graphs counted by the audit's route: n!/|Aut| summed over
     the classes of the patterns."""
     return sum(factorial(n) // aut for aut in pattern_classes(patterns, n, k).values())
+
+
+ORBIT_CASES = [
+    (kind, n) for kind in CodeKind for n in range(1, 8) if 1 <= lower_bound(kind, n) <= n
+]
+
+
+@pytest.mark.parametrize("kind,n", ORBIT_CASES)
+def test_orbit_codes_meet_every_class(kind, n):
+    # one graph per orbit of Sym(C0) gives the classes of every graph, on
+    # both sides and on half of the family patterns, a set that relabeling
+    # C0 need not keep
+    k = lower_bound(kind, n)
+    family = _family_patterns(kind, n, k)
+    sample = set(random.Random(n).sample(sorted(family), len(family) // 2))
+    for patterns in (family, _attaining_patterns(kind, n, k), sample):
+        assert pattern_classes(patterns, n, k) == every_setting_classes(patterns, n, k)
+
+
+@pytest.mark.parametrize("kind,n", ORBIT_CASES)
+def test_c0_image_is_a_relabeling(kind, n):
+    # the image of a pattern under σ, with every outer setting, against the
+    # whole vertex map: σ on C0, and each outer vertex to its rank among
+    # the relabeled signatures
+    k = lower_bound(kind, n)
+    rng = random.Random(n)
+    settings = outer_settings(n, k)
+    sigmas = list(itertools.permutations(range(k)))
+    patterns = sorted(_family_patterns(kind, n, k))
+    for p in rng.sample(patterns, min(4, len(patterns))):
+        for sigma in rng.sample(sigmas, min(6, len(sigmas))):
+            (moved,) = relabel_codes([p], sigma + tuple(range(k, n)), n)
+            sigs = outer_signatures(moved, n, k)
+            perm = list(sigma) + [0] * (n - k)
+            for r, j in enumerate(sorted(range(k, n), key=lambda j: sigs[j - k])):
+                perm[j] = k + r
+            image, bits = _c0_image(p, sigma, n, k)
+            assert ascending([image], n, k) == {image}
+            assert [image | f for f in _free_edge_codes(bits)] == relabel_codes(
+                [p | f for f in settings], perm, n
+            )
+
+
+def test_audit_classes_one_graph_per_c0_orbit(monkeypatch):
+    # ID at n = 7: both sides are the same 4 patterns with 64 outer settings
+    # each, 256 graphs, in 60 orbits of Sym(C0) and 50 classes
+    handed = []
+
+    def counted(codes, n):
+        handed.append(len(codes))
+        return _classes(codes, n)
+
+    monkeypatch.setattr("sepcodes.extremal._classes", counted)
+    report = audit_characterization(CodeKind.ID, 7)
+    assert report.passed and report.family_class_count == 50
+    assert handed == [60]
 
 
 ATTAINING_CASES = [(kind, n) for kind in CodeKind for n in range(1, 6)] + [(CodeKind.ID, 6)]
