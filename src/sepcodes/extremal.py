@@ -53,9 +53,11 @@ from .solver import (
     smallest_k,
 )
 
-# at n = 8 the ID scan of 2^6 * C(15, 4) = 87360 C0-patterns takes 0.12-0.16 s;
-# the 10560 that pass, one graph per orbit of Sym(C0), make 29740 graphs, which
-# `_classes` sorts into 5843 classes in 1.5 s (the whole audit 1.9 s, 2-vCPU host)
+# at n = 8 the ID scan makes 43744 mask checks (the 2^6 inner graphs, then
+# C(15, 4) = 1365 signature choices on each of the 32 that C0 does not fail)
+# in 0.13-0.18 s; the 10560 patterns that pass, one graph per orbit of Sym(C0),
+# make 29740 graphs, which `_classes` sorts into 5843 classes in 1.5-1.8 s (the
+# whole audit 1.9-2.7 s, 2-vCPU shared host)
 AUDIT_EXHAUSTIVE_GUARD = 7
 AUDIT_SAMPLED_GUARD = 10
 
@@ -427,7 +429,11 @@ def _attaining_patterns(kind: CodeKind, n: int, k: int) -> set[int]:
     gives it a nonempty signature on C0 (domination) and any two of them
     different signatures (separation): no other pattern can pass.
     Relabeling the outer vertices keeps C0 a code, so only signatures that
-    ascend on k..n-1 are scanned, and `make_mask_checker` decides each."""
+    ascend on k..n-1 are scanned, and `make_mask_checker` decides each.
+    The sets of the code vertices alone (their neighbourhoods and their
+    pairs) read only the inner rows, so they are sets of every pattern on
+    that inner graph: an inner graph on which C0 misses one of them is
+    skipped with all its signature choices."""
     if n < k:
         return set()
     c0 = (1 << k) - 1
@@ -438,6 +444,8 @@ def _attaining_patterns(kind: CodeKind, n: int, k: int) -> set[int]:
     out: set[int] = set()
     for inner in range(1 << comb(k, 2)):
         base = tuple(decode_edges(k, inner))
+        if not check(base, c0):
+            continue
         for sigs in itertools.combinations(range(1, c0 + 1), n - k):
             if check(base + sigs, c0):
                 out.add(inner | sum(sig << s for sig, s in zip(sigs, shifts)))

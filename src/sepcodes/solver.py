@@ -30,9 +30,10 @@ T = TypeVar("T")
 # Each part of the separation family as (twin rule, candidate sets), both
 # read off the open and closed neighbourhoods (adj, closed); the twin rule
 # says, before any set is built, whether the part holds an empty set.
-# _candidates, census's _numbers and make_mask_checker read each kind's
-# parts, by index, from _KIND_PARTS: N(v) for TD kinds or N[v] for D kinds,
-# then the pairs of its separation.
+# A vertex set is a code exactly when it hits every set of the kind's parts:
+# _candidates, census's _numbers and make_mask_checker (the audit's code
+# test) read them, by index, from _KIND_PARTS: N(v) for TD kinds or N[v]
+# for D kinds, then the pairs of its separation.
 _Part = tuple[
     Callable[[Sequence[int], Sequence[int]], bool],
     Callable[[Sequence[int], Sequence[int]], Iterable[int]],
@@ -135,36 +136,19 @@ def max_order(kind: CodeKind, k: int) -> int:
 
 
 def make_mask_checker(kind: CodeKind) -> Callable[[Sequence[int], int], bool]:
-    """Fused separation+domination test check(adj, c) of a code mask c on
-    the graph with adjacency masks adj; agrees with codes.is_code on every
-    vertex set of every graph (property-tested exhaustively). Each vertex v
-    reads s = N(v) & c once and fails c when s is empty and the kind is
-    total or v lies outside c, when its open signature s repeats (L, O, F;
-    for L only outside c), or when its closed signature s | ({v} & c)
-    repeats (I, F), as the kind's parts say."""
-    parts = _KIND_PARTS[kind]
-    total, closed = 0 in parts, 4 in parts
-    # v's open signature is tested when c >> v & 1 < opens: never for I,
-    # only outside c for L, always for O and F
-    opens = 2 if 3 in parts else int(2 in parts)
+    """Code test check(adj, c) of a code mask c on the graph with adjacency
+    masks adj: c hits every set of the kind's parts (_PARTS), read off adj
+    as _candidates reads them. No twin rule is needed, as c hits no empty
+    set. Each set is read only through its bits in c, so check reads only
+    the bits of adj in c; agrees with codes.is_code on every vertex set of
+    every graph (property-tested exhaustively)."""
+    parts = [_PARTS[p][1] for p in _KIND_PARTS[kind]]
 
     def check(adj: Sequence[int], c: int) -> bool:
-        oseen = set()
-        cseen = set()
-        for v, nb in enumerate(adj):
-            s = nb & c
-            inside = c >> v & 1
-            if not s and (total or not inside):
+        closed = tuple(map(or_, adj, _units(len(adj))[0]))
+        for sets in parts:
+            if not all(map(c.__and__, sets(adj, closed))):
                 return False
-            if inside < opens:
-                if s in oseen:
-                    return False
-                oseen.add(s)
-            if closed:
-                s |= inside << v
-                if s in cseen:
-                    return False
-                cseen.add(s)
         return True
 
     return check

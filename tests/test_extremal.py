@@ -88,7 +88,7 @@ from sepcodes.extremal import (
     inner_has_isolated,
 )
 from sepcodes.graphs import canonical_form
-from sepcodes.solver import _candidates, class_pass, smallest_k
+from sepcodes.solver import _candidates, class_pass, make_mask_checker, smallest_k
 
 
 def test_eligible_outer_labels():
@@ -931,6 +931,31 @@ def test_attaining_patterns_equal_the_full_scan(kind, n):
     full = full_c0_patterns(kind, n, k)
     assert attaining == ascending(full, n, k)
     assert outer_closure(attaining, n, k) == full
+
+
+@pytest.mark.parametrize("kind,n,inner,passing,checks", [
+    (CodeKind.ID, 7, 8, 4, 148),
+    (CodeKind.FTD, 7, 64, 12, 5524),
+])
+def test_attaining_scan_skips_inner_graphs_c0_fails(monkeypatch, kind, n, inner, passing, checks):
+    # one check per inner graph on C0, and C(2^k - 1, n - k) signature
+    # choices checked only on the inner graphs that pass it
+    made = []
+
+    def counted(kind):
+        check = make_mask_checker(kind)
+
+        def counting(adj, c):
+            made.append(len(adj))
+            return check(adj, c)
+
+        return counting
+
+    monkeypatch.setattr("sepcodes.extremal.make_mask_checker", counted)
+    k = lower_bound(kind, n)
+    _attaining_patterns(kind, n, k)
+    assert Counter(made) == {k: inner, n: passing * comb((1 << k) - 1, n - k)}
+    assert len(made) == checks
 
 
 def test_audit_exhaustive_reports_a_family_short_of_the_attaining_graphs(monkeypatch):

@@ -221,13 +221,29 @@ def test_witness_validity_and_bounds_on_samples():
 
 def test_mask_checker_agrees_with_is_code_exhaustively():
     # one checker per kind, called on every labeled graph of every order, so
-    # a checker that kept any state between graphs or orders would fail
+    # a checker that kept any state between graphs or orders would fail; its
+    # answer is also the solver's, that the mask hits every set of
+    # _candidates ([0] on an inadmissible graph, which no mask hits)
     checks = {kind: make_mask_checker(kind) for kind in ALL_KINDS}
     for n in range(1, 6):
         for g in labeled_graphs(n):
             for kind, check in checks.items():
+                family = _candidates(g, kind)
                 for mask in range(1 << n):
-                    assert check(g.adj, mask) == is_code(g, mask, kind), (g, mask, kind)
+                    answer = check(g.adj, mask)
+                    assert answer == is_code(g, mask, kind), (g, mask, kind)
+                    assert answer == all(s & mask for s in family), (g, mask, kind)
+
+
+@given(graphs(max_order=20), st.data())
+def test_mask_checker_agrees_with_is_code_on_random_graphs(g, data):
+    # past the exhaustive orders: the whole vertex set is a code of every
+    # admissible kind, so the test sees codes as well as non-codes
+    full = (1 << g.order) - 1
+    for kind in ALL_KINDS:
+        check = make_mask_checker(kind)
+        for mask in (full, full ^ 1, data.draw(st.integers(0, full))):
+            assert check(g.adj, mask) == is_code(g, mask, kind), (mask, kind)
 
 
 def test_solver_is_deterministic():
