@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="check the extremal characterization at order n")
     p.add_argument("--kind", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help="order: exhaustive up to 8, sampled up to 10")
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=200)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import defaultdict
 # not used here: kept bound because bench/tracer.py patches this name
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
@@ -26,8 +25,8 @@ from .graphs import (
     MAX_VERTICES,
     Graph,
     _canonical,
+    _equitable,
     build_graph,
-    canonical_form,
     complete_graph,
     decode_edges,
     disjoint_union,
@@ -53,12 +52,12 @@ from .solver import (
     smallest_k,
 )
 
-# at n = 8 the ID scan makes 43744 mask checks (the 2^6 inner graphs, then
-# C(15, 4) = 1365 signature choices on each of the 32 that C0 does not fail)
-# in 0.13-0.18 s; the 10560 patterns that pass, one graph per orbit of Sym(C0),
-# make 29740 graphs, which `_classes` sorts into 5843 classes in 1.5-1.8 s (the
-# whole audit 1.9-2.7 s, 2-vCPU shared host)
-AUDIT_EXHAUSTIVE_GUARD = 7
+# at n = 8 the ID scan makes 43744 mask checks in 0.17-0.28 s; the 10560
+# patterns that pass, one graph per orbit of Sym(C0), make 29740 graphs, which
+# `_classes` sorts into 5843 classes with 24397 isomorphism tests in 1.9-2.8 s
+# (the audit 2.0-3.6 s, all eight kinds 9-12 s, 2-vCPU shared host); `_classes`
+# runs the canonical search unguarded, so this stays at most CENSUS_GUARD
+AUDIT_EXHAUSTIVE_GUARD = 8
 AUDIT_SAMPLED_GUARD = 10
 
 INNER_PRESETS = {
@@ -398,25 +397,28 @@ def _c0_orbit_codes(patterns: Iterable[int], n: int, k: int) -> list[int]:
     return kept
 
 
-def _invariant_key(g: Graph) -> tuple:
-    """Each vertex's degree and its neighbours' sorted degrees, sorted."""
-    degs = [nb.bit_count() for nb in g.adj]
-    return tuple(sorted((d, tuple(sorted(degs[u] for u in members(nb))))
-                        for d, nb in zip(degs, g.adj)))
+def _quotient(adj: tuple[int, ...], cells: list[int]) -> tuple:
+    """The quotient of the equitable partition `cells`: each cell's size and
+    how many neighbours its vertices have in each cell, in the cells' order.
+    On the root partition (`_equitable`) it does not depend on the labeling."""
+    return tuple((c.bit_count(), *[(adj[c.bit_length() - 1] & d).bit_count() for d in cells])
+                 for c in cells)
 
 
 def _classes(codes: Iterable[int], n: int) -> dict[int, int]:
     """{certificate: |Aut|} of the isomorphism classes of the graphs with
     these edge codes: one representative per class, found by bucketing on
-    `_invariant_key` and testing `is_isomorphic` within a bucket, and its
-    `canonical_form`."""
-    buckets: dict[tuple, list[Graph]] = defaultdict(list)
+    the `_quotient` of the root equitable partition and testing
+    `is_isomorphic` within a bucket, and its canonical form, searched from
+    the root partition the bucketing refined."""
+    buckets: dict[tuple, list[tuple[Graph, list[int]]]] = {}
     for code in sorted(codes):
         g = graph_from_code(n, code)
-        bucket = buckets[_invariant_key(g)]
-        if not any(is_isomorphic(g, rep) for rep in bucket):
-            bucket.append(g)
-    return dict(canonical_form(g) for bucket in buckets.values() for g in bucket)
+        cells = _equitable(g.adj)
+        bucket = buckets.setdefault(_quotient(g.adj, cells), [])
+        if not any(is_isomorphic(g, rep) for rep, _ in bucket):
+            bucket.append((g, cells))
+    return dict(_canonical(n, g.adj, cells)[:2] for g, cells in itertools.chain(*buckets.values()))
 
 
 def _attaining_patterns(kind: CodeKind, n: int, k: int) -> set[int]:
@@ -599,7 +601,8 @@ def od_disconnection_case(k: int, inner: Graph | None = None) -> DisconnectionRe
     rest_inner = induced_subgraph(inner, inner.vertex_mask ^ (1 << u))
     smaller = materialize(ExtremalBlueprint(Separation.OPEN, k - 1, rest_inner))
     expected = disjoint_union(build_graph(2, [(0, 1)]), smaller.graph)
-    mine, theirs = ((h.order, _canonical(h.order, h.adj)[0]) for h in (me.graph, expected))
+    mine, theirs = ((h.order, _canonical(h.order, h.adj, _equitable(h.adj))[0])
+                    for h in (me.graph, expected))
     number = min_code(me.graph, CodeKind.OD).number
     return DisconnectionReport(k, me, len(removals), expected, mine == theirs, number)
 

@@ -263,14 +263,28 @@ def _refine(adj: Sequence[int], cells: list[int], splitters: list[int]) -> list[
     every cell. `cells` must be equitable except with respect to the
     splitters. A cell that splits is replaced in place by its parts in
     ascending neighbour count, and each part becomes a splitter, so the
-    result does not depend on the labeling."""
+    result does not depend on the labeling. A cell that no vertex of the
+    splitter sees, or that sees all of it, is skipped unread; when the
+    splitter's vertices share one neighbourhood N, as one vertex's does, a
+    cell splits into cell & ~N and cell & N with no per-vertex count."""
     n = len(adj)
     queue = list(splitters)
     while queue and len(cells) < n:
         w = queue.pop()
+        some, every, rest = 0, -1, w
+        while rest:
+            low = rest & -rest
+            row = adj[low.bit_length() - 1]
+            some |= row
+            every &= row
+            rest ^= low
         out = []
         for cell in cells:
-            if cell & (cell - 1):
+            if cell & some and cell & ~every:
+                if some == every:
+                    out += (cell & ~some, cell & some)
+                    queue += (cell & ~some, cell & some)
+                    continue
                 parts: dict[int, int] = {}
                 rest = cell
                 while rest:
@@ -286,6 +300,13 @@ def _refine(adj: Sequence[int], cells: list[int], splitters: list[int]) -> list[
             out.append(cell)
         cells = out
     return cells
+
+
+def _equitable(adj: Sequence[int]) -> list[int]:
+    """The equitable partition _refine reaches from the unit partition: the
+    root of every canonical search, as _canonical takes it."""
+    full = (1 << len(adj)) - 1
+    return _refine(adj, [full], [full])
 
 
 def _find(root: list[int], v: int) -> int:
@@ -305,8 +326,9 @@ def _join(root: list[int], image: Sequence[int]) -> None:
             root[max(a, b)] = min(a, b)
 
 
-def _canonical(n: int, adj: Sequence[int]) -> Canonical:
-    """canonical_form on an adjacency table, unguarded, together with the
+def _canonical(n: int, adj: Sequence[int], cells: list[int]) -> Canonical:
+    """canonical_form on an adjacency table, unguarded, searched from `cells`,
+    its root equitable partition (_equitable(adj)), together with the
     automorphisms the search found, written in the canonical labeling: p
     maps to a[p] in graph_from_code(n, certificate). They generate the
     automorphism group. Then the canonical labeling: vertex v is vertex
@@ -402,9 +424,8 @@ def _canonical(n: int, adj: Sequence[int]) -> Canonical:
         v = _find(root, low.bit_length() - 1)
         return below * sum(_find(root, w) == v for w in members(cell))
 
-    full = (1 << n) - 1
     try:
-        aut = first_path(_refine(adj, [full], [full]))
+        aut = first_path(cells)
     finally:
         # explore and first_path hold themselves through their closures:
         # break those cycles, so that the search is freed on return, not at
@@ -443,7 +464,7 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     the full search. |Aut(g)| is the product, along the first path, of the
     orbit sizes of the first child. Guarded at CENSUS_GUARD."""
     _check_census_order(g.order)
-    return _canonical(g.order, g.adj)[:2]
+    return _canonical(g.order, g.adj, _equitable(g.adj))[:2]
 
 
 def _subset_orbits(k: int, automorphisms: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
@@ -534,7 +555,7 @@ def accepted_children(
             if not tied:
                 yield adj, parent_aut // orbit, None
                 continue
-            canon = _canonical(m, adj)
+            canon = _canonical(m, adj, _equitable(adj))
             _, aut, _, label, orbits = canon
             # the canonical deletion: the tied vertex, the new one included,
             # of largest canonical label, up to automorphism; orbits is the
@@ -551,7 +572,7 @@ def extend_classes(m: int, parents: Iterable[ClassRecord]) -> Iterator[ClassReco
     on m vertices comes out exactly once; see graph_classes."""
     for adj, _, canon in accepted_children(m, parents):
         if canon is None:
-            canon = _canonical(m, adj)
+            canon = _canonical(m, adj, _equitable(adj))
         yield canon[:3]
 
 

@@ -32,7 +32,7 @@ from sepcodes.extremal import (
     _free_edge_codes,
     eligible_outer_labels,
 )
-from sepcodes.graphs import _children, _level, _refine, decode_edges
+from sepcodes.graphs import _children, _level, decode_edges
 
 # Property tests draw the same examples on every run and stay bounded, so
 # the suite is deterministic and fast; no example database is written.
@@ -464,6 +464,34 @@ def relabeled(g: Graph, perm: list[int]) -> Graph:
     return Graph(g.order, tuple(adj))
 
 
+def reference_refine(adj, cells: list[int], splitters: list[int]) -> list[int]:
+    """graphs._refine without its shortcuts: every cell is split by each
+    of its vertices' neighbour count in the splitter, one vertex at a time,
+    and replaced by its parts in ascending count, each a new splitter."""
+    n = len(adj)
+    queue = list(splitters)
+    while queue and len(cells) < n:
+        w = queue.pop()
+        out = []
+        for cell in cells:
+            if cell & (cell - 1):
+                parts: dict[int, int] = {}
+                rest = cell
+                while rest:
+                    low = rest & -rest
+                    key = (adj[low.bit_length() - 1] & w).bit_count()
+                    parts[key] = parts.get(key, 0) | low
+                    rest ^= low
+                if len(parts) > 1:
+                    split = [parts[key] for key in sorted(parts)]
+                    out += split
+                    queue += split
+                    continue
+            out.append(cell)
+        cells = out
+    return cells
+
+
 def unpruned_canonical_form(g: Graph) -> tuple[int, int]:
     """canonical_form by the search tree with no automorphism pruning: every
     leaf is visited, the certificate is the largest leaf code, and |Aut| is
@@ -495,11 +523,11 @@ def unpruned_canonical_form(g: Graph) -> tuple[int, int]:
         rest = cell
         while rest:
             low = rest & -rest
-            visit(_refine(adj, cells[:i] + [low, cell ^ low] + cells[i + 1:], [low]))
+            visit(reference_refine(adj, cells[:i] + [low, cell ^ low] + cells[i + 1:], [low]))
             rest ^= low
 
     full = (1 << n) - 1
-    visit(_refine(adj, [full], [full]))
+    visit(reference_refine(adj, [full], [full]))
     return best, count
 
 

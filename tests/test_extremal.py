@@ -77,6 +77,7 @@ from sepcodes import (
 from sepcodes.cli import main
 from sepcodes.extremal import (
     _TIGHT_RECIPES,
+    AUDIT_EXHAUSTIVE_GUARD,
     StructureCheck,
     _attaining_patterns,
     _c0_image,
@@ -85,9 +86,10 @@ from sepcodes.extremal import (
     _family_patterns,
     _free_edge_codes,
     _own_signatures,
+    _quotient,
     inner_has_isolated,
 )
-from sepcodes.graphs import canonical_form
+from sepcodes.graphs import CENSUS_GUARD, _equitable, canonical_form, is_isomorphic
 from sepcodes.solver import _candidates, class_pass, make_mask_checker, smallest_k
 
 
@@ -779,9 +781,37 @@ def test_audit_classes_one_graph_per_c0_orbit(monkeypatch):
         return _classes(codes, n)
 
     monkeypatch.setattr("sepcodes.extremal._classes", counted)
+    # the 60 graphs fall into 50 classes, so 10 isomorphism tests are the
+    # matches that merge them: the quotient key leaves no test that fails
+    tests = []
+
+    def counted_test(g, h):
+        tests.append(is_isomorphic(g, h))
+        return tests[-1]
+
+    monkeypatch.setattr("sepcodes.extremal.is_isomorphic", counted_test)
     report = audit_characterization(CodeKind.ID, 7)
     assert report.passed and report.family_class_count == 50
     assert handed == [60]
+    assert tests == [True] * 10
+
+
+@given(graphs(max_order=10), st.data())
+def test_quotient_key_ignores_the_labeling(g, data):
+    h = relabeled(g, data.draw(st.permutations(range(g.order)), label="perm"))
+    assert _quotient(g.adj, _equitable(g.adj)) == _quotient(h.adj, _equitable(h.adj))
+
+
+@pytest.mark.parametrize(
+    "kind,count,classes",
+    [(CodeKind.OD, 12269040, 438), (CodeKind.FD, 29796480, 870), (CodeKind.FTD, 29796480, 870)],
+)
+def test_exhaustive_audit_at_order_eight(kind, count, classes):
+    # the cheap ones; the CI smoke step pins all eight against census
+    report = audit_characterization(kind, 8)
+    assert report.passed and report.k == lower_bound(kind, 8)
+    assert report.attaining_count == report.family_count == count
+    assert report.family_class_count == classes
 
 
 ATTAINING_CASES = [(kind, n) for kind in CodeKind for n in range(1, 6)] + [(CodeKind.ID, 6)]
@@ -1063,8 +1093,11 @@ def test_audit_sampled_accepts_planted_family_members():
 
 
 def test_audit_guards():
+    # _classes runs the canonical search unguarded, so the audit stays
+    # within the census guard
+    assert AUDIT_EXHAUSTIVE_GUARD <= CENSUS_GUARD
     with pytest.raises(GuardError):
-        audit_characterization(CodeKind.LD, 8)
+        audit_characterization(CodeKind.LD, 9)
     with pytest.raises(GuardError):
         audit_characterization(CodeKind.LD, 1)
     with pytest.raises(GuardError):

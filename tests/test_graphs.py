@@ -27,6 +27,7 @@ from conftest import (
     random_graph,
     reference_decode_edges,
     reference_graph_code,
+    reference_refine,
     relabeled,
     unpruned_canonical_form,
 )
@@ -62,7 +63,9 @@ from sepcodes.graphs import (
     _ROOT,
     CENSUS_GUARD,
     _canonical,
+    _equitable,
     _find,
+    _refine,
     _subset_orbits,
     accepted_children,
     class_children,
@@ -273,7 +276,7 @@ def test_is_isomorphic_against_networkx():
 
 def test_canonical_form_guard(monkeypatch):
     # rejected before the search starts: a stand-in search fails if reached
-    def no_search(n, adj):
+    def no_search(n, adj, cells):
         raise AssertionError("the search ran past the guard")
 
     monkeypatch.setattr("sepcodes.graphs._canonical", no_search)
@@ -292,6 +295,32 @@ def test_canonical_form_examples():
     assert canonical_form(complete_graph(5)) == ((1 << 10) - 1, 120)
     assert canonical_form(cycle_graph(6))[1] == 12
     assert canonical_form(k1()) == (0, 1)
+
+
+def _refinements(g: Graph) -> list[tuple[list[int], list[int]]]:
+    """(cells, splitters) for the refinements a canonical search of g starts:
+    the unit partition, then each one-vertex individualization of the root."""
+    full = (1 << g.order) - 1
+    root = reference_refine(g.adj, [full], [full])
+    starts = [([full], [full])]
+    for i, cell in enumerate(root):
+        if cell & (cell - 1):
+            starts += [(root[:i] + [1 << v, cell ^ 1 << v] + root[i + 1:], [1 << v])
+                       for v in members(cell)]
+    return starts
+
+
+def test_refine_matches_the_reference_exhaustively():
+    for n in range(1, 7):
+        for g in labeled_graphs(n):
+            for cells, splitters in _refinements(g):
+                assert _refine(g.adj, cells, splitters) == reference_refine(g.adj, cells, splitters)
+
+
+@given(graphs(max_order=12))
+def test_refine_matches_the_reference(g):
+    for cells, splitters in _refinements(g):
+        assert _refine(g.adj, cells, splitters) == reference_refine(g.adj, cells, splitters)
 
 
 def test_canonical_form_matches_the_unpruned_search_exhaustively():
@@ -357,7 +386,8 @@ def test_found_automorphisms_generate_the_group(classes_by_order):
         for cert, aut in classes_by_order[n].items():
             g = graph_from_code(n, cert)
             edges = set(g.edges())
-            found = _canonical(n, relabeled(g, rng.sample(range(n), n)).adj)[2]
+            h = relabeled(g, rng.sample(range(n), n))
+            found = _canonical(n, h.adj, _equitable(h.adj))[2]
             for a in found:
                 assert sorted(a) == list(range(n))
                 assert {(min(a[u], a[v]), max(a[u], a[v])) for u, v in edges} == edges
@@ -369,7 +399,7 @@ def test_canonical_labeling_maps_onto_the_representative(classes_by_order):
     for n in range(1, 7):
         for cert in classes_by_order[n]:
             g = relabeled(graph_from_code(n, cert), rng.sample(range(n), n))
-            label = _canonical(n, g.adj)[3]
+            label = _canonical(n, g.adj, _equitable(g.adj))[3]
             assert sorted(label) == list(range(n))
             assert relabeled(g, label) == graph_from_code(n, cert)
 
@@ -593,7 +623,7 @@ def test_canonical_hands_over_the_orbits_of_its_automorphisms(class_records):
         for cert, _, _ in class_records[n]:
             g = graph_from_code(n, cert)
             for h in (g, relabeled(g, rng.sample(range(n), n))):
-                _, aut, found, label, forest = _canonical(n, h.adj)
+                _, aut, found, label, forest = _canonical(n, h.adj, _equitable(h.adj))
                 reference = _reference_orbits(n, found)
                 orbits = _partition(n, lambda v: _find(forest, v))
                 assert orbits == _partition(n, lambda v: reference[label[v]])
@@ -605,10 +635,10 @@ def test_census_path_weights_every_labeled_graph_at_order_eight(class_records, m
     calls = 0
     search = _canonical
 
-    def counted(n, adj):
+    def counted(n, adj, cells):
         nonlocal calls
         calls += 1
-        return search(n, adj)
+        return search(n, adj, cells)
 
     monkeypatch.setattr("sepcodes.graphs._canonical", counted)
     children = list(accepted_children(8, class_records[7]))
