@@ -355,19 +355,32 @@ def _c0_image(pattern: int, sigma: tuple[int, ...], n: int, k: int) -> tuple[int
     images of the single-bit codes of the edges ij among the outer vertices,
     listed by j, then i, as `_c0_orbit_codes` lists them, so `_free_edge_codes`
     of the images holds each setting's image at the setting's index."""
-
-    def bit(a: int, b: int) -> int:
-        return 1 << comb(max(a, b), 2) + min(a, b)
-
+    shift = [j * (j - 1) // 2 for j in range(n)]
     # a pattern has no edges among the outer vertices: their rows are the signatures
     adj = decode_edges(n, pattern)
-    inner = sum(bit(sigma[i], sigma[j]) for j in range(k) for i in members(adj[j] & ((1 << j) - 1)))
-    sigs = [sum(1 << sigma[v] for v in members(nb)) for nb in adj[k:]]
+    image = 0
+    for j in range(1, k):
+        for i in range(j):
+            if adj[j] >> i & 1:
+                a, b = sigma[i], sigma[j]
+                image |= 1 << shift[b] + a if a < b else 1 << shift[a] + b
+    sigs = []
+    for row in adj[k:]:
+        sig = 0
+        for v in range(k):
+            if row >> v & 1:
+                sig |= 1 << sigma[v]
+        sigs.append(sig)
     place = [0] * (n - k)
     for r, j in enumerate(sorted(range(n - k), key=sigs.__getitem__)):
         place[j] = k + r
-    image = inner | sum(sig << comb(v, 2) for sig, v in zip(sigs, place))
-    return image, [bit(place[i], place[j]) for j in range(n - k) for i in range(j)]
+        image |= sigs[j] << shift[k + r]
+    bits = []
+    for j in range(n - k):
+        for i in range(j):
+            a, b = place[i], place[j]
+            bits.append(1 << shift[b] + a if a < b else 1 << shift[a] + b)
+    return image, bits
 
 
 def _c0_orbit_codes(patterns: Iterable[int], n: int, k: int) -> list[int]:
@@ -397,12 +410,15 @@ def _c0_orbit_codes(patterns: Iterable[int], n: int, k: int) -> list[int]:
     return kept
 
 
-def _quotient(adj: tuple[int, ...], cells: list[int]) -> tuple:
-    """The quotient of the equitable partition `cells`: each cell's size and
-    how many neighbours its vertices have in each cell, in the cells' order.
-    On the root partition (`_equitable`) it does not depend on the labeling."""
-    return tuple((c.bit_count(), *[(adj[c.bit_length() - 1] & d).bit_count() for d in cells])
-                 for c in cells)
+def _quotient(adj: tuple[int, ...], cells: list[int]) -> tuple[int, ...]:
+    """The quotient of the equitable partition `cells`, flat: the cells'
+    sizes, then row by row how many neighbours a vertex of each cell has in
+    each cell, in the cells' order. Its length, k + k^2 for k cells, fixes
+    k, so two quotients are equal exactly when their sizes and counts are.
+    On the root partition (`_equitable`) it does not depend on the
+    labeling."""
+    rows = [adj[c.bit_length() - 1] for c in cells]
+    return (*map(int.bit_count, cells), *[(row & d).bit_count() for row in rows for d in cells])
 
 
 def _classes(codes: Iterable[int], n: int) -> dict[int, int]:
@@ -411,7 +427,7 @@ def _classes(codes: Iterable[int], n: int) -> dict[int, int]:
     the `_quotient` of the root equitable partition and testing
     `is_isomorphic` within a bucket, and its canonical form, searched from
     the root partition the bucketing refined."""
-    buckets: dict[tuple, list[tuple[Graph, list[int]]]] = {}
+    buckets: dict[tuple[int, ...], list[tuple[Graph, list[int]]]] = {}
     for code in sorted(codes):
         g = graph_from_code(n, code)
         cells = _equitable(g.adj)

@@ -263,27 +263,19 @@ def _refine(adj: Sequence[int], cells: list[int], splitters: list[int]) -> list[
     every cell. `cells` must be equitable except with respect to the
     splitters. A cell that splits is replaced in place by its parts in
     ascending neighbour count, and each part becomes a splitter, so the
-    result does not depend on the labeling. A cell that no vertex of the
-    splitter sees, or that sees all of it, is skipped unread; when the
-    splitter's vertices share one neighbourhood N, as one vertex's does, a
-    cell splits into cell & ~N and cell & N with no per-vertex count."""
+    result does not depend on the labeling. A one-vertex splitter {x} cuts
+    each cell into cell & ~N(x) and cell & N(x) with no per-vertex count;
+    a larger one counts each vertex's neighbours in it, in every cell but
+    the singletons, which cannot split."""
     n = len(adj)
     queue = list(splitters)
     while queue and len(cells) < n:
         w = queue.pop()
-        some, every, rest = 0, -1, w
-        while rest:
-            low = rest & -rest
-            row = adj[low.bit_length() - 1]
-            some |= row
-            every &= row
-            rest ^= low
         out = []
-        for cell in cells:
-            if cell & some and cell & ~every:
-                if some == every:
-                    out += (cell & ~some, cell & some)
-                    queue += (cell & ~some, cell & some)
+        if w & (w - 1):
+            for cell in cells:
+                if not cell & (cell - 1):
+                    out.append(cell)
                     continue
                 parts: dict[int, int] = {}
                 rest = cell
@@ -296,17 +288,30 @@ def _refine(adj: Sequence[int], cells: list[int], splitters: list[int]) -> list[
                     split = [parts[key] for key in sorted(parts)]
                     out += split
                     queue += split
-                    continue
-            out.append(cell)
+                else:
+                    out.append(cell)
+        else:
+            row = adj[w.bit_length() - 1]
+            for cell in cells:
+                if cell & row and cell & ~row:
+                    out += (cell & ~row, cell & row)
+                    queue += (cell & ~row, cell & row)
+                else:
+                    out.append(cell)
         cells = out
     return cells
 
 
 def _equitable(adj: Sequence[int]) -> list[int]:
     """The equitable partition _refine reaches from the unit partition: the
-    root of every canonical search, as _canonical takes it."""
-    full = (1 << len(adj)) - 1
-    return _refine(adj, [full], [full])
+    root of every canonical search, as _canonical takes it. It starts from
+    the cells of equal degree, the unit partition's first split."""
+    parts: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        d = row.bit_count()
+        parts[d] = parts.get(d, 0) | 1 << v
+    cells = [parts[d] for d in sorted(parts)]
+    return _refine(adj, cells, cells) if len(cells) > 1 else cells
 
 
 def _find(root: list[int], v: int) -> int:
@@ -319,11 +324,13 @@ def _find(root: list[int], v: int) -> int:
 
 def _join(root: list[int], image: Sequence[int]) -> None:
     """Merge the orbits in `root` that the permutation `image` connects,
-    keeping the least vertex of each orbit as its root."""
+    keeping the least vertex of each orbit as its root; a fixed point
+    connects nothing and is passed over."""
     for v, w in enumerate(image):
-        a, b = _find(root, v), _find(root, w)
-        if a != b:
-            root[max(a, b)] = min(a, b)
+        if v != w:
+            a, b = _find(root, v), _find(root, w)
+            if a != b:
+                root[max(a, b)] = min(a, b)
 
 
 def _canonical(n: int, adj: Sequence[int], cells: list[int]) -> Canonical:
@@ -334,7 +341,9 @@ def _canonical(n: int, adj: Sequence[int], cells: list[int]) -> Canonical:
     automorphism group. Then the canonical labeling: vertex v is vertex
     label[v] of graph_from_code(n, certificate). Last, the union-find forest
     the search joined each automorphism into, in the input's own labels and
-    read with _find: the orbit partition of Aut, as they generate it. Class
+    read with _find: the orbit partition of Aut, as they generate it; only
+    that partition is fixed, not the forest's links (_join passes over
+    fixed points, so they are not path-halved). Class
     generation calls it for every class it emits; census only for a child
     whose new vertex ties with another on the augmentation invariant (see
     accepted_children)."""
@@ -370,8 +379,8 @@ def _canonical(n: int, adj: Sequence[int], cells: list[int]) -> Canonical:
         for j in range(1, n):
             row = adj[order[j]]
             for p in range(j):
-                if row >> order[p] & 1:
-                    code |= 1 << (shifts[j] + p)
+                if row & cells[p]:
+                    code |= 1 << shifts[j] + p
         if code > best:
             best, best_order = code, order
         if code != first_code:

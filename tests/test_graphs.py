@@ -4,6 +4,8 @@ partition-family membership."""
 from __future__ import annotations
 
 import gc
+import hashlib
+import json
 import multiprocessing
 import random
 import sys
@@ -65,6 +67,7 @@ from sepcodes.graphs import (
     _canonical,
     _equitable,
     _find,
+    _level,
     _refine,
     _subset_orbits,
     accepted_children,
@@ -321,6 +324,49 @@ def test_refine_matches_the_reference_exhaustively():
 def test_refine_matches_the_reference(g):
     for cells, splitters in _refinements(g):
         assert _refine(g.adj, cells, splitters) == reference_refine(g.adj, cells, splitters)
+
+
+def test_equitable_matches_the_reference_exhaustively():
+    for n in range(1, 7):
+        full = (1 << n) - 1
+        for g in labeled_graphs(n):
+            assert _equitable(g.adj) == reference_refine(g.adj, [full], [full])
+
+
+@given(graphs(max_order=10))
+def test_equitable_matches_the_reference(g):
+    full = g.vertex_mask
+    assert _equitable(g.adj) == reference_refine(g.adj, [full], [full])
+
+
+# sha256 of json.dumps(sorted(graph_classes(n).items())), then of the level
+# records as json lists, [[cert, aut, [list(a) for a in autos]], ...]. The
+# oracles accept any valid canonical labeling; these pin the one the search
+# picks, its automorphisms and the order class generation emits the records
+CLASS_DIGESTS = {
+    1: ("4b206b21939b457eb85499fb9142a2b2ff32d29b25b2a70733887616d179d748",
+        "51080b89d1e43307f1bdf40be70b704d7346efba3d68f386a7b7bc9ba0986e53"),
+    2: ("de47c44aebf4ead9691e8bb0acd82765000a60adb7c67bb5e9f2b691deb3aac7",
+        "8371205ee96932dd13019b3afec17d54c40b221ecfe37ca23c646eac382e4dd1"),
+    3: ("6c7d4cc0e853dfee7bd24749ec4bdc9c61b61f4ec135513addca261d8c0fdfa2",
+        "0b88dfa7686ac5a2d51c7e11c001cba460a36ac7526baffe3a4a915da2a8e95c"),
+    4: ("67988a503c9e18c1db6682b5df7c70b38450fc23809f38aa8ce46192bca8a13b",
+        "b6114bcec3aa96537fe477c9525218cf8622f53f2b2e88759a95333aecc9a1e6"),
+    5: ("a7c59306dd9e6b8ad579c13732caaf09512f2b91f5ffe69dc1604ae770f7273e",
+        "a89e24bd0f1df24569763a688bbb4a0ef2fa19d9371590cc380a2524feead799"),
+    6: ("d29ef73e1ca356d004f595d09e715e36e578e9adc1eba5eac6d368591d85540a",
+        "8cc61b614f680fd10a35642d7ca16a857769ad20ffe12c9c6e03a78c4fecdf82"),
+    7: ("996122131056408fa5d9be3ff9c781b5131b9a4a095109c8d513553c4b8e8899",
+        "a01ca935a2c079a3f9c7b35c3047a55c63bab031e31256e8d6fb44f556205c92"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(CLASS_DIGESTS))
+def test_certificates_and_class_records_are_pinned(n):
+    classes = json.dumps(sorted(graph_classes(n).items()))
+    records = json.dumps([[cert, aut, [list(a) for a in autos]] for cert, aut, autos in _level(n)])
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (classes, records))
+    assert digests == CLASS_DIGESTS[n]
 
 
 def test_canonical_form_matches_the_unpruned_search_exhaustively():
