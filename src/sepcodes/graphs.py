@@ -18,10 +18,10 @@ from .errors import GuardError
 
 MAX_VERTICES = 62
 # census and the class routes stop at order 8 for run time: order 9 would
-# extend every one of the 12346 classes on 8 vertices (class_children packs
-# rows of up to 16 vertices, so the packing sets no limit here). It also
-# bounds census's subset lattice (solver._lattice), 4^n bits at order n
-# (about 14 KB at 8 and 36 KB at 9), which grows fourfold per order
+# extend every one of the 12346 classes on 8 vertices (class_rows packs
+# rows of up to 16 vertices, so the packing sets no limit here), and
+# census's kernel walks up to 2^n vertex sets over masks with one bit per
+# class of its chunk, which at jobs 1 is the whole order
 CENSUS_GUARD = 8
 ISOMORPHISM_GUARD = 10
 
@@ -617,18 +617,24 @@ def _children(order: int, lo: int = 0, hi: int | None = None) -> tuple[array[int
     return rows, auts
 
 
-def class_children(order: int, lo: int = 0, hi: int | None = None) -> Iterator[tuple[Graph, int]]:
-    """(graph, |Aut|) for each class on `order` vertices that
-    accepted_children accepts from class_parents(order)[lo:hi], in the
-    labeling augmentation gives it; over all the parents, one graph of
-    every class. A child gets a canonical form only when the acceptance
-    test needs one. The children of the whole order are kept (_children)
-    and read back by every later call; a slice of the parents, as a pool
-    worker takes, is packed and not kept. Guarded at CENSUS_GUARD, checked
-    before any work."""
+def class_rows(order: int, lo: int = 0, hi: int | None = None) -> tuple[array[int], array[int]]:
+    """The children on `order` vertices that accepted_children accepts
+    from class_parents(order)[lo:hi], packed as _children packs them: the
+    `order` adjacency rows of each child in turn, and their |Aut|s; over
+    all the parents, one graph of every class, in the labeling augmentation
+    gives it. A child gets a canonical form only when the acceptance test
+    needs one. The children of the whole order are kept (_children) and
+    read back by every later call; a slice of the parents, as a pool worker
+    takes, is packed by _children.__wrapped__ and not kept. Guarded at
+    CENSUS_GUARD, checked before any work."""
     parents = class_parents(order)
     whole = lo == 0 and hi in (None, len(parents))
-    rows, auts = _children(order) if whole else _children.__wrapped__(order, lo, hi)
+    return _children(order) if whole else _children.__wrapped__(order, lo, hi)
+
+
+def class_children(order: int, lo: int = 0, hi: int | None = None) -> Iterator[tuple[Graph, int]]:
+    """(graph, |Aut|) for each child class_rows(order, lo, hi) packs."""
+    rows, auts = class_rows(order, lo, hi)
     # each child's row tuple is `order` consecutive entries of one iterator
     return zip(map(partial(Graph._unchecked, order), zip(*[iter(rows)] * order)), auts)
 

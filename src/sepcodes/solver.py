@@ -10,17 +10,17 @@ from array import array
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, partial, reduce
 from itertools import combinations, starmap
 from math import factorial
-from operator import or_, xor
+from operator import and_, or_, xor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 # min_code reads admissibility off _candidates's twin rules; is_admissible
 # stays bound here because bench/tracer.py patches it
 from .codes import ALL_KINDS, CodeKind, Separation, is_admissible, is_code  # noqa: F401
 from .errors import BudgetError, GuardError
-from .graphs import MAX_VERTICES, Graph, class_children, class_parents, members
+from .graphs import MAX_VERTICES, Graph, class_children, class_parents, class_rows, members
 
 DEFAULT_BUDGET = 5_000_000
 ORACLE_GUARD = 20
@@ -31,9 +31,13 @@ T = TypeVar("T")
 # read off the open and closed neighbourhoods (adj, closed); the twin rule
 # says, before any set is built, whether the part holds an empty set.
 # A vertex set is a code exactly when it hits every set of the kind's parts:
-# _candidates, census's _numbers and make_mask_checker (the audit's code
-# test) read them, by index, from _KIND_PARTS: N(v) for TD kinds or N[v]
-# for D kinds, then the pairs of its separation.
+# _candidates, census's _class_numbers and make_mask_checker (the audit's
+# code test) read them, by index, from _KIND_PARTS: N(v) for TD kinds or
+# N[v] for D kinds, then the pairs of its separation. The sets are built
+# from adj and closed by OR and XOR alone, so census feeds the same
+# generators, for each vertex w, column w of a whole batch of graphs (one
+# bit per graph, _columns) and gets back, per set, the graphs whose set
+# contains w.
 _Part = tuple[
     Callable[[Sequence[int], Sequence[int]], bool],
     Callable[[Sequence[int], Sequence[int]], Iterable[int]],
@@ -43,10 +47,14 @@ _PARTS: tuple[_Part, ...] = (
     (lambda adj, closed: 0 in adj, lambda adj, closed: adj),
     # N[v], never empty
     (lambda adj, closed: False, lambda adj, closed: closed),
-    # the location pairs (N(u) ^ N(v)) | {u, v}, never empty
+    # the location pairs (N(u) ^ N(v)) | {u, v}, never empty, read as
+    # (N(u) ^ N(v)) | (N[u] ^ N[v]): off u and v the two xors agree; N[u] ^
+    # N[v] holds u and v when they are not adjacent, N(u) ^ N(v) when they are
     (
         lambda adj, closed: False,
-        lambda adj, closed: map(or_, starmap(xor, combinations(adj, 2)), _units(len(adj))[1]),
+        lambda adj, closed: map(
+            or_, starmap(xor, combinations(adj, 2)), starmap(xor, combinations(closed, 2))
+        ),
     ),
     # the open xors N(u) ^ N(v), empty at two open twins
     (
@@ -67,11 +75,9 @@ _KIND_PARTS = {
 
 
 @cache
-def _units(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The singletons {v} and the pairs {u, v} of order n as masks, in
-    combinations order, built once per order."""
-    units = tuple(1 << v for v in range(n))
-    return units, tuple(starmap(or_, combinations(units, 2)))
+def _units(n: int) -> tuple[int, ...]:
+    """The singletons {v} of order n as masks, built once per order."""
+    return tuple(1 << v for v in range(n))
 
 
 # (a, b) with lower_bound(kind, n) = (n + a).bit_length() + b
@@ -145,7 +151,7 @@ def make_mask_checker(kind: CodeKind) -> Callable[[Sequence[int], int], bool]:
     parts = [_PARTS[p][1] for p in _KIND_PARTS[kind]]
 
     def check(adj: Sequence[int], c: int) -> bool:
-        closed = tuple(map(or_, adj, _units(len(adj))[0]))
+        closed = tuple(map(or_, adj, _units(len(adj))))
         for sets in parts:
             if not all(map(c.__and__, sets(adj, closed))):
                 return False
@@ -184,7 +190,7 @@ def _candidates(g: Graph, kind: CodeKind) -> list[int]:
     subset has no larger largest vertex, and with the same one it is
     smaller."""
     adj = g.adj
-    closed = tuple(map(or_, adj, _units(g.order)[0]))
+    closed = tuple(map(or_, adj, _units(g.order)))
     parts = _KIND_PARTS[kind]
     for p in parts:
         if _PARTS[p][0](adj, closed):
@@ -408,7 +414,9 @@ def class_pass(key: Callable[[Graph], T], n: int, jobs: int = 1) -> Counter[T]:
     on n vertices (graphs.class_children), as no two parents share a class.
     A worker reads class_parents itself: forked, it inherits the levels;
     spawned, it builds them once. Only `(key, n, lo, hi)` is pickled, so
-    with jobs > 1 key must pickle.
+    with jobs > 1 key must pickle. census shards the same parents but
+    decides each chunk's children packed, all at once (_census_chunk), so
+    no package route takes this pass; the tests key it with their oracles.
 
     The levels and, when this process builds all of them, the children on
     n vertices are kept for the life of the process, so a later pass at
@@ -424,84 +432,141 @@ def _class_chunk(key: Callable[[Graph], T], n: int, lo: int, hi: int) -> Counter
     return weights
 
 
-@cache
-def _lattice(n: int) -> tuple[list[int], list[int]]:
-    """(away, layers) on n vertices. An int of 2^n bits stands for a
-    collection of vertex sets, bit C for set C: away[s] holds every set
-    disjoint from s, and layers[k] every set of k vertices. With vertex v
-    added, a set without v is disjoint also from its disjoint sets plus v
-    (d << (1 << v)), and a set with v from those of the set without v. Kept
-    per order: at most 4^n/8 bytes (14 KB at n = 8, 36 KB at n = 9 as Python
-    ints), and only census builds it, after the CENSUS_GUARD check."""
-    away = [1]
-    for v in range(n):
-        away = [d | d << (1 << v) for d in away] + away
-    layers = [0] * (n + 1)
-    for c in range(1 << n):
-        layers[c.bit_count()] |= 1 << c
-    return away, layers
+def _columns(n: int, rows: array[int]) -> list[list[int]]:
+    """A batch of m graphs on n vertices, packed as graphs.class_rows packs
+    them, transposed: entry [w][v] has bit m - 1 - c set when graph c has
+    the edge vw (the first graph at the highest bit, as in min_code's miss),
+    so entry [w] is an adjacency table of m-bit masks. Each entry below the
+    diagonal is one transposition, as min_code builds miss: byte w >> 3 of
+    v's row in every graph, translated to the digits of bit w & 7; [v][w]
+    is the same entry, and the diagonal is 0."""
+    if sys.byteorder == "big":
+        rows = array("H", rows)  # a copy, as the rows may be kept
+        rows.byteswap()
+    data = rows.tobytes()
+    step = 2 * n
+    columns = [[0] * n for _ in range(n)]
+    for w in range(n):
+        for v in range(w):
+            columns[w][v] = columns[v][w] = int(
+                data[2 * v + (w >> 3) :: step].translate(_BITS[w & 7]), 2
+            )
+    return columns
 
 
-def _numbers(plan: tuple[tuple[int, ...], ...], g: Graph) -> tuple[int | None, ...]:
-    """The number of g for each kind's parts in `plan`, as min_code gives
-    it, read off the subset lattice. C is a code exactly when it hits every
-    candidate set s of the parts, so the OR of away[s] over them holds
-    exactly the sets that are not codes. The number is the least k >= 1
-    with a k-set outside that OR: census assumes no lower bound, so it
-    checks them. A kind whose twin rules find an empty set is inadmissible
-    (None), and its ORs are not taken. Each part's twin rule and OR are
-    taken once per class and shared by the kinds that read it; an OR is
-    never 0, as it holds the empty set."""
-    n = g.order
-    adj = g.adj
-    closed = tuple(map(or_, adj, _units(n)[0]))
-    away, layers = _lattice(n)
-    empty: list[bool | None] = [None] * len(_PARTS)
-    missed = [0] * len(_PARTS)
-    numbers: list[int | None] = []
-    for parts in plan:
-        for p in parts:
-            if empty[p] is None:
-                empty[p] = _PARTS[p][0](adj, closed)
-            if empty[p]:
-                numbers.append(None)
-                break
-        else:
-            union = 0
+def _class_numbers(plan: tuple[tuple[int, ...], ...], n: int, rows: array[int]) -> list[list[int]]:
+    """For each kind's parts in `plan`, the numbers of a batch of m >= 1
+    graphs on n vertices (rows as _columns reads them), all at once: entry
+    k of the kind's list has bit m - 1 - c set when graph c has number k,
+    as min_code gives it, and entry 0 when graph c is inadmissible.
+
+    _PARTS's generators, fed the column table of each vertex w, give per
+    set the graphs whose set contains w; nin[w] holds the complements. A
+    graph is inadmissible when one of its sets lacks every vertex (the twin
+    rules). The vertex sets C are walked once, depth first in ascending
+    vertex order, carrying per set the graphs whose set C misses: one AND
+    with nin[w] per set as w is added. C is a code of a graph exactly when
+    it misses none of its sets, so the graph's number is the least |C| at
+    which it drops out of the OR over its kind's sets; no lower bound is
+    assumed, so census checks them. When C misses no admissible graph of
+    any kind, no set above C does, and the walk stops there."""
+    m = len(rows) // n
+    full = (1 << m) - 1
+    # the parts read by the same kinds are ORed as one block
+    blocks: dict[frozenset[int], list[int]] = {}
+    for p in sorted(set().union(*plan)):
+        blocks.setdefault(frozenset(i for i, parts in enumerate(plan) if p in parts), []).append(p)
+    reads = [[b for b, kinds in enumerate(blocks) if i in kinds] for i in range(len(plan))]
+    nin = []
+    for w, adj in enumerate(_columns(n, rows)):
+        closed = adj.copy()
+        closed[w] = full  # adj[w] is 0: no graph has the edge ww
+        lacks: list[int] = []
+        spans = []
+        for parts in blocks.values():
+            start = len(lacks)
             for p in parts:
-                if not missed[p]:
-                    part = 0
-                    for s in _PARTS[p][1](adj, closed):
-                        part |= away[s]
-                    missed[p] = part
-                union |= missed[p]
-            k = 1
-            while not layers[k] & ~union:
-                k += 1
-            numbers.append(k)
-    return tuple(numbers)
+                lacks.extend(full ^ s for s in _PARTS[p][1](adj, closed))
+            spans.append((start, len(lacks)))
+        nin.append(lacks)
+    empty = [reduce(and_, column) for column in zip(*nin)]
+    bad = [reduce(or_, empty[a:b], 0) for a, b in spans]
+    inadmissible = [reduce(or_, map(bad.__getitem__, parts), 0) for parts in reads]
+    admissible = [full ^ x for x in inadmissible]
+    # coded[i][k]: the graphs some visited k-set is a kind-i code of
+    coded = [[0] * (n + 1) for _ in plan]
+    # (what C - {w} misses per set, or None at C = {w}; w, the largest
+    # vertex of C; |C|) for each C still to visit
+    stack: list[tuple[list[int] | None, int, int]] = [(None, w, 1) for w in reversed(range(n))]
+    while stack:
+        below, w, size = stack.pop()
+        miss = nin[w] if below is None else list(map(and_, below, nin[w]))
+        missed = [reduce(or_, miss[a:b], 0) for a, b in spans]
+        alive = 0
+        for i, parts in enumerate(reads):
+            union = reduce(or_, map(missed.__getitem__, parts), 0)
+            coded[i][size] |= full ^ union
+            alive |= union & admissible[i]
+        if alive:
+            stack += [(miss, x, size + 1) for x in reversed(range(w + 1, n))]
+    numbers = []
+    for seen, hits in zip(inadmissible, coded):
+        masks = [seen]
+        for hit in hits[1:]:
+            masks.append(hit & ~seen)
+            seen |= hit
+        numbers.append(masks)
+    return numbers
+
+
+def _census_chunk(
+    plan: tuple[tuple[int, ...], ...], n: int, lo: int, hi: int
+) -> Counter[tuple[int, int | None]]:
+    """Labeled graphs on n vertices by (index in `plan`, number or None when
+    inadmissible), over the classes accepted from class_parents(n)[lo:hi]
+    (graphs.class_rows), whose numbers _class_numbers decides at once. The
+    classes are grouped by |Aut|, one mask per value, and each bin sums
+    n!/|Aut| times its mask's classes in each group. A chunk whose parents
+    accept no child has no bins."""
+    rows, auts = class_rows(n, lo, hi)
+    weights: Counter[tuple[int, int | None]] = Counter()
+    if not auts:
+        return weights
+    marks = {aut: bytearray(b"0") * len(auts) for aut in set(auts)}
+    for c, aut in enumerate(auts):
+        marks[aut][c] = 49  # the digit 1, so class c is bit m - 1 - c
+    labelings = factorial(n)
+    groups = [(labelings // aut, int(mark, 2)) for aut, mark in marks.items()]
+    for i, masks in enumerate(_class_numbers(plan, n, rows)):
+        for k, mask in enumerate(masks):
+            if mask:
+                weights[i, k or None] = sum(
+                    labeled * (mask & group).bit_count() for labeled, group in groups
+                )
+    return weights
 
 
 def census_kinds(kinds: Iterable[CodeKind], n: int, jobs: int = 1) -> list[CensusReport]:
-    """census for each of `kinds`, in that order, from one class_pass that
-    reads every kind's number of each class off the subset lattice
-    (_numbers). Guarded at CENSUS_GUARD."""
+    """census for each of `kinds`, in that order, from one pass over the
+    classes on n vertices: `scan` shards the parent classes (jobs as
+    class_pass takes it), and each chunk decides every kind's number of all
+    its classes at once (_census_chunk). Guarded at CENSUS_GUARD, checked
+    before any work."""
     kinds = tuple(kinds)
-    weights = class_pass(partial(_numbers, tuple(_KIND_PARTS[kind] for kind in kinds)), n, jobs)
-    reports = []
-    for i, kind in enumerate(kinds):
-        hist: Counter[int | None] = Counter()
-        for numbers, weight in weights.items():
-            hist[numbers[i]] += weight
-        inadmissible = hist.pop(None, 0)
-        reports.append(CensusReport(kind, n, dict(sorted(hist.items())), inadmissible))
-    return reports
+    chunk = partial(_census_chunk, tuple(_KIND_PARTS[kind] for kind in kinds), n)
+    weights = sum(scan(chunk, len(class_parents(n)), jobs), Counter())
+    return [
+        CensusReport(
+            kind, n, {k: weights[i, k] for k in range(1, n + 1) if weights[i, k]}, weights[i, None]
+        )
+        for i, kind in enumerate(kinds)
+    ]
 
 
 def census(kind: CodeKind, n: int, jobs: int = 1) -> CensusReport:
-    """Kind-number histogram over every labeled graph on n vertices, read
-    off class_pass: the number of one graph per isomorphism class is read
-    off the subset lattice (_numbers; it equals min_code's), and all
+    """Kind-number histogram over every labeled graph on n vertices: the
+    number of one graph per isomorphism class, as min_code gives it, is
+    read off census's class-parallel kernel (_class_numbers), and all
     n!/|Aut| labelings of it have the same kind-number. census_kinds
     shares one pass among several kinds. Guarded at CENSUS_GUARD."""
     return census_kinds((kind,), n, jobs)[0]

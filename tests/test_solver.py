@@ -7,11 +7,12 @@ import multiprocessing
 import os
 import random
 import re
+from array import array
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
-from itertools import combinations
-from math import comb
+from functools import cache, partial
+from itertools import chain, combinations
+from math import comb, factorial
 
 import pytest
 from conftest import (
@@ -47,6 +48,7 @@ from sepcodes import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    graph_from_code,
     is_admissible,
     is_code,
     labeled_graph_count,
@@ -58,13 +60,14 @@ from sepcodes import (
     relation_check,
     vset,
 )
-from sepcodes.graphs import class_children, class_parents
+from sepcodes.graphs import _children, class_children, class_parents, class_rows
 from sepcodes.solver import (
     DEFAULT_BUDGET,
     _KIND_PARTS,
     _candidates,
-    _lattice,
-    _numbers,
+    _census_chunk,
+    _class_numbers,
+    _columns,
     class_pass,
     make_mask_checker,
     resolve_jobs,
@@ -816,20 +819,48 @@ AUDIT_ORDER_SEVEN = {
 }
 
 
-@pytest.mark.parametrize("n", range(1, 6))
-def test_subset_lattice_lists_the_sets_below_each_set_and_of_each_size(n):
-    # away[s] lists the sets disjoint from s, that is below its complement
-    sets = range(1 << n)
-    away, layers = _lattice(n)
-    assert away == [sum(1 << c for c in sets if not c & s) for s in sets]
-    assert layers == [sum(1 << c for c in sets if c.bit_count() == k) for k in range(n + 1)]
+# the parts of every kind, in ALL_KINDS order, as census_kinds hands them on
+ALL_PARTS = tuple(_KIND_PARTS[kind] for kind in ALL_KINDS)
 
 
-def _census_numbers_agree(g) -> bool:
-    plan = tuple(_KIND_PARTS[kind] for kind in ALL_KINDS)
-    numbers = _numbers(plan, g)
+def _packed(batch) -> array:
+    """The adjacency rows of graphs of one order, packed as class_rows packs them."""
+    return array("H", chain.from_iterable(g.adj for g in batch))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_census_columns_hold_each_graph_edge(n):
+    # entry [w][v] has bit m - 1 - c set exactly when graph c has the edge
+    # vw; from n = 9 the rows take a second byte
+    rng = random.Random(n)
+    batch = list(labeled_graphs(n)) if n <= 4 else [random_graph(rng, n) for _ in range(41)]
+    m = len(batch)
+    assert _columns(n, _packed(batch)) == [
+        [sum(1 << m - 1 - c for c, g in enumerate(batch) if g.adj[v] >> w & 1) for v in range(n)]
+        for w in range(n)
+    ]
+
+
+def _kernel_numbers(batch) -> list[tuple[int | None, ...]]:
+    """The numbers of every kind, in ALL_KINDS order, of each graph of a
+    batch of one order, read off the masks of one _class_numbers call."""
+    n, m = batch[0].order, len(batch)
+    rows = _packed(batch)
+    masks = _class_numbers(ALL_PARTS, n, rows)
     # the kinds share their parts' ORs, in whatever order they come
-    assert _numbers(plan[::-1], g) == numbers[::-1]
+    assert _class_numbers(ALL_PARTS[::-1], n, rows) == masks[::-1]
+    assert all(len(kind) == n + 1 and not any(mask >> m for mask in kind) for kind in masks)
+    numbers = []
+    for c in range(m):
+        # each graph is in exactly one of each kind's masks: entry 0 when
+        # inadmissible, else entry k for number k
+        found = [[k for k, mask in enumerate(kind) if mask >> m - 1 - c & 1] for kind in masks]
+        assert all(len(entries) == 1 for entries in found)
+        numbers.append(tuple(entries[0] or None for entries in found))
+    return numbers
+
+
+def _numbers_agree(g, numbers) -> bool:
     return all(
         number == min_code(g, kind).number and (number is None) == (not is_admissible(g, kind))
         for kind, number in zip(ALL_KINDS, numbers)
@@ -838,12 +869,82 @@ def _census_numbers_agree(g) -> bool:
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_census_numbers_equal_min_code_on_every_class(n):
-    assert class_pass(_census_numbers_agree, n) == Counter({True: 2 ** comb(n, 2)})
+    # one batch holds every class of the order, as a serial census reads it
+    classes = list(class_children(n))
+    numbers = _kernel_numbers([g for g, _ in classes])
+    assert all(_numbers_agree(g, row) for (g, _), row in zip(classes, numbers))
+    # census's bins are those numbers, each class weighted n!/|Aut|, and
+    # they hold every labeled graph once per kind
+    weights: Counter = Counter()
+    for (_, aut), row in zip(classes, numbers):
+        for i, number in enumerate(row):
+            weights[i, number] += factorial(n) // aut
+    assert _census_chunk(ALL_PARTS, n, 0, len(class_parents(n))) == weights
+    for i in range(len(ALL_KINDS)):
+        assert sum(w for (j, _), w in weights.items() if j == i) == 2 ** comb(n, 2)
 
 
-@given(graphs(max_order=8))
-def test_census_numbers_equal_min_code_on_labeled_graphs(g):
-    assert _census_numbers_agree(g)
+@st.composite
+def batches(draw, max_order=8, max_size=8):
+    """1..max_size labeled graphs of one order 1..max_order."""
+    n = draw(st.integers(1, max_order))
+    codes = draw(st.lists(st.integers(0, (1 << comb(n, 2)) - 1), min_size=1, max_size=max_size))
+    return [graph_from_code(n, code) for code in codes]
+
+
+@given(batches())
+def test_census_numbers_equal_min_code_on_labeled_graphs(batch):
+    # a bit that leaked between the graphs of a batch would give one of
+    # them another graph's number
+    assert all(map(_numbers_agree, batch, _kernel_numbers(batch)))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_census_chunks_at_every_split_sum_to_the_whole_order(n, monkeypatch):
+    total = len(class_parents(n))
+    whole = _census_chunk(ALL_PARTS, n, 0, total)
+    # an empty chunk, whose parents accept no child, has no bins
+    assert _census_chunk(ALL_PARTS, n, total, total) == Counter()
+    # each parent's children packed alone: a range of parents packs their
+    # concatenation, so the splits below need no class generation
+    pieces = [class_rows(n, lo, lo + 1) for lo in range(total)]
+
+    def rows(order, lo=0, hi=None):
+        chosen = pieces[lo:hi]
+        return (
+            array("H", chain.from_iterable(r for r, _ in chosen)),
+            array("L", chain.from_iterable(a for _, a in chosen)),
+        )
+
+    assert rows(n) == class_rows(n)
+    monkeypatch.setattr("sepcodes.solver.class_rows", rows)
+    for m in range(total + 1):
+        assert _census_chunk(ALL_PARTS, n, 0, m) + _census_chunk(ALL_PARTS, n, m, total) == whole
+
+
+def test_census_kinds_at_two_jobs_equal_one_job(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for n in (6, 7):
+        assert census_kinds(ALL_KINDS, n, jobs=2) == census_kinds(ALL_KINDS, n, jobs=1)
+
+
+def test_census_workers_transpose_the_slices_they_pack(cold_classes, spy_pools, monkeypatch):
+    packed = []
+
+    def pack(order, lo=0, hi=None):
+        packed.append((lo, hi))
+        return _children.__wrapped__(order, lo, hi)
+
+    # class_rows keeps the whole order through _children and packs a
+    # slice through _children.__wrapped__, pack itself
+    monkeypatch.setattr("sepcodes.graphs._children", cache(pack))
+    reports = census_kinds(ALL_KINDS, 6, jobs=4)
+    assert spy_pools[0].tasks == len(packed) > 1
+    # the workers' slices tile the 34 parents; no whole order was packed or kept
+    assert packed[0][0] == 0 and packed[-1][1] == 34
+    assert all(a[1] == b[0] for a, b in zip(packed, packed[1:]))
+    assert sepcodes.graphs._children.cache_info().currsize == 0
+    assert {r.kind: (r.histogram, r.inadmissible) for r in reports} == CENSUS_ORDER_SIX
 
 
 def test_census_calls_no_min_code(monkeypatch):
@@ -904,14 +1005,16 @@ def test_census_jobs_are_clamped(spy_pools):
     assert len(spy_pools) == 1  # the serial call made no pool
 
 
-def test_census_guard(cold_classes):
-    lattices = _lattice.cache_info().currsize
+def test_census_guard(cold_classes, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("census ran a chunk")
+
+    monkeypatch.setattr("sepcodes.solver._census_chunk", refuse)
     with pytest.raises(GuardError):
         census(CodeKind.LD, 9)
-    # rejected before any class level or subset lattice is built
+    # rejected before any class level is built or any chunk runs
     assert sepcodes.graphs._level.cache_info().currsize == 0
     assert sepcodes.graphs._children.cache_info().currsize == 0
-    assert _lattice.cache_info().currsize == lattices
 
 
 @pytest.mark.parametrize("jobs", [(2, 1), (1, 2)], ids=["pool-first", "serial-first"])
@@ -935,13 +1038,13 @@ def test_census_from_cold_does_not_depend_on_jobs(cold_classes, jobs, monkeypatc
 def test_census_kinds_solve_one_pass_for_every_kind(cold_classes, jobs, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     passes = []
-    children = sepcodes.solver.class_children
+    rows = sepcodes.solver.class_rows
 
     def counted(n, lo, hi):
         passes.append((lo, hi))
-        return children(n, lo, hi)
+        return rows(n, lo, hi)
 
-    monkeypatch.setattr("sepcodes.solver.class_children", counted)
+    monkeypatch.setattr("sepcodes.solver.class_rows", counted)
     reports = census_kinds(ALL_KINDS, 6, jobs=jobs)
     assert [report.kind for report in reports] == list(ALL_KINDS)
     for report in reports:
@@ -958,7 +1061,7 @@ def test_census_kinds_solve_one_pass_for_every_kind(cold_classes, jobs, monkeypa
 
 def test_census_spawned_workers_build_the_levels_themselves(monkeypatch):
     # a spawned worker starts with only the root level and reads
-    # class_parents itself, as nothing but (key, n, lo, hi) is pickled
+    # class_parents itself, as nothing but (plan, n, lo, hi) is pickled
     spawn = partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
     monkeypatch.setattr("sepcodes.solver.ProcessPoolExecutor", spawn)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
