@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -623,20 +623,15 @@ def class_rows(order: int, lo: int = 0, hi: int | None = None) -> tuple[array[in
     `order` adjacency rows of each child in turn, and their |Aut|s; over
     all the parents, one graph of every class, in the labeling augmentation
     gives it. A child gets a canonical form only when the acceptance test
-    needs one. The children of the whole order are kept (_children) and
-    read back by every later call; a slice of the parents, as a pool worker
-    takes, is packed by _children.__wrapped__ and not kept. Guarded at
-    CENSUS_GUARD, checked before any work."""
+    needs one. This is the package's one pass over the classes of an
+    order: census reads it, one chunk of parents at a time, and decides the
+    packed rows as they are. The children of the whole order are kept
+    (_children) and read back by every later call; a slice of the parents,
+    as a pool worker takes, is packed by _children.__wrapped__ and not
+    kept. Guarded at CENSUS_GUARD, checked before any work."""
     parents = class_parents(order)
     whole = lo == 0 and hi in (None, len(parents))
     return _children(order) if whole else _children.__wrapped__(order, lo, hi)
-
-
-def class_children(order: int, lo: int = 0, hi: int | None = None) -> Iterator[tuple[Graph, int]]:
-    """(graph, |Aut|) for each child class_rows(order, lo, hi) packs."""
-    rows, auts = class_rows(order, lo, hi)
-    # each child's row tuple is `order` consecutive entries of one iterator
-    return zip(map(partial(Graph._unchecked, order), zip(*[iter(rows)] * order)), auts)
 
 
 def graph_classes(order: int) -> dict[int, int]:

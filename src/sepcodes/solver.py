@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 # stays bound here because bench/tracer.py patches it
 from .codes import ALL_KINDS, CodeKind, Separation, is_admissible, is_code  # noqa: F401
 from .errors import BudgetError, GuardError
-from .graphs import MAX_VERTICES, Graph, class_children, class_parents, class_rows, members
+from .graphs import MAX_VERTICES, Graph, class_parents, class_rows, members
 
 DEFAULT_BUDGET = 5_000_000
 ORACLE_GUARD = 20
@@ -405,33 +405,6 @@ class CensusReport:
     inadmissible: int
 
 
-def class_pass(key: Callable[[Graph], T], n: int, jobs: int = 1) -> Counter[T]:
-    """How many labeled graphs on n vertices have each value of key(g), for
-    a key that does not depend on the labeling. Each isomorphism class is
-    built once, and its one graph adds n!/|Aut| to its key. The classes on
-    n - 1 vertices (graphs.class_parents) are built in the calling process;
-    `scan` shards them, and each chunk walks its parents' accepted children
-    on n vertices (graphs.class_children), as no two parents share a class.
-    A worker reads class_parents itself: forked, it inherits the levels;
-    spawned, it builds them once. Only `(key, n, lo, hi)` is pickled, so
-    with jobs > 1 key must pickle. census shards the same parents but
-    decides each chunk's children packed, all at once (_census_chunk), so
-    no package route takes this pass; the tests key it with their oracles.
-
-    The levels and, when this process builds all of them, the children on
-    n vertices are kept for the life of the process, so a later pass at
-    the same order in the same process only evaluates key."""
-    return sum(scan(partial(_class_chunk, key, n), len(class_parents(n)), jobs), Counter())
-
-
-def _class_chunk(key: Callable[[Graph], T], n: int, lo: int, hi: int) -> Counter[T]:
-    labelings = factorial(n)
-    weights: Counter[T] = Counter()
-    for g, aut in class_children(n, lo, hi):
-        weights[key(g)] += labelings // aut
-    return weights
-
-
 def _columns(n: int, rows: array[int]) -> list[list[int]]:
     """A batch of m graphs on n vertices, packed as graphs.class_rows packs
     them, transposed: entry [w][v] has bit m - 1 - c set when graph c has
@@ -547,11 +520,11 @@ def _census_chunk(
 
 
 def census_kinds(kinds: Iterable[CodeKind], n: int, jobs: int = 1) -> list[CensusReport]:
-    """census for each of `kinds`, in that order, from one pass over the
-    classes on n vertices: `scan` shards the parent classes (jobs as
-    class_pass takes it), and each chunk decides every kind's number of all
-    its classes at once (_census_chunk). Guarded at CENSUS_GUARD, checked
-    before any work."""
+    """census for each of `kinds`, in that order, from the package's one
+    pass over the classes on n vertices: `scan` shards the parent classes
+    over `jobs` workers, each reading class_parents itself, and each chunk
+    decides every kind's number of all its classes at once (_census_chunk).
+    Guarded at CENSUS_GUARD, checked before any work."""
     kinds = tuple(kinds)
     chunk = partial(_census_chunk, tuple(_KIND_PARTS[kind] for kind in kinds), n)
     weights = sum(scan(chunk, len(class_parents(n)), jobs), Counter())

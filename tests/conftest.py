@@ -5,8 +5,9 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from collections import Counter
 from functools import cache
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import settings
@@ -32,7 +33,7 @@ from sepcodes.extremal import (
     _free_edge_codes,
     eligible_outer_labels,
 )
-from sepcodes.graphs import _children, _level, decode_edges
+from sepcodes.graphs import _children, _level, class_rows, decode_edges
 
 # Property tests draw the same examples on every run and stay bounded, so
 # the suite is deterministic and fast; no example database is written.
@@ -111,6 +112,29 @@ def labeled_graphs(order: int):
     return (graph_from_code(order, code) for code in range(1 << comb(order, 2)))
 
 
+def class_graphs(order: int, lo: int = 0, hi: int | None = None) -> list[tuple[Graph, int]]:
+    """(graph, |Aut|) for each child graphs.class_rows(order, lo, hi)
+    packs: by default one graph of every class on `order` vertices, in the
+    labeling augmentation gives it."""
+    rows, auts = class_rows(order, lo, hi)
+    return [
+        (Graph(order, tuple(rows[c * order : (c + 1) * order])), aut) for c, aut in enumerate(auts)
+    ]
+
+
+def class_fold(key, order: int) -> Counter:
+    """How many labeled graphs on `order` vertices have each value of
+    key(g), for a key that does not depend on the labeling: the one graph
+    of each class (class_graphs) adds order!/|Aut| to its key, serially in
+    this process. The tests' route to labeled counts through the classes
+    census decides, for keys that census's kernel does not compute."""
+    labelings = factorial(order)
+    weights: Counter = Counter()
+    for g, aut in class_graphs(order):
+        weights[key(g)] += labelings // aut
+    return weights
+
+
 def random_graph(rng: random.Random, n: int) -> Graph:
     return graph_from_code(n, rng.getrandbits(comb(n, 2)))
 
@@ -159,8 +183,9 @@ def connected_sparse_graphs(draw, min_order=10, max_order=20) -> Graph:
 
 def admissibility(g: Graph) -> tuple[bool, ...]:
     """The definitional admissibility key: is_admissible for each kind of
-    ALL_KINDS, in that order. Summed over a class pass it is the route to
-    the admitting counts that does not read census's twin rules."""
+    ALL_KINDS, in that order. Folded over the classes (class_fold) it is
+    the route to the admitting counts that does not read census's twin
+    rules."""
     return tuple(is_admissible(g, kind) for kind in ALL_KINDS)
 
 

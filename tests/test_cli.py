@@ -604,24 +604,26 @@ def test_every_import_is_used():
     # module of the package imports is read in that module, save those on
     # lines marked `noqa: F401`, which are kept bound only for the names
     # bench/tracer.py patches. It is also the dead-name check: every
-    # module-level private name (function, class or assignment) is read by
-    # some module of the package
+    # top-level function and class, and every module-level private
+    # assignment, is read by some module of the package or, if public,
+    # imported by sepcodes/__init__.py, so none is kept for tests alone
     package = Path(sepcodes.__file__).parent
-    unused, marked, private, loaded = set(), set(), set(), set()
+    unused, marked, defined, loaded = set(), set(), set(), set()
     for path in sorted(package.glob("*.py")):
         source = path.read_text()
         lines = source.splitlines()
         tree = ast.parse(source)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, ast.Assign):
+                defined.add((path.stem, node.name))
+                continue
+            if isinstance(node, ast.Assign):
                 names = [t.id for t in node.targets if isinstance(t, ast.Name)]
             elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
                 names = [node.target.id]
             else:
                 names = []
-            private.update(
+            defined.update(
                 (path.stem, name)
                 for name in names
                 if name.startswith("_") and not name.startswith("__")
@@ -646,7 +648,7 @@ def test_every_import_is_used():
                         noqa = "noqa: F401" in lines[node.end_lineno - 1]
                         (marked if noqa else unused).add((path.stem, name))
     assert not unused
-    assert {(module, name) for module, name in private if name not in loaded} == set()
+    assert {(module, name) for module, name in defined if name not in loaded} == set()
     assert marked == {("extremal", "ProcessPoolExecutor"), ("solver", "is_admissible")}
 
 

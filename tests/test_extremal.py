@@ -16,6 +16,7 @@ from conftest import (
     ascending,
     attaining_codes,
     c0_edges,
+    class_fold,
     edge_bit_pairs,
     full_c0_patterns,
     full_family_patterns,
@@ -90,7 +91,7 @@ from sepcodes.extremal import (
     inner_has_isolated,
 )
 from sepcodes.graphs import CENSUS_GUARD, _equitable, canonical_form, is_isomorphic
-from sepcodes.solver import _candidates, class_pass, make_mask_checker, smallest_k
+from sepcodes.solver import _candidates, make_mask_checker, smallest_k
 
 
 def test_eligible_outer_labels():
@@ -518,12 +519,12 @@ PINNED_COUNTS = {
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
 def test_counting_matches_census(k):
-    """counting reads census's twin rules; the definitional key, summed
-    over one class pass, is the independent route to the same counts: the
+    """counting reads census's twin rules; the definitional key, folded
+    over the classes, is the independent route to the same counts: the
     admitting graphs of a separation are those admissible for its D kind,
     the isolate-free ones those admissible for its TD kind."""
     report = counting(k)
-    weights = class_pass(admissibility, k)
+    weights = class_fold(admissibility, k)
     for i, kind in enumerate(ALL_KINDS):
         by_sep = report.eta_bar_by_sep if kind.total_domination else report.eta_by_sep
         assert by_sep[kind.separation] == sum(w for key, w in weights.items() if key[i]), kind
@@ -550,12 +551,10 @@ def test_isolate_free_location_counts_are_a006129():
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-def test_class_sums_equal_the_labeled_counts(m, monkeypatch):
-    weights = class_pass(admissibility, m)
+def test_class_sums_equal_the_labeled_counts(m):
+    weights = class_fold(admissibility, m)
     assert sum(weights.values()) == 2 ** comb(m, 2)
     assert weights == Counter(map(admissibility, labeled_graphs(m)))
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert class_pass(admissibility, m, jobs=2) == weights
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -600,7 +599,7 @@ def test_k_codes_count_as_the_lemma_says(kind, n, k):
             all(s & vset(c) for s in family) for c in itertools.combinations(range(n), k)
         )
 
-    left = sum(count * weight for count, weight in class_pass(k_codes, n).items())
+    left = sum(count * weight for count, weight in class_fold(k_codes, n).items())
     labelings = sum(
         perm(len(eligible_outer_labels(kind.separation, inner)), n - k)
         for inner in labeled_graphs(k)

@@ -18,6 +18,7 @@ from math import comb, factorial
 
 import pytest
 from conftest import (
+    class_graphs,
     edge_codes,
     graphs,
     k1,
@@ -71,8 +72,8 @@ from sepcodes.graphs import (
     _refine,
     _subset_orbits,
     accepted_children,
-    class_children,
     class_parents,
+    class_rows,
     decode_edges,
     extend_classes,
 )
@@ -551,34 +552,34 @@ def test_a_fork_reads_the_built_levels_while_another_thread_builds_one(cold_clas
     assert worker.exitcode == 0
 
 
-def test_class_children_keep_the_whole_order_only(cold_classes, monkeypatch):
-    whole = list(class_children(6))
+def test_class_rows_keep_the_whole_order_only(cold_classes, monkeypatch):
+    whole = class_rows(6)
     assert sepcodes.graphs._children.cache_info().currsize == 1
     # one graph of every class on 6 vertices, as accepted_children labels it
     expected = [(Graph(6, tuple(adj)), aut) for adj, aut, _ in accepted_children(6, class_parents(6))]
-    assert whole == expected
-    assert Counter(canonical_form(g) for g, _ in whole) == Counter(graph_classes(6).items())
+    assert class_graphs(6) == expected
+    assert Counter(canonical_form(g) for g, _ in expected) == Counter(graph_classes(6).items())
     # slices of the parents, as pool workers take them, are built and not kept
     total = len(class_parents(6))
-    sliced = [c for lo in range(0, total, 5) for c in class_children(6, lo, min(lo + 5, total))]
-    assert sliced == whole
+    sliced = [c for lo in range(0, total, 5) for c in class_graphs(6, lo, min(lo + 5, total))]
+    assert sliced == expected
     assert sepcodes.graphs._children.cache_info().currsize == 1
     # a later call reads the packed children back without building them
     monkeypatch.setattr("sepcodes.graphs.accepted_children", None)
-    assert list(class_children(6)) == whole
-    assert list(class_children(6, 0, total)) == whole
-    rows, auts = sepcodes.graphs._children(6)
+    assert class_rows(6) is whole
+    assert class_rows(6, 0, total) is whole
+    rows, auts = whole
     assert rows.typecode == "H" and len(rows) == 6 * len(auts) == 6 * 156
 
 
-def test_class_children_pack_rows_past_one_byte(monkeypatch):
+def test_class_rows_pack_rows_past_one_byte(monkeypatch):
     # at order 9 a row that meets vertex 8 is 256 or more; one parent on 8
     # vertices, the first child of the last class on 7, is enough to show it
     levels = [sepcodes.graphs._level(m) for m in range(8)]
     level8 = tuple(extend_classes(8, levels[7][-1:]))
     monkeypatch.setattr("sepcodes.graphs.CENSUS_GUARD", 9)
     monkeypatch.setattr("sepcodes.graphs._level", (levels + [level8]).__getitem__)
-    children = [(g.adj, aut) for g, aut in class_children(9, 0, 1)]
+    children = [(g.adj, aut) for g, aut in class_graphs(9, 0, 1)]
     assert children == [(tuple(adj), aut) for adj, aut, _ in accepted_children(9, level8[:1])]
     assert any(row >= 256 for adj, _ in children for row in adj)
 

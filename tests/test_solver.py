@@ -16,6 +16,8 @@ from math import comb, factorial
 
 import pytest
 from conftest import (
+    class_fold,
+    class_graphs,
     connected_sparse_graphs,
     graphs,
     k1,
@@ -60,7 +62,7 @@ from sepcodes import (
     relation_check,
     vset,
 )
-from sepcodes.graphs import _children, class_children, class_parents, class_rows
+from sepcodes.graphs import _children, class_parents, class_rows
 from sepcodes.solver import (
     DEFAULT_BUDGET,
     _KIND_PARTS,
@@ -68,7 +70,6 @@ from sepcodes.solver import (
     _census_chunk,
     _class_numbers,
     _columns,
-    class_pass,
     make_mask_checker,
     resolve_jobs,
     smallest_k,
@@ -427,7 +428,7 @@ def test_family_matches_the_reference_filter_exhaustively():
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_family_matches_the_reference_filter_on_every_class(n):
-    for g, _ in class_children(n, 0, len(class_parents(n))):
+    for g, _ in class_graphs(n):
         for kind in ALL_KINDS:
             family = minimal_candidates(g, kind)
             assert family == reference_separation_family(g, kind)
@@ -448,7 +449,7 @@ def assert_candidates_put_subsets_first(g):
 
 def test_candidates_put_subsets_first_on_every_class():
     for n in range(1, 7):
-        for g, _ in class_children(n, 0, len(class_parents(n))):
+        for g, _ in class_graphs(n):
             assert_candidates_put_subsets_first(g)
 
 
@@ -467,7 +468,7 @@ def test_inadmissible_graphs_build_no_pair_set(monkeypatch):
     monkeypatch.setattr(sepcodes.solver, "combinations", no_pairs)
     inadmissible = 0
     for n in range(1, 7):
-        for g, _ in class_children(n, 0, len(class_parents(n))):
+        for g, _ in class_graphs(n):
             for kind in ALL_KINDS:
                 if not is_admissible(g, kind):
                     assert _candidates(g, kind) == [0]
@@ -740,7 +741,7 @@ def test_relations_hold_exhaustively_small():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_relations_hold_on_every_class(n):
-    assert class_pass(lambda g: relation_check(g).passed, n) == Counter({True: 2 ** comb(n, 2)})
+    assert class_fold(lambda g: relation_check(g).passed, n) == Counter({True: 2 ** comb(n, 2)})
 
 
 def test_census_ld_three_vertices():
@@ -870,7 +871,7 @@ def _numbers_agree(g, numbers) -> bool:
 @pytest.mark.parametrize("n", range(1, 8))
 def test_census_numbers_equal_min_code_on_every_class(n):
     # one batch holds every class of the order, as a serial census reads it
-    classes = list(class_children(n))
+    classes = class_graphs(n)
     numbers = _kernel_numbers([g for g, _ in classes])
     assert all(_numbers_agree(g, row) for (g, _), row in zip(classes, numbers))
     # census's bins are those numbers, each class weighted n!/|Aut|, and
