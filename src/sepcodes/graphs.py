@@ -19,9 +19,10 @@ from .errors import GuardError
 MAX_VERTICES = 62
 # census and the class routes stop at order 8 for run time: order 9 would
 # extend every one of the 12346 classes on 8 vertices (class_rows packs
-# rows of up to 16 vertices, so the packing sets no limit here), and
-# census's kernel walks up to 2^n vertex sets over masks with one bit per
-# class of its chunk, which at jobs 1 is the whole order
+# each child's edge code in a 64-bit word, which holds orders up to 11, so
+# the packing sets no limit here), and census's kernel walks up to 2^n
+# vertex sets over masks with one bit per class of its chunk, which at
+# jobs 1 is the whole order
 CENSUS_GUARD = 8
 ISOMORPHISM_GUARD = 10
 
@@ -605,30 +606,32 @@ def class_parents(order: int) -> tuple[ClassRecord, ...]:
 @cache
 def _children(order: int, lo: int = 0, hi: int | None = None) -> tuple[array[int], array[int]]:
     """The children on `order` vertices that accepted_children accepts from
-    class_parents(order)[lo:hi], packed: the adjacency rows of each in turn,
-    16 bits a row (order <= 16), and their |Aut|s. Kept for a whole order,
-    once per process (0.3 MB at order 8: 0.204 MB of rows, 0.103 MB of
-    |Aut|s); a slice is packed through __wrapped__ and not kept."""
-    rows = array("H")
+    class_parents(order)[lo:hi], packed: the edge code of each (graph_code
+    numbering) in one 64-bit word of an array("Q"), which raises
+    OverflowError past order 11 (C(11, 2) = 55 bits) rather than truncate,
+    and their |Aut|s. Kept for a whole order, once per process (0.21 MB at
+    order 8: 0.103 MB of codes, 0.103 MB of |Aut|s); a slice is packed
+    through __wrapped__ and not kept."""
+    codes = array("Q")
     auts = array("L")
     for adj, aut, _ in accepted_children(order, _level(order - 1)[lo:hi]):
-        rows.extend(adj)
+        codes.append(graph_code(Graph._unchecked(order, adj)))
         auts.append(aut)
-    return rows, auts
+    return codes, auts
 
 
 def class_rows(order: int, lo: int = 0, hi: int | None = None) -> tuple[array[int], array[int]]:
     """The children on `order` vertices that accepted_children accepts
     from class_parents(order)[lo:hi], packed as _children packs them: the
-    `order` adjacency rows of each child in turn, and their |Aut|s; over
-    all the parents, one graph of every class, in the labeling augmentation
-    gives it. A child gets a canonical form only when the acceptance test
-    needs one. This is the package's one pass over the classes of an
-    order: census reads it, one chunk of parents at a time, and decides the
-    packed rows as they are. The children of the whole order are kept
-    (_children) and read back by every later call; a slice of the parents,
-    as a pool worker takes, is packed by _children.__wrapped__ and not
-    kept. Guarded at CENSUS_GUARD, checked before any work."""
+    edge code of each child, and their |Aut|s; over all the parents, one
+    graph of every class, in the labeling augmentation gives it. A child
+    gets a canonical form only when the acceptance test needs one. This is
+    the package's one pass over the classes of an order: census reads it,
+    one chunk of parents at a time, and decides the packed codes as they
+    are. The children of the whole order are kept (_children) and read
+    back by every later call; a slice of the parents, as a pool worker
+    takes, is packed by _children.__wrapped__ and not kept. Guarded at
+    CENSUS_GUARD, checked before any work."""
     parents = class_parents(order)
     whole = lo == 0 and hi in (None, len(parents))
     return _children(order) if whole else _children.__wrapped__(order, lo, hi)

@@ -36,8 +36,8 @@ T = TypeVar("T")
 # N[v] for D kinds, then the pairs of its separation. The sets are built
 # from adj and closed by OR and XOR alone, so census feeds the same
 # generators, for each vertex w, column w of a whole batch of graphs (one
-# bit per graph, _columns) and gets back, per set, the graphs whose set
-# contains w.
+# bit per graph, read off the bit-planes of their edge codes) and gets
+# back, per set, the graphs whose set contains w.
 _Part = tuple[
     Callable[[Sequence[int], Sequence[int]], bool],
     Callable[[Sequence[int], Sequence[int]], Iterable[int]],
@@ -209,6 +209,20 @@ def _candidates(g: Graph, kind: CodeKind) -> list[int]:
 _BITS = tuple((b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8))
 
 
+def _planes(words: array[int], width: int) -> list[int]:
+    """The bit-planes of m >= 1 words (an array("Q")): plane y has bit
+    m - 1 - c set when word c has bit y, so the first word is at the
+    highest bit, for y below width (at most 64). One transposition: the
+    words' bytes, little-endian (a big-endian host swaps a copy), with byte
+    y >> 3 of every word at data[y >> 3::8], translated to the digits of
+    bit y & 7 and read as one binary numeral."""
+    if sys.byteorder == "big":
+        words = array("Q", words)  # a copy, as the words may be kept
+        words.byteswap()
+    data = words.tobytes()
+    return [int(data[y >> 3 :: 8].translate(_BITS[y & 7]), 2) for y in range(width)]
+
+
 def min_code(g: Graph, kind: CodeKind, budget: int = DEFAULT_BUDGET) -> SolveReport:
     """Exact kind-number with a deterministic witness: cardinalities are
     tried from the lower-bound floor upward, and the witness is the
@@ -229,11 +243,10 @@ def min_code(g: Graph, kind: CodeKind, budget: int = DEFAULT_BUDGET) -> SolveRep
     miss[y] has bit i set when family[~i] lacks vertex y, tops[i] is the
     largest vertex of family[~i], and cut[i][x] is the AND of miss over
     the vertices of family[~i] above x, for each x below its largest.
-    miss is one transposition: the sets are packed by one array("Q")
-    call, eight little-endian bytes each (MAX_VERTICES is 62), first set
-    first, and vertex y's column of them is read as a binary numeral. A
-    cut row is built the first time the packing takes its set. Choosing x
-    then leaves unhit & miss[x] unhit, one AND per node, and the packing
+    miss is one transposition (_planes) of the sets, packed by one
+    array("Q") call (MAX_VERTICES is 62, so a set fits a word). A cut row
+    is built the first time the packing takes its set. Choosing x then
+    leaves unhit & miss[x] unhit, one AND per node, and the packing
     bound takes each set i in one AND with cut[i][x]. The last level (one
     vertex left) is a scan for the first x that hits every set left,
     whose nodes are counted, and tested against the budget, at once: the
@@ -246,11 +259,7 @@ def min_code(g: Graph, kind: CodeKind, budget: int = DEFAULT_BUDGET) -> SolveRep
         return SolveReport(kind, None, None, 0, lb)
     n = g.order
     every = (1 << len(family)) - 1
-    sets = array("Q", family)
-    if sys.byteorder == "big":
-        sets.byteswap()
-    data = sets.tobytes()
-    miss = [every ^ int(data[y >> 3 :: 8].translate(_BITS[y & 7]), 2) for y in range(n)]
+    miss = [every ^ plane for plane in _planes(array("Q", family), n)]
     tops = [s.bit_length() - 1 for s in reversed(family)]
     cut: list[list[int] | None] = [None] * len(family)
     nodes = 0
@@ -405,53 +414,39 @@ class CensusReport:
     inadmissible: int
 
 
-def _columns(n: int, rows: array[int]) -> list[list[int]]:
-    """A batch of m graphs on n vertices, packed as graphs.class_rows packs
-    them, transposed: entry [w][v] has bit m - 1 - c set when graph c has
-    the edge vw (the first graph at the highest bit, as in min_code's miss),
-    so entry [w] is an adjacency table of m-bit masks. Each entry below the
-    diagonal is one transposition, as min_code builds miss: byte w >> 3 of
-    v's row in every graph, translated to the digits of bit w & 7; [v][w]
-    is the same entry, and the diagonal is 0."""
-    if sys.byteorder == "big":
-        rows = array("H", rows)  # a copy, as the rows may be kept
-        rows.byteswap()
-    data = rows.tobytes()
-    step = 2 * n
-    columns = [[0] * n for _ in range(n)]
-    for w in range(n):
-        for v in range(w):
-            columns[w][v] = columns[v][w] = int(
-                data[2 * v + (w >> 3) :: step].translate(_BITS[w & 7]), 2
-            )
-    return columns
-
-
-def _class_numbers(plan: tuple[tuple[int, ...], ...], n: int, rows: array[int]) -> list[list[int]]:
+def _class_numbers(plan: tuple[tuple[int, ...], ...], n: int, codes: array[int]) -> list[list[int]]:
     """For each kind's parts in `plan`, the numbers of a batch of m >= 1
-    graphs on n vertices (rows as _columns reads them), all at once: entry
-    k of the kind's list has bit m - 1 - c set when graph c has number k,
-    as min_code gives it, and entry 0 when graph c is inadmissible.
+    graphs on n vertices, given as edge codes in an array("Q") (graph_code
+    numbering), all at once: entry k of the kind's list has bit m - 1 - c
+    set when graph c has number k, as min_code gives it, and entry 0 when
+    graph c is inadmissible.
 
-    _PARTS's generators, fed the column table of each vertex w, give per
-    set the graphs whose set contains w; nin[w] holds the complements. A
-    graph is inadmissible when one of its sets lacks every vertex (the twin
-    rules). The vertex sets C are walked once, depth first in ascending
-    vertex order, carrying per set the graphs whose set C misses: one AND
-    with nin[w] per set as w is added. C is a code of a graph exactly when
-    it misses none of its sets, so the graph's number is the least |C| at
-    which it drops out of the OR over its kind's sets; no lower bound is
-    assumed, so census checks them. When C misses no admissible graph of
-    any kind, no set above C does, and the walk stops there."""
-    m = len(rows) // n
-    full = (1 << m) - 1
+    The codes' bit-planes (_planes) are the column table: plane C(w, 2) + v
+    holds the graphs with the edge vw, entry [w][v] and [v][w] of it, so
+    column w is an adjacency table of m-bit masks. _PARTS's generators, fed
+    column w, give per set the graphs whose set contains w; nin[w] holds
+    the complements. A graph is inadmissible when one of its sets lacks
+    every vertex (the twin rules). The vertex sets C are walked once,
+    depth first in ascending vertex order, carrying per set the graphs
+    whose set C misses: one AND with nin[w] per set as w is added. C is a
+    code of a graph exactly when it misses none of its sets, so the graph's
+    number is the least |C| at which it drops out of the OR over its
+    kind's sets; no lower bound is assumed, so census checks them. When C
+    misses no admissible graph of any kind, no set above C does, and the
+    walk stops there."""
+    full = (1 << len(codes)) - 1
     # the parts read by the same kinds are ORed as one block
     blocks: dict[frozenset[int], list[int]] = {}
     for p in sorted(set().union(*plan)):
         blocks.setdefault(frozenset(i for i, parts in enumerate(plan) if p in parts), []).append(p)
     reads = [[b for b, kinds in enumerate(blocks) if i in kinds] for i in range(len(plan))]
+    planes = iter(_planes(codes, n * (n - 1) // 2))
+    columns = [[0] * n for _ in range(n)]
+    for w in range(n):
+        for v in range(w):
+            columns[w][v] = columns[v][w] = next(planes)
     nin = []
-    for w, adj in enumerate(_columns(n, rows)):
+    for w, adj in enumerate(columns):
         closed = adj.copy()
         closed[w] = full  # adj[w] is 0: no graph has the edge ww
         lacks: list[int] = []
@@ -497,24 +492,21 @@ def _census_chunk(
 ) -> Counter[tuple[int, int | None]]:
     """Labeled graphs on n vertices by (index in `plan`, number or None when
     inadmissible), over the classes accepted from class_parents(n)[lo:hi]
-    (graphs.class_rows), whose numbers _class_numbers decides at once. The
-    classes are grouped by |Aut|, one mask per value, and each bin sums
-    n!/|Aut| times its mask's classes in each group. A chunk whose parents
+    (graphs.class_rows), whose numbers _class_numbers decides at once. Each
+    bin is bit-sliced: with plane b of the classes' weights n!/|Aut|
+    (_planes), it sums popcount(mask & plane b) << b. A chunk whose parents
     accept no child has no bins."""
-    rows, auts = class_rows(n, lo, hi)
+    codes, auts = class_rows(n, lo, hi)
     weights: Counter[tuple[int, int | None]] = Counter()
     if not auts:
         return weights
-    marks = {aut: bytearray(b"0") * len(auts) for aut in set(auts)}
-    for c, aut in enumerate(auts):
-        marks[aut][c] = 49  # the digit 1, so class c is bit m - 1 - c
     labelings = factorial(n)
-    groups = [(labelings // aut, int(mark, 2)) for aut, mark in marks.items()]
-    for i, masks in enumerate(_class_numbers(plan, n, rows)):
+    planes = _planes(array("Q", [labelings // aut for aut in auts]), labelings.bit_length())
+    for i, masks in enumerate(_class_numbers(plan, n, codes)):
         for k, mask in enumerate(masks):
             if mask:
                 weights[i, k or None] = sum(
-                    labeled * (mask & group).bit_count() for labeled, group in groups
+                    (mask & plane).bit_count() << b for b, plane in enumerate(planes)
                 )
     return weights
 

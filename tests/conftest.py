@@ -116,10 +116,8 @@ def class_graphs(order: int, lo: int = 0, hi: int | None = None) -> list[tuple[G
     """(graph, |Aut|) for each child graphs.class_rows(order, lo, hi)
     packs: by default one graph of every class on `order` vertices, in the
     labeling augmentation gives it."""
-    rows, auts = class_rows(order, lo, hi)
-    return [
-        (Graph(order, tuple(rows[c * order : (c + 1) * order])), aut) for c, aut in enumerate(auts)
-    ]
+    codes, auts = class_rows(order, lo, hi)
+    return [(graph_from_code(order, code), aut) for code, aut in zip(codes, auts)]
 
 
 def class_fold(key, order: int) -> Counter:

@@ -568,20 +568,21 @@ def test_class_rows_keep_the_whole_order_only(cold_classes, monkeypatch):
     monkeypatch.setattr("sepcodes.graphs.accepted_children", None)
     assert class_rows(6) is whole
     assert class_rows(6, 0, total) is whole
-    rows, auts = whole
-    assert rows.typecode == "H" and len(rows) == 6 * len(auts) == 6 * 156
+    codes, auts = whole
+    assert codes.typecode == "Q" and len(codes) == len(auts) == 156
 
 
-def test_class_rows_pack_rows_past_one_byte(monkeypatch):
-    # at order 9 a row that meets vertex 8 is 256 or more; one parent on 8
-    # vertices, the first child of the last class on 7, is enough to show it
+def test_class_rows_pack_codes_past_32_bits(monkeypatch):
+    # at order 9 the edge code has C(9, 2) = 36 bits, the edge 78 at bit 35;
+    # one parent on 8 vertices, the second child of the last class on 7,
+    # is enough to show codes past 32 bits kept whole
     levels = [sepcodes.graphs._level(m) for m in range(8)]
-    level8 = tuple(extend_classes(8, levels[7][-1:]))
+    level8 = tuple(extend_classes(8, levels[7][-1:]))[1:]
     monkeypatch.setattr("sepcodes.graphs.CENSUS_GUARD", 9)
     monkeypatch.setattr("sepcodes.graphs._level", (levels + [level8]).__getitem__)
     children = [(g.adj, aut) for g, aut in class_graphs(9, 0, 1)]
     assert children == [(tuple(adj), aut) for adj, aut, _ in accepted_children(9, level8[:1])]
-    assert any(row >= 256 for adj, _ in children for row in adj)
+    assert max(class_rows(9, 0, 1)[0]).bit_length() == 36
 
 
 def test_unchecked_graph_equals_the_checked_one():

@@ -13,6 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import cache, partial
 from itertools import chain, combinations
 from math import comb, factorial
+from types import SimpleNamespace
 
 import pytest
 from conftest import (
@@ -47,9 +48,11 @@ from sepcodes import (
     build_graph,
     census,
     census_kinds,
+    complete_graph,
     cycle_graph,
     disjoint_union,
     empty_graph,
+    graph_code,
     graph_from_code,
     is_admissible,
     is_code,
@@ -69,7 +72,7 @@ from sepcodes.solver import (
     _candidates,
     _census_chunk,
     _class_numbers,
-    _columns,
+    _planes,
     make_mask_checker,
     resolve_jobs,
     smallest_k,
@@ -825,31 +828,62 @@ ALL_PARTS = tuple(_KIND_PARTS[kind] for kind in ALL_KINDS)
 
 
 def _packed(batch) -> array:
-    """The adjacency rows of graphs of one order, packed as class_rows packs them."""
-    return array("H", chain.from_iterable(g.adj for g in batch))
+    """The edge codes of graphs of one order, packed as class_rows packs them."""
+    return array("Q", map(graph_code, batch))
+
+
+def _plane_reference(words, width) -> list[int]:
+    """Plane y of `words` bit by bit: bit m - 1 - c set when word c has bit y."""
+    m = len(words)
+    return [
+        sum(1 << m - 1 - c for c, word in enumerate(words) if word >> y & 1) for y in range(width)
+    ]
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_census_columns_hold_each_graph_edge(n):
-    # entry [w][v] has bit m - 1 - c set exactly when graph c has the edge
-    # vw; from n = 9 the rows take a second byte
+    # plane C(w, 2) + v of a batch's edge codes has bit m - 1 - c set
+    # exactly when graph c has the edge vw; from n = 9 a code takes a fifth
+    # byte, and at n = 12 it no longer fits a word, so the planes are read
+    # off random words with their top byte set instead
     rng = random.Random(n)
+    if n == 12:
+        words = [rng.getrandbits(64) | 0xFF << 56 for _ in range(41)]
+        assert _planes(array("Q", words), 64) == _plane_reference(words, 64)
+        with pytest.raises(OverflowError):
+            _packed([complete_graph(n)])
+        return
     batch = list(labeled_graphs(n)) if n <= 4 else [random_graph(rng, n) for _ in range(41)]
     m = len(batch)
-    assert _columns(n, _packed(batch)) == [
-        [sum(1 << m - 1 - c for c, g in enumerate(batch) if g.adj[v] >> w & 1) for v in range(n)]
+    assert _planes(_packed(batch), comb(n, 2)) == [
+        sum(1 << m - 1 - c for c, g in enumerate(batch) if g.adj[v] >> w & 1)
         for w in range(n)
+        for v in range(w)
     ]
+
+
+def test_planes_swap_a_copy_of_big_endian_words(monkeypatch):
+    # a big-endian host stores each word's bytes high byte first: such an
+    # array is the little-endian one byteswapped, and _planes swaps a copy
+    rng = random.Random(64)
+    words = [rng.getrandbits(64) for _ in range(37)] + [0, (1 << 64) - 1]
+    stored = array("Q", words)
+    stored.byteswap()
+    data = stored.tobytes()
+    monkeypatch.setattr("sepcodes.solver.sys", SimpleNamespace(byteorder="big"))
+    assert _planes(stored, 64) == _plane_reference(words, 64)
+    assert _planes(stored, 9) == _plane_reference(words, 9)
+    assert stored.tobytes() == data
 
 
 def _kernel_numbers(batch) -> list[tuple[int | None, ...]]:
     """The numbers of every kind, in ALL_KINDS order, of each graph of a
     batch of one order, read off the masks of one _class_numbers call."""
     n, m = batch[0].order, len(batch)
-    rows = _packed(batch)
-    masks = _class_numbers(ALL_PARTS, n, rows)
+    codes = _packed(batch)
+    masks = _class_numbers(ALL_PARTS, n, codes)
     # the kinds share their parts' ORs, in whatever order they come
-    assert _class_numbers(ALL_PARTS[::-1], n, rows) == masks[::-1]
+    assert _class_numbers(ALL_PARTS[::-1], n, codes) == masks[::-1]
     assert all(len(kind) == n + 1 and not any(mask >> m for mask in kind) for kind in masks)
     numbers = []
     for c in range(m):
@@ -913,7 +947,7 @@ def test_census_chunks_at_every_split_sum_to_the_whole_order(n, monkeypatch):
     def rows(order, lo=0, hi=None):
         chosen = pieces[lo:hi]
         return (
-            array("H", chain.from_iterable(r for r, _ in chosen)),
+            array("Q", chain.from_iterable(c for c, _ in chosen)),
             array("L", chain.from_iterable(a for _, a in chosen)),
         )
 
