@@ -8,7 +8,6 @@ value is deterministic.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import cache
 from math import comb
@@ -17,12 +16,13 @@ from typing import Iterable, Iterator, Sequence
 from .errors import GuardError
 
 MAX_VERTICES = 62
-# census and the class routes stop at order 8 for run time: order 9 would
-# extend every one of the 12346 classes on 8 vertices (class_rows packs
-# each child's edge code in a 64-bit word, which holds orders up to 11, so
-# the packing sets no limit here), and census's kernel walks up to 2^n
-# vertex sets over masks with one bit per class of its chunk, which at
-# jobs 1 is the whole order
+# census and the class routes stop at order 8 for run time and memory.
+# graph_classes(9) would build 274668 classes (about 18 s). Census at order
+# 9 builds the 12346 classes on 8 vertices (0.7-0.8 s) and decides their
+# 605107 least-degree children: 1.8 s at jobs 1, where the one chunk's
+# masks, one bit per child, peak at 184 MB RSS, and 1.4 s at jobs 2 (50 MB
+# per worker). A child's edge code fits a 64-bit word up to order 11, so
+# the packing sets no limit here
 CENSUS_GUARD = 8
 ISOMORPHISM_GUARD = 10
 
@@ -345,9 +345,10 @@ def _canonical(n: int, adj: Sequence[int], cells: list[int]) -> Canonical:
     read with _find: the orbit partition of Aut, as they generate it; only
     that partition is fixed, not the forest's links (_join passes over
     fixed points, so they are not path-halved). Class
-    generation calls it for every class it emits; census only for a child
-    whose new vertex ties with another on the augmentation invariant (see
-    accepted_children)."""
+    generation (extend_classes) calls it for every class it emits, and
+    reads the labeling and orbits only when the new vertex ties with
+    another on the augmentation invariant; census calls it for none of
+    the graphs it decides."""
     shifts = [j * (j - 1) // 2 for j in range(n)]
     best = first_code = -1
     best_order: list[int] = []
@@ -477,9 +478,9 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     return _canonical(g.order, g.adj, _equitable(g.adj))[:2]
 
 
-def _subset_orbits(k: int, automorphisms: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
-    """(least member, size) of each orbit on the vertex subsets of 0..k-1
-    (as masks) of the group the automorphisms generate, ascending."""
+def _subset_orbits(k: int, automorphisms: Sequence[tuple[int, ...]]) -> list[int]:
+    """The least member of each orbit on the vertex subsets of 0..k-1 (as
+    masks) of the group the automorphisms generate, ascending."""
     size = 1 << k
     images = []
     for a in automorphisms:
@@ -495,16 +496,14 @@ def _subset_orbits(k: int, automorphisms: Sequence[tuple[int, ...]]) -> list[tup
             continue
         seen[s] = 1
         stack = [s]
-        orbit = 0
         while stack:
             t = stack.pop()
-            orbit += 1
             for image in images:
                 u = image[t]
                 if not seen[u]:
                     seen[u] = 1
                     stack.append(u)
-        reps.append((s, orbit))
+        reps.append(s)
     return reps
 
 
@@ -516,28 +515,17 @@ _ROOT: ClassRecord = (0, 1, ())
 Canonical = tuple[int, int, tuple[tuple[int, ...], ...], list[int], list[int]]
 
 
-def accepted_children(
-    m: int, parents: Iterable[ClassRecord]
-) -> Iterator[tuple[list[int], int, Canonical | None]]:
-    """(adjacency, |Aut|, canonical result or None) for each child on m
-    vertices that canonical augmentation accepts from `parents`, classes
-    on m - 1 vertices: given all of them, each class on m vertices comes
-    out exactly once; see graph_classes. The adjacency is the parent's
-    canonical labeling with the new vertex m - 1 added.
-
-    The canonical form is computed only where the acceptance test needs
-    it, when other vertices tie with the new one on the invariant; the
-    orbit test then reads the vertex orbits its search joined. When
-    none does, every automorphism of the child fixes the new vertex, so
-    Aut(child) is the stabilizer of its neighbourhood S in Aut(parent),
-    and |Aut(child)| = |Aut(parent)| / |orbit of S| (orbit-stabilizer);
-    the canonical result is then None."""
+def extend_classes(m: int, parents: Iterable[ClassRecord]) -> Iterator[ClassRecord]:
+    """The class records on m vertices that canonical augmentation accepts
+    from `parents`, classes on m - 1 vertices: given all of them, each class
+    on m vertices comes out exactly once; see graph_classes. Each child is
+    the parent's canonical labeling with the new vertex m - 1 added."""
     new = m - 1
     top = 1 << new
-    for code, parent_aut, automorphisms in parents:
+    for code, _, automorphisms in parents:
         base = decode_edges(new, code)
         low = min(map(int.bit_count, base), default=0)
-        for s, orbit in _subset_orbits(new, automorphisms):
+        for s in _subset_orbits(new, automorphisms):
             d = s.bit_count()
             # the new vertex must have the least degree, so d is the child's
             # minimum degree, and the parent has a vertex of degree low,
@@ -562,28 +550,16 @@ def accepted_children(
             tied = [v for v in range(new) if degree[v] == d and rank[v] <= mine]
             if any(rank[v] < mine for v in tied):
                 continue
-            if not tied:
-                yield adj, parent_aut // orbit, None
-                continue
             canon = _canonical(m, adj, _equitable(adj))
-            _, aut, _, label, orbits = canon
-            # the canonical deletion: the tied vertex, the new one included,
-            # of largest canonical label, up to automorphism; orbits is the
-            # orbit partition of Aut(child) the search joined
-            pick = max(tied, key=label.__getitem__)
-            if label[pick] > label[new] and _find(orbits, pick) != _find(orbits, new):
-                continue
-            yield adj, aut, canon
-
-
-def extend_classes(m: int, parents: Iterable[ClassRecord]) -> Iterator[ClassRecord]:
-    """The class records on m vertices that canonical augmentation accepts
-    from `parents`, classes on m - 1 vertices: given all of them, each class
-    on m vertices comes out exactly once; see graph_classes."""
-    for adj, _, canon in accepted_children(m, parents):
-        if canon is None:
-            canon = _canonical(m, adj, _equitable(adj))
-        yield canon[:3]
+            if tied:
+                # the canonical deletion: the tied vertex, the new one
+                # included, of largest canonical label, up to automorphism;
+                # orbits is the orbit partition of Aut(child) the search joined
+                _, _, _, label, orbits = canon
+                pick = max(tied, key=label.__getitem__)
+                if label[pick] > label[new] and _find(orbits, pick) != _find(orbits, new):
+                    continue
+            yield canon[:3]
 
 
 @cache
@@ -596,45 +572,12 @@ def _level(m: int) -> tuple[ClassRecord, ...]:
 
 def class_parents(order: int) -> tuple[ClassRecord, ...]:
     """The class records on order - 1 vertices, which extend_classes(order,
-    ...) extends to every class on `order` vertices, built once per process
+    ...) extends to every class on `order` vertices, and from which census
+    counts every labeled graph on `order` vertices, built once per process
     (_level). Guarded at CENSUS_GUARD, checked for `order` before any
     work."""
     _check_census_order(order)
     return _level(order - 1)
-
-
-@cache
-def _children(order: int, lo: int = 0, hi: int | None = None) -> tuple[array[int], array[int]]:
-    """The children on `order` vertices that accepted_children accepts from
-    class_parents(order)[lo:hi], packed: the edge code of each (graph_code
-    numbering) in one 64-bit word of an array("Q"), which raises
-    OverflowError past order 11 (C(11, 2) = 55 bits) rather than truncate,
-    and their |Aut|s. Kept for a whole order, once per process (0.21 MB at
-    order 8: 0.103 MB of codes, 0.103 MB of |Aut|s); a slice is packed
-    through __wrapped__ and not kept."""
-    codes = array("Q")
-    auts = array("L")
-    for adj, aut, _ in accepted_children(order, _level(order - 1)[lo:hi]):
-        codes.append(graph_code(Graph._unchecked(order, adj)))
-        auts.append(aut)
-    return codes, auts
-
-
-def class_rows(order: int, lo: int = 0, hi: int | None = None) -> tuple[array[int], array[int]]:
-    """The children on `order` vertices that accepted_children accepts
-    from class_parents(order)[lo:hi], packed as _children packs them: the
-    edge code of each child, and their |Aut|s; over all the parents, one
-    graph of every class, in the labeling augmentation gives it. A child
-    gets a canonical form only when the acceptance test needs one. This is
-    the package's one pass over the classes of an order: census reads it,
-    one chunk of parents at a time, and decides the packed codes as they
-    are. The children of the whole order are kept (_children) and read
-    back by every later call; a slice of the parents, as a pool worker
-    takes, is packed by _children.__wrapped__ and not kept. Guarded at
-    CENSUS_GUARD, checked before any work."""
-    parents = class_parents(order)
-    whole = lo == 0 and hi in (None, len(parents))
-    return _children(order) if whole else _children.__wrapped__(order, lo, hi)
 
 
 def graph_classes(order: int) -> dict[int, int]:
@@ -651,9 +594,10 @@ def graph_classes(order: int) -> dict[int, int]:
     canonical deletion is removed, and no certificates are compared. A
     neighbourhood larger than the parent's minimum degree plus one, or a
     new vertex that does not minimise the invariant, is rejected before any
-    canonical form is computed, and a new vertex that alone minimises it is
-    accepted without one (accepted_children); graph_classes then computes
-    the certificate. The records are built once per process (_level).
+    canonical form is computed; every accepted class gets its certificate
+    from one canonical search, whose labeling and orbits the orbit test
+    reads when the new vertex ties (extend_classes). The records are built
+    once per process (_level).
     The class of a graph holds order!/|Aut| labeled graphs. Guarded at
     CENSUS_GUARD, checked before any work."""
     _check_census_order(order)

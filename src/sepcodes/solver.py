@@ -12,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, partial, reduce
 from itertools import combinations, starmap
-from math import factorial
+from math import comb, factorial, lcm
 from operator import and_, or_, xor
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 # stays bound here because bench/tracer.py patches it
 from .codes import ALL_KINDS, CodeKind, Separation, is_admissible, is_code  # noqa: F401
 from .errors import BudgetError, GuardError
-from .graphs import MAX_VERTICES, Graph, class_parents, class_rows, members
+from .graphs import MAX_VERTICES, Graph, class_parents, decode_edges, members
 
 DEFAULT_BUDGET = 5_000_000
 ORACLE_GUARD = 20
@@ -487,42 +487,87 @@ def _class_numbers(plan: tuple[tuple[int, ...], ...], n: int, codes: array[int])
     return numbers
 
 
+@cache
+def _rows(n: int, lo: int = 0, hi: int | None = None) -> tuple[array[int], array[int]]:
+    """The graphs census decides on n vertices for the parents
+    class_parents(n)[lo:hi], classes on n - 1 vertices, as edge codes
+    (graph_code numbering) and weights, two array("Q")s. Each labeled graph
+    is counted once per vertex of least degree, relabeled to be n - 1: so
+    the graphs are P + s, for a parent P in its canonical labeling and each
+    neighbourhood s of n - 1 that keeps it at least degree (|s| at most P's
+    least degree low, or low + 1 with s holding every vertex of degree
+    low). P + s has the edge code P's certificate | s << C(n - 1, 2), which
+    raises OverflowError past order 11 rather than truncate, and with m
+    vertices of least degree it stands for n!/(|Aut P| * m) labeled graphs;
+    its weight is that times lcm(1..n), an integer. Kept for a whole order,
+    once per process (0.48 MB at order 8: 29755 codes and weights); a slice
+    of the parents, as a pool worker takes, is built through __wrapped__
+    and not kept. Guarded at CENSUS_GUARD, checked before any work."""
+    new = n - 1
+    shift = comb(new, 2)
+    scale = factorial(n) * lcm(*range(1, n + 1))
+    codes = array("Q")
+    weights = array("Q")
+    for code, aut, _ in class_parents(n)[lo:hi]:
+        adj = decode_edges(new, code)
+        low = min(map(int.bit_count, adj), default=0)
+        # at[d]: the parent's vertices of degree d; at[-1] is empty, as no
+        # vertex of the parent has degree n - 1
+        at = [0] * n
+        for v, row in enumerate(adj):
+            at[row.bit_count()] |= 1 << v
+        for s in range(1 << new):
+            d = s.bit_count()
+            if d > low + 1 or d > low and at[low] & ~s:
+                continue
+            # the child's least-degree vertices: n - 1, those of degree d
+            # outside s and those of degree d - 1 in s
+            m = 1 + (at[d] & ~s).bit_count() + (at[d - 1] & s).bit_count()
+            codes.append(code | s << shift)
+            weights.append(scale // (aut * m))
+    return codes, weights
+
+
 def _census_chunk(
     plan: tuple[tuple[int, ...], ...], n: int, lo: int, hi: int
 ) -> Counter[tuple[int, int | None]]:
     """Labeled graphs on n vertices by (index in `plan`, number or None when
-    inadmissible), over the classes accepted from class_parents(n)[lo:hi]
-    (graphs.class_rows), whose numbers _class_numbers decides at once. Each
-    bin is bit-sliced: with plane b of the classes' weights n!/|Aut|
-    (_planes), it sums popcount(mask & plane b) << b. A chunk whose parents
-    accept no child has no bins."""
-    codes, auts = class_rows(n, lo, hi)
-    weights: Counter[tuple[int, int | None]] = Counter()
-    if not auts:
-        return weights
-    labelings = factorial(n)
-    planes = _planes(array("Q", [labelings // aut for aut in auts]), labelings.bit_length())
+    inadmissible), each counted lcm(1..n) times, over the graphs _rows
+    gives for class_parents(n)[lo:hi], whose numbers _class_numbers decides
+    at once. Each bin is bit-sliced: with plane b of the weights (_planes),
+    it sums popcount(mask & plane b) << b. The rows of the whole order are
+    kept (_rows); a slice is built and not kept. A chunk with no parents
+    has no bins."""
+    whole = lo == 0 and hi == len(class_parents(n))
+    codes, weights = _rows(n) if whole else _rows.__wrapped__(n, lo, hi)
+    bins: Counter[tuple[int, int | None]] = Counter()
+    if not codes:
+        return bins
+    planes = _planes(weights, max(weights).bit_length())
     for i, masks in enumerate(_class_numbers(plan, n, codes)):
         for k, mask in enumerate(masks):
             if mask:
-                weights[i, k or None] = sum(
+                bins[i, k or None] = sum(
                     (mask & plane).bit_count() << b for b, plane in enumerate(planes)
                 )
-    return weights
+    return bins
 
 
 def census_kinds(kinds: Iterable[CodeKind], n: int, jobs: int = 1) -> list[CensusReport]:
     """census for each of `kinds`, in that order, from the package's one
-    pass over the classes on n vertices: `scan` shards the parent classes
-    over `jobs` workers, each reading class_parents itself, and each chunk
-    decides every kind's number of all its classes at once (_census_chunk).
-    Guarded at CENSUS_GUARD, checked before any work."""
+    pass over the classes on n - 1 vertices: `scan` shards them over `jobs`
+    workers, each reading class_parents itself, and each chunk decides
+    every kind's number of all its graphs at once (_census_chunk). The
+    chunks' bins are summed, then divided by lcm(1..n). Guarded at
+    CENSUS_GUARD, checked before any work."""
     kinds = tuple(kinds)
     chunk = partial(_census_chunk, tuple(_KIND_PARTS[kind] for kind in kinds), n)
     weights = sum(scan(chunk, len(class_parents(n)), jobs), Counter())
+    scale = lcm(*range(1, n + 1))
+    counts = Counter({key: weight // scale for key, weight in weights.items()})
     return [
         CensusReport(
-            kind, n, {k: weights[i, k] for k in range(1, n + 1) if weights[i, k]}, weights[i, None]
+            kind, n, {k: counts[i, k] for k in range(1, n + 1) if counts[i, k]}, counts[i, None]
         )
         for i, kind in enumerate(kinds)
     ]
@@ -530,10 +575,11 @@ def census_kinds(kinds: Iterable[CodeKind], n: int, jobs: int = 1) -> list[Censu
 
 def census(kind: CodeKind, n: int, jobs: int = 1) -> CensusReport:
     """Kind-number histogram over every labeled graph on n vertices: the
-    number of one graph per isomorphism class, as min_code gives it, is
-    read off census's class-parallel kernel (_class_numbers), and all
-    n!/|Aut| labelings of it have the same kind-number. census_kinds
-    shares one pass among several kinds. Guarded at CENSUS_GUARD."""
+    numbers, as min_code gives them, of the least-degree children of the
+    classes on n - 1 vertices (_rows) are read off census's batch kernel
+    (_class_numbers), and each child stands for the labeled graphs its
+    weight counts. census_kinds shares one pass among several kinds.
+    Guarded at CENSUS_GUARD."""
     return census_kinds((kind,), n, jobs)[0]
 
 

@@ -33,7 +33,8 @@ from sepcodes.extremal import (
     _free_edge_codes,
     eligible_outer_labels,
 )
-from sepcodes.graphs import _children, _level, class_rows, decode_edges
+from sepcodes.graphs import _level, decode_edges
+from sepcodes.solver import _rows
 
 # Property tests draw the same examples on every run and stay bounded, so
 # the suite is deterministic and fast; no example database is written.
@@ -112,20 +113,20 @@ def labeled_graphs(order: int):
     return (graph_from_code(order, code) for code in range(1 << comb(order, 2)))
 
 
-def class_graphs(order: int, lo: int = 0, hi: int | None = None) -> list[tuple[Graph, int]]:
-    """(graph, |Aut|) for each child graphs.class_rows(order, lo, hi)
-    packs: by default one graph of every class on `order` vertices, in the
-    labeling augmentation gives it."""
-    codes, auts = class_rows(order, lo, hi)
-    return [(graph_from_code(order, code), aut) for code, aut in zip(codes, auts)]
+def class_graphs(order: int) -> list[tuple[Graph, int]]:
+    """(graph, |Aut|) for each class on `order` vertices: the canonical
+    representative of each record of graphs._level(order), rebuilt from its
+    certificate, in the order class generation emits them."""
+    return [(graph_from_code(order, cert), aut) for cert, aut, _ in _level(order)]
 
 
 def class_fold(key, order: int) -> Counter:
     """How many labeled graphs on `order` vertices have each value of
     key(g), for a key that does not depend on the labeling: the one graph
     of each class (class_graphs) adds order!/|Aut| to its key, serially in
-    this process. The tests' route to labeled counts through the classes
-    census decides, for keys that census's kernel does not compute."""
+    this process. The tests' route to labeled counts through the classes of
+    the order itself, for keys that census's kernel does not compute, and
+    independent of census's route through the classes one order down."""
     labelings = factorial(order)
     weights: Counter = Counter()
     for g, aut in class_graphs(order):
@@ -562,10 +563,10 @@ def classes_by_order() -> dict[int, dict[int, int]]:
 
 @pytest.fixture
 def cold_classes(monkeypatch):
-    """Empty class level and children caches, as in a fresh process; the
+    """Empty class level and census row caches, as in a fresh process; the
     warm ones come back after the test."""
     monkeypatch.setattr("sepcodes.graphs._level", cache(_level.__wrapped__))
-    monkeypatch.setattr("sepcodes.graphs._children", cache(_children.__wrapped__))
+    monkeypatch.setattr("sepcodes.solver._rows", cache(_rows.__wrapped__))
 
 
 @pytest.fixture

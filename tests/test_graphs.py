@@ -18,7 +18,6 @@ from math import comb, factorial
 
 import pytest
 from conftest import (
-    class_graphs,
     edge_codes,
     graphs,
     k1,
@@ -71,12 +70,11 @@ from sepcodes.graphs import (
     _level,
     _refine,
     _subset_orbits,
-    accepted_children,
     class_parents,
-    class_rows,
     decode_edges,
     extend_classes,
 )
+from sepcodes.solver import _rows
 
 
 def test_vset_members_roundtrip():
@@ -552,39 +550,6 @@ def test_a_fork_reads_the_built_levels_while_another_thread_builds_one(cold_clas
     assert worker.exitcode == 0
 
 
-def test_class_rows_keep_the_whole_order_only(cold_classes, monkeypatch):
-    whole = class_rows(6)
-    assert sepcodes.graphs._children.cache_info().currsize == 1
-    # one graph of every class on 6 vertices, as accepted_children labels it
-    expected = [(Graph(6, tuple(adj)), aut) for adj, aut, _ in accepted_children(6, class_parents(6))]
-    assert class_graphs(6) == expected
-    assert Counter(canonical_form(g) for g, _ in expected) == Counter(graph_classes(6).items())
-    # slices of the parents, as pool workers take them, are built and not kept
-    total = len(class_parents(6))
-    sliced = [c for lo in range(0, total, 5) for c in class_graphs(6, lo, min(lo + 5, total))]
-    assert sliced == expected
-    assert sepcodes.graphs._children.cache_info().currsize == 1
-    # a later call reads the packed children back without building them
-    monkeypatch.setattr("sepcodes.graphs.accepted_children", None)
-    assert class_rows(6) is whole
-    assert class_rows(6, 0, total) is whole
-    codes, auts = whole
-    assert codes.typecode == "Q" and len(codes) == len(auts) == 156
-
-
-def test_class_rows_pack_codes_past_32_bits(monkeypatch):
-    # at order 9 the edge code has C(9, 2) = 36 bits, the edge 78 at bit 35;
-    # one parent on 8 vertices, the second child of the last class on 7,
-    # is enough to show codes past 32 bits kept whole
-    levels = [sepcodes.graphs._level(m) for m in range(8)]
-    level8 = tuple(extend_classes(8, levels[7][-1:]))[1:]
-    monkeypatch.setattr("sepcodes.graphs.CENSUS_GUARD", 9)
-    monkeypatch.setattr("sepcodes.graphs._level", (levels + [level8]).__getitem__)
-    children = [(g.adj, aut) for g, aut in class_graphs(9, 0, 1)]
-    assert children == [(tuple(adj), aut) for adj, aut, _ in accepted_children(9, level8[:1])]
-    assert max(class_rows(9, 0, 1)[0]).bit_length() == 36
-
-
 def test_unchecked_graph_equals_the_checked_one():
     g = Graph(4, (0b0110, 0b0101, 0b0011, 0))
     assert Graph._unchecked(4, g.adj) == g
@@ -600,43 +565,30 @@ def class_records() -> list[list[tuple]]:
     return records
 
 
-def _ties_with_the_new_vertex(adj: list[int]) -> bool:
-    """Whether a vertex other than the last has the last vertex's degree and
-    sum of neighbour degrees."""
-    degree = [a.bit_count() for a in adj]
-    rank = [sum(degree[u] for u in members(a)) for a in adj]
-    new = len(adj) - 1
-    return any((degree[v], rank[v]) == (degree[new], rank[new]) for v in range(new))
-
-
-def test_accepted_children_are_the_classes_of_extend_classes(class_records):
-    for m in range(1, 9):
-        parents = class_records[m - 1]
-        children = list(accepted_children(m, parents))
-        forms = [canonical_form(Graph(m, tuple(adj))) for adj, _, _ in children]
-        records = extend_classes(m, parents)
-        assert Counter(forms) == Counter((cert, aut) for cert, aut, _ in records)
-        for (adj, aut, canon), form in zip(children, forms):
-            # the canonical search runs exactly when the new vertex has a tie
-            assert (canon is not None) == _ties_with_the_new_vertex(adj)
-            assert canon is None or canon[:2] == form
-            # without a tie, |Aut| is |Aut(parent)| / |orbit of S|
-            assert aut == form[1]
-        assert sum(canon is None for _, _, canon in children) == TIE_FREE_CLASSES[m]
-
-
-# classes on m vertices whose new vertex alone minimises (degree, sum of
-# neighbour degrees), so that no canonical form is computed for them
-TIE_FREE_CLASSES = {1: 1, 2: 0, 3: 1, 4: 3, 5: 15, 6: 80, 7: 686, 8: 9236}
-
-
 def test_subset_orbit_sizes_cover_every_subset(class_records):
+    # each representative is the least member of its orbit, closed here
+    # under the generators; distinct least members make the orbits
+    # disjoint, so they cover the 2^k subsets exactly when their sizes sum
+    # to it, and each size divides |Aut|
     for k in range(1, 8):
         for _, aut, automorphisms in class_records[k]:
-            orbits = _subset_orbits(k, automorphisms)
-            assert sum(size for _, size in orbits) == 1 << k
-            assert all(aut % size == 0 for _, size in orbits)
-            assert [s for s, _ in orbits] == sorted(s for s, _ in orbits)
+            reps = _subset_orbits(k, automorphisms)
+            assert reps == sorted(reps)
+            covered = 0
+            for s in reps:
+                orbit = {s}
+                frontier = [s]
+                while frontier:
+                    t = frontier.pop()
+                    for a in automorphisms:
+                        u = vset(a[v] for v in members(t))
+                        if u not in orbit:
+                            orbit.add(u)
+                            frontier.append(u)
+                assert min(orbit) == s
+                assert aut % len(orbit) == 0
+                covered += len(orbit)
+            assert covered == 1 << k
 
 
 def _reference_orbits(n: int, automorphisms) -> list[int]:
@@ -678,8 +630,11 @@ def test_canonical_hands_over_the_orbits_of_its_automorphisms(class_records):
                 assert all(aut % len(orbit) == 0 for orbit in orbits)
 
 
-def test_census_path_weights_every_labeled_graph_at_order_eight(class_records, monkeypatch):
-    # the census path computes a canonical form only for children with a tie
+def test_census_path_weights_every_labeled_graph_at_order_eight(monkeypatch):
+    # census's rows at n = 8 come from the classes on 7 vertices with no
+    # canonical search; in all they weigh each class on 8 vertices at
+    # 8! * lcm(1..8)/|Aut|, lcm(1..8) = 840 times its labeled graphs
+    class_parents(8)
     calls = 0
     search = _canonical
 
@@ -689,10 +644,13 @@ def test_census_path_weights_every_labeled_graph_at_order_eight(class_records, m
         return search(n, adj, cells)
 
     monkeypatch.setattr("sepcodes.graphs._canonical", counted)
-    children = list(accepted_children(8, class_records[7]))
-    assert len(children) == 12346
-    assert sum(factorial(8) // aut for _, aut, _ in children) == 1 << 28
-    assert calls == 4038
+    codes, weights = _rows.__wrapped__(8)
+    assert calls == 0
+    assert len(codes) == 29755
+    totals: Counter = Counter()
+    for code, weight in zip(codes, weights):
+        totals[canonical_form(graph_from_code(8, code))[0]] += weight
+    assert totals == {cert: factorial(8) * 840 // aut for cert, aut in graph_classes(8).items()}
 
 
 def test_orbit_extension_matches_full_extension(classes_by_order):

@@ -12,7 +12,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache, partial
 from itertools import chain, combinations
-from math import comb, factorial
+from math import comb, factorial, lcm
 from types import SimpleNamespace
 
 import pytest
@@ -65,7 +65,7 @@ from sepcodes import (
     relation_check,
     vset,
 )
-from sepcodes.graphs import _children, class_parents, class_rows
+from sepcodes.graphs import _level, class_parents, extend_classes
 from sepcodes.solver import (
     DEFAULT_BUDGET,
     _KIND_PARTS,
@@ -73,6 +73,7 @@ from sepcodes.solver import (
     _census_chunk,
     _class_numbers,
     _planes,
+    _rows,
     make_mask_checker,
     resolve_jobs,
     smallest_k,
@@ -828,7 +829,7 @@ ALL_PARTS = tuple(_KIND_PARTS[kind] for kind in ALL_KINDS)
 
 
 def _packed(batch) -> array:
-    """The edge codes of graphs of one order, packed as class_rows packs them."""
+    """The edge codes of graphs of one order, packed as census packs its rows."""
     return array("Q", map(graph_code, batch))
 
 
@@ -908,15 +909,117 @@ def test_census_numbers_equal_min_code_on_every_class(n):
     classes = class_graphs(n)
     numbers = _kernel_numbers([g for g, _ in classes])
     assert all(_numbers_agree(g, row) for (g, _), row in zip(classes, numbers))
-    # census's bins are those numbers, each class weighted n!/|Aut|, and
-    # they hold every labeled graph once per kind
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_census_equals_the_kernel_over_the_classes_of_its_order(n):
+    # the independent route: the kernel over one graph per class on n
+    # vertices (_level(n)'s certificates), each weighted n!/|Aut|, gives
+    # census's histograms, which census reads off the classes on n - 1
+    # vertices; they hold every labeled graph once per kind
+    classes = class_graphs(n)
     weights: Counter = Counter()
-    for (_, aut), row in zip(classes, numbers):
+    for (_, aut), row in zip(classes, _kernel_numbers([g for g, _ in classes])):
         for i, number in enumerate(row):
             weights[i, number] += factorial(n) // aut
-    assert _census_chunk(ALL_PARTS, n, 0, len(class_parents(n))) == weights
     for i in range(len(ALL_KINDS)):
         assert sum(w for (j, _), w in weights.items() if j == i) == 2 ** comb(n, 2)
+    expected = [
+        ({k: weights[i, k] for k in range(1, n + 1) if weights[i, k]}, weights[i, None])
+        for i in range(len(ALL_KINDS))
+    ]
+    assert [(r.histogram, r.inadmissible) for r in census_kinds(ALL_KINDS, n)] == expected
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_census_rows_are_the_least_degree_children(n):
+    # every neighbourhood s of vertex n - 1 on each parent, kept when n - 1
+    # has the least degree, with weight n! * lcm(1..n)/(|Aut P| * m) for m
+    # vertices of least degree, in parent order and then ascending s
+    scale = factorial(n) * lcm(*range(1, n + 1))
+    expected = []
+    for cert, aut, _ in class_parents(n):
+        for s in range(1 << n - 1):
+            g = graph_from_code(n, cert | s << comb(n - 1, 2))
+            degree = [nb.bit_count() for nb in g.adj]
+            if degree[-1] == min(degree):
+                expected.append((graph_code(g), scale // (aut * degree.count(degree[-1]))))
+    codes, weights = _rows(n)
+    assert list(zip(codes, weights)) == expected
+
+
+# census's rows per order: the children whose new vertex has the least degree
+ROW_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 70, 6: 348, 7: 2690, 8: 29755}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_census_rows_weigh_every_labeled_graph_lcm_times(n):
+    # at n = 1 the parent is the graph on no vertices, and its one child K1
+    # weighs 1
+    codes, weights = _rows(n)
+    assert len(codes) == ROW_COUNTS[n]
+    assert sum(weights) == lcm(*range(1, n + 1)) << comb(n, 2)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_census_makes_no_canonical_search_at_its_order(n, monkeypatch):
+    # with the classes on n - 1 vertices built, census builds its rows and
+    # decides them without one canonical form
+    class_parents(n)
+    monkeypatch.setattr("sepcodes.solver._rows", cache(_rows.__wrapped__))
+    calls = 0
+    search = sepcodes.graphs._canonical
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return search(*args)
+
+    monkeypatch.setattr("sepcodes.graphs._canonical", counted)
+    reports = census_kinds(ALL_KINDS, n)
+    assert sepcodes.solver._rows.cache_info().currsize == 1
+    assert calls == 0
+    assert all(sum(r.histogram.values()) + r.inadmissible == 2 ** comb(n, 2) for r in reports)
+
+
+def test_census_rows_keep_the_whole_order_only(cold_classes, monkeypatch):
+    rows = sepcodes.solver._rows
+    whole = rows(6)
+    assert rows.cache_info().currsize == 1
+    codes, weights = whole
+    assert codes.typecode == weights.typecode == "Q" and len(codes) == len(weights) == 348
+    # slices of the parents, as pool workers take them, are built and not
+    # kept, and they join to the whole order
+    total = len(class_parents(6))
+    sliced = [rows.__wrapped__(6, lo, min(lo + 5, total)) for lo in range(0, total, 5)]
+    assert array("Q", chain.from_iterable(c for c, _ in sliced)) == codes
+    assert array("Q", chain.from_iterable(w for _, w in sliced)) == weights
+    assert rows.cache_info().currsize == 1
+    # census reads the kept rows back without building them
+    monkeypatch.setattr("sepcodes.solver.decode_edges", None)
+    assert rows(6) is whole
+    reports = census_kinds(ALL_KINDS, 6)
+    assert {r.kind: (r.histogram, r.inadmissible) for r in reports} == CENSUS_ORDER_SIX
+
+
+def test_census_rows_pack_codes_past_32_bits(monkeypatch):
+    # at order 9 the edge code has C(9, 2) = 36 bits, the edge 78 at bit 35;
+    # one parent on 8 vertices, the second child of the last class on 7,
+    # made the whole level 8, is enough to show codes past 32 bits kept whole
+    levels = [_level(m) for m in range(8)]
+    level8 = tuple(extend_classes(8, levels[7][-1:]))[1:2]
+    monkeypatch.setattr("sepcodes.graphs.CENSUS_GUARD", 9)
+    monkeypatch.setattr("sepcodes.graphs._level", (levels + [level8]).__getitem__)
+    monkeypatch.setattr("sepcodes.solver._rows", cache(_rows.__wrapped__))
+    codes, weights = sepcodes.solver._rows(9)
+    assert sepcodes.solver._rows.cache_info().currsize == 1
+    assert max(codes).bit_length() == 36
+    [(cert, aut, _)] = level8
+    assert all(code & (1 << 28) - 1 == cert for code in codes)
+    for code, weight in zip(codes, weights):
+        degree = [nb.bit_count() for nb in graph_from_code(9, code).adj]
+        assert degree[-1] == min(degree)
+        assert weight == factorial(9) * 2520 // (aut * degree.count(degree[-1]))
 
 
 @st.composite
@@ -938,21 +1041,22 @@ def test_census_numbers_equal_min_code_on_labeled_graphs(batch):
 def test_census_chunks_at_every_split_sum_to_the_whole_order(n, monkeypatch):
     total = len(class_parents(n))
     whole = _census_chunk(ALL_PARTS, n, 0, total)
-    # an empty chunk, whose parents accept no child, has no bins
+    # an empty chunk, with no parents, has no bins
     assert _census_chunk(ALL_PARTS, n, total, total) == Counter()
-    # each parent's children packed alone: a range of parents packs their
-    # concatenation, so the splits below need no class generation
-    pieces = [class_rows(n, lo, lo + 1) for lo in range(total)]
+    # each parent's rows built alone: a range of parents builds their
+    # concatenation, so the splits below need no rows built
+    pieces = [_rows.__wrapped__(n, lo, lo + 1) for lo in range(total)]
 
     def rows(order, lo=0, hi=None):
         chosen = pieces[lo:hi]
         return (
             array("Q", chain.from_iterable(c for c, _ in chosen)),
-            array("L", chain.from_iterable(a for _, a in chosen)),
+            array("Q", chain.from_iterable(w for _, w in chosen)),
         )
 
-    assert rows(n) == class_rows(n)
-    monkeypatch.setattr("sepcodes.solver.class_rows", rows)
+    rows.__wrapped__ = rows
+    assert rows(n) == _rows(n)
+    monkeypatch.setattr("sepcodes.solver._rows", rows)
     for m in range(total + 1):
         assert _census_chunk(ALL_PARTS, n, 0, m) + _census_chunk(ALL_PARTS, n, m, total) == whole
 
@@ -968,17 +1072,17 @@ def test_census_workers_transpose_the_slices_they_pack(cold_classes, spy_pools, 
 
     def pack(order, lo=0, hi=None):
         packed.append((lo, hi))
-        return _children.__wrapped__(order, lo, hi)
+        return _rows.__wrapped__(order, lo, hi)
 
-    # class_rows keeps the whole order through _children and packs a
-    # slice through _children.__wrapped__, pack itself
-    monkeypatch.setattr("sepcodes.graphs._children", cache(pack))
+    # _census_chunk keeps the whole order through _rows and builds a
+    # slice through _rows.__wrapped__, pack itself
+    monkeypatch.setattr("sepcodes.solver._rows", cache(pack))
     reports = census_kinds(ALL_KINDS, 6, jobs=4)
     assert spy_pools[0].tasks == len(packed) > 1
-    # the workers' slices tile the 34 parents; no whole order was packed or kept
+    # the workers' slices tile the 34 parents; no whole order was built or kept
     assert packed[0][0] == 0 and packed[-1][1] == 34
     assert all(a[1] == b[0] for a, b in zip(packed, packed[1:]))
-    assert sepcodes.graphs._children.cache_info().currsize == 0
+    assert sepcodes.solver._rows.cache_info().currsize == 0
     assert {r.kind: (r.histogram, r.inadmissible) for r in reports} == CENSUS_ORDER_SIX
 
 
@@ -1049,45 +1153,44 @@ def test_census_guard(cold_classes, monkeypatch):
         census(CodeKind.LD, 9)
     # rejected before any class level is built or any chunk runs
     assert sepcodes.graphs._level.cache_info().currsize == 0
-    assert sepcodes.graphs._children.cache_info().currsize == 0
+    assert sepcodes.solver._rows.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("jobs", [(2, 1), (1, 2)], ids=["pool-first", "serial-first"])
 def test_census_from_cold_does_not_depend_on_jobs(cold_classes, jobs, monkeypatch):
     # the first call builds the class levels; the pool's workers read
     # class_parents(6) themselves, and only the serial call, which builds
-    # every child on 6 vertices, keeps them
+    # the rows of the whole order, keeps them
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for kind in (CodeKind.LD, CodeKind.OTD, CodeKind.FTD):
-        kept = sepcodes.graphs._children.cache_info().currsize == 1
+        kept = sepcodes.solver._rows.cache_info().currsize == 1
         first = census(kind, 6, jobs=jobs[0])
-        assert (sepcodes.graphs._children.cache_info().currsize == 1) == (kept or jobs[0] == 1)
+        assert (sepcodes.solver._rows.cache_info().currsize == 1) == (kept or jobs[0] == 1)
         second = census(kind, 6, jobs=jobs[1])
         assert first == second
         assert (first.histogram, first.inadmissible) == CENSUS_ORDER_SIX[kind]
     assert sepcodes.graphs._level.cache_info().currsize == 6
-    assert sepcodes.graphs._children.cache_info().currsize == 1
+    assert sepcodes.solver._rows.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_census_kinds_solve_one_pass_for_every_kind(cold_classes, jobs, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     passes = []
-    rows = sepcodes.solver.class_rows
 
-    def counted(n, lo, hi):
+    def counted(n, lo=0, hi=None):
         passes.append((lo, hi))
-        return rows(n, lo, hi)
+        return _rows.__wrapped__(n, lo, hi)
 
-    monkeypatch.setattr("sepcodes.solver.class_rows", counted)
+    monkeypatch.setattr("sepcodes.solver._rows", cache(counted))
     reports = census_kinds(ALL_KINDS, 6, jobs=jobs)
     assert [report.kind for report in reports] == list(ALL_KINDS)
     for report in reports:
         assert report.n == 6
         assert (report.histogram, report.inadmissible) == CENSUS_ORDER_SIX[report.kind]
     if jobs == 1:
-        # one pass over the 34 parents serves all eight kinds
-        assert passes == [(0, 34)]
+        # one pass over the whole order's 34 parents serves all eight kinds
+        assert passes == [(0, None)]
     assert census_kinds([CodeKind.FTD, CodeKind.LD], 6, jobs=jobs) == [
         census(CodeKind.FTD, 6),
         census(CodeKind.LD, 6),
