@@ -19,9 +19,9 @@ MAX_VERTICES = 62
 # census and the class routes stop at order 8 for run time and memory.
 # graph_classes(9) would build 274668 classes (about 18 s). Census at order
 # 9 builds the 12346 classes on 8 vertices (0.7-0.8 s) and decides their
-# 605107 least-degree children: 1.8 s at jobs 1, where the one chunk's
-# masks, one bit per child, peak at 184 MB RSS, and 1.4 s at jobs 2 (50 MB
-# per worker). A child's edge code fits a 64-bit word up to order 11, so
+# 605107 least-degree children: 1.8-1.9 s at jobs 1, in chunks of at most
+# 2048 parents whose masks, one bit per child, peak at 68 MB RSS, and 1.4 s
+# at jobs 2 (50 MB per worker). A child's edge code fits a 64-bit word up to order 11, so
 # the packing sets no limit here
 CENSUS_GUARD = 8
 ISOMORPHISM_GUARD = 10
@@ -478,33 +478,50 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     return _canonical(g.order, g.adj, _equitable(g.adj))[:2]
 
 
-def _subset_orbits(k: int, automorphisms: Sequence[tuple[int, ...]]) -> list[int]:
-    """The least member of each orbit on the vertex subsets of 0..k-1 (as
-    masks) of the group the automorphisms generate, ascending."""
-    size = 1 << k
-    images = []
-    for a in automorphisms:
-        image = [0] * size
-        for s in range(1, size):
-            low = s & -s
-            image[s] = image[s ^ low] | 1 << a[low.bit_length() - 1]
-        images.append(image)
-    seen = bytearray(size)
+def _subset_orbits(subsets: Sequence[int], automorphisms: Sequence[tuple[int, ...]]) -> list[int]:
+    """The least member of each orbit of the group the automorphisms
+    generate on `subsets`, vertex subsets (as masks) in ascending order and
+    closed under the group, ascending."""
+    seen = set()
     reps = []
-    for s in range(size):
-        if seen[s]:
+    for s in subsets:
+        if s in seen:
             continue
-        seen[s] = 1
+        seen.add(s)
         stack = [s]
         while stack:
             t = stack.pop()
-            for image in images:
-                u = image[t]
-                if not seen[u]:
-                    seen[u] = 1
+            for a in automorphisms:
+                u = vset(map(a.__getitem__, members(t)))
+                if u not in seen:
+                    seen.add(u)
                     stack.append(u)
         reps.append(s)
     return reps
+
+
+def _least_degree_children(adj: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """(s, m) in ascending s for each neighbourhood s of a new vertex,
+    vertex len(adj), added to the graph with adjacency masks adj, under
+    which the new vertex has the least degree of the child, and m the
+    child's number of vertices of least degree. With low the graph's least
+    degree (0 with no vertex), s is kept when |s| <= low, or |s| = low + 1
+    and s holds every vertex of degree low; m counts the new vertex, the
+    vertices of degree |s| outside s and those of degree |s| - 1 in s. The
+    one statement of the rule, for class generation (extend_classes) and
+    census (solver._rows)."""
+    k = len(adj)
+    low = min(map(int.bit_count, adj), default=0)
+    # at[d]: the vertices of degree d; at[k] is empty, as no vertex has
+    # degree k, and so is at[-1], read at |s| = 0
+    at = [0] * (k + 1)
+    for v, row in enumerate(adj):
+        at[row.bit_count()] |= 1 << v
+    for s in range(1 << k):
+        d = s.bit_count()
+        if d > low + 1 or d > low and at[low] & ~s:
+            continue
+        yield s, 1 + (at[d] & ~s).bit_count() + (at[d - 1] & s).bit_count()
 
 
 # A class record: (certificate, |Aut|, automorphisms in the canonical
@@ -519,23 +536,20 @@ def extend_classes(m: int, parents: Iterable[ClassRecord]) -> Iterator[ClassReco
     """The class records on m vertices that canonical augmentation accepts
     from `parents`, classes on m - 1 vertices: given all of them, each class
     on m vertices comes out exactly once; see graph_classes. Each child is
-    the parent's canonical labeling with the new vertex m - 1 added."""
+    the parent's canonical labeling with the new vertex m - 1 added, with
+    one neighbourhood per orbit of the parent's automorphisms on those that
+    leave it at least degree (_least_degree_children)."""
     new = m - 1
     top = 1 << new
     for code, _, automorphisms in parents:
         base = decode_edges(new, code)
-        low = min(map(int.bit_count, base), default=0)
-        for s in _subset_orbits(new, automorphisms):
+        # the new vertex must have the least degree; that set of
+        # neighbourhoods is closed under Aut, which keeps degrees
+        subsets = [s for s, _ in _least_degree_children(base)]
+        for s in _subset_orbits(subsets, automorphisms):
             d = s.bit_count()
-            # the new vertex must have the least degree, so d is the child's
-            # minimum degree, and the parent has a vertex of degree low,
-            # which s raises at most by one
-            if d > low + 1:
-                continue
             adj = [a | top if s >> v & 1 else a for v, a in enumerate(base)] + [s]
             degree = [a.bit_count() for a in adj]
-            if d > min(degree):
-                continue
             # among the vertices of least degree, the new one must have the
             # least sum of neighbour degrees; ties go to the orbit test
             rank = [0] * m
@@ -585,16 +599,16 @@ def graph_classes(order: int) -> dict[int, int]:
     vertices, by canonical augmentation (McKay 1998, "Isomorph-free
     exhaustive generation"). Each class on m - 1 vertices is extended by a
     new vertex with one neighbourhood from each orbit of its automorphism
-    group on vertex subsets, as automorphic neighbourhoods give isomorphic
-    extensions. An extension is accepted only when the new vertex lies in
+    group on the neighbourhoods that leave the new vertex at least degree,
+    as automorphic neighbourhoods give isomorphic extensions. An extension is accepted only when the new vertex lies in
     the orbit of its canonical deletion: among the vertices that minimise
     (degree, sum of neighbour degrees), the one of largest canonical label.
     That orbit depends only on the class, so each class on m vertices is
     accepted exactly once, from the class of the graph it leaves when the
-    canonical deletion is removed, and no certificates are compared. A
-    neighbourhood larger than the parent's minimum degree plus one, or a
-    new vertex that does not minimise the invariant, is rejected before any
-    canonical form is computed; every accepted class gets its certificate
+    canonical deletion is removed, and no certificates are compared. No
+    other neighbourhood is walked, and a new vertex that does not minimise
+    the invariant is rejected before any canonical form is computed; every
+    accepted class gets its certificate
     from one canonical search, whose labeling and orbits the orbit test
     reads when the new vertex ties (extend_classes). The records are built
     once per process (_level).

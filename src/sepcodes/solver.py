@@ -16,20 +16,21 @@ from math import comb, factorial, lcm
 from operator import and_, or_, xor
 from typing import Callable, Iterable, Sequence, TypeVar
 
-# min_code reads admissibility off _candidates's twin rules; is_admissible
+# min_code reads admissibility off an empty set in _candidates; is_admissible
 # stays bound here because bench/tracer.py patches it
 from .codes import ALL_KINDS, CodeKind, Separation, is_admissible, is_code  # noqa: F401
 from .errors import BudgetError, GuardError
 from .graphs import MAX_VERTICES, Graph, class_parents, decode_edges, members
+from .graphs import _least_degree_children
 
 DEFAULT_BUDGET = 5_000_000
 ORACLE_GUARD = 20
 
 T = TypeVar("T")
 
-# Each part of the separation family as (twin rule, candidate sets), both
-# read off the open and closed neighbourhoods (adj, closed); the twin rule
-# says, before any set is built, whether the part holds an empty set.
+# Each part of the separation family as its candidate sets, read off the
+# open and closed neighbourhoods (adj, closed). A part holds an empty set
+# exactly when the graph is inadmissible for a kind that reads it.
 # A vertex set is a code exactly when it hits every set of the kind's parts:
 # _candidates, census's _class_numbers and make_mask_checker (the audit's
 # code test) read them, by index, from _KIND_PARTS: N(v) for TD kinds or
@@ -38,34 +39,21 @@ T = TypeVar("T")
 # generators, for each vertex w, column w of a whole batch of graphs (one
 # bit per graph, read off the bit-planes of their edge codes) and gets
 # back, per set, the graphs whose set contains w.
-_Part = tuple[
-    Callable[[Sequence[int], Sequence[int]], bool],
-    Callable[[Sequence[int], Sequence[int]], Iterable[int]],
-]
-_PARTS: tuple[_Part, ...] = (
+_PARTS: tuple[Callable[[Sequence[int], Sequence[int]], Iterable[int]], ...] = (
     # N(v), empty at an isolated vertex
-    (lambda adj, closed: 0 in adj, lambda adj, closed: adj),
+    lambda adj, closed: adj,
     # N[v], never empty
-    (lambda adj, closed: False, lambda adj, closed: closed),
+    lambda adj, closed: closed,
     # the location pairs (N(u) ^ N(v)) | {u, v}, never empty, read as
     # (N(u) ^ N(v)) | (N[u] ^ N[v]): off u and v the two xors agree; N[u] ^
     # N[v] holds u and v when they are not adjacent, N(u) ^ N(v) when they are
-    (
-        lambda adj, closed: False,
-        lambda adj, closed: map(
-            or_, starmap(xor, combinations(adj, 2)), starmap(xor, combinations(closed, 2))
-        ),
+    lambda adj, closed: map(
+        or_, starmap(xor, combinations(adj, 2)), starmap(xor, combinations(closed, 2))
     ),
     # the open xors N(u) ^ N(v), empty at two open twins
-    (
-        lambda adj, closed: len(set(adj)) < len(adj),
-        lambda adj, closed: starmap(xor, combinations(adj, 2)),
-    ),
+    lambda adj, closed: starmap(xor, combinations(adj, 2)),
     # the closed xors N[u] ^ N[v], empty at two closed twins
-    (
-        lambda adj, closed: len(set(closed)) < len(closed),
-        lambda adj, closed: starmap(xor, combinations(closed, 2)),
-    ),
+    lambda adj, closed: starmap(xor, combinations(closed, 2)),
 )
 _KIND_PARTS = {
     kind: (0 if kind.total_domination else 1,)
@@ -144,11 +132,11 @@ def max_order(kind: CodeKind, k: int) -> int:
 def make_mask_checker(kind: CodeKind) -> Callable[[Sequence[int], int], bool]:
     """Code test check(adj, c) of a code mask c on the graph with adjacency
     masks adj: c hits every set of the kind's parts (_PARTS), read off adj
-    as _candidates reads them. No twin rule is needed, as c hits no empty
+    as _candidates reads them; on an inadmissible graph c misses the empty
     set. Each set is read only through its bits in c, so check reads only
     the bits of adj in c; agrees with codes.is_code on every vertex set of
     every graph (property-tested exhaustively)."""
-    parts = [_PARTS[p][1] for p in _KIND_PARTS[kind]]
+    parts = [_PARTS[p] for p in _KIND_PARTS[kind]]
 
     def check(adj: Sequence[int], c: int) -> bool:
         closed = tuple(map(or_, adj, _units(len(adj))))
@@ -177,13 +165,12 @@ class SolveReport:
 
 
 def _candidates(g: Graph, kind: CodeKind) -> list[int]:
-    """Every candidate set of the kind's separation family once, sorted by
-    largest vertex, then size, then value; [0] when some set is empty, that
-    is when g is inadmissible: a TD kind and an isolated vertex, or two open
-    twins (N(u) = N(v)) for O and F, or two closed twins (N[u] = N[v]) for
-    I and F. These twin rules are tested first, so an inadmissible graph
-    builds no pair set; each kind's parts and their twin rules are read
-    from _PARTS, as census reads them.
+    """Every candidate set of the kind's separation family once, read from
+    the kind's parts in _PARTS, as census reads them, and sorted by largest
+    vertex, then size, then value. So an empty set comes first, and there
+    is one exactly when g is inadmissible: a TD kind and an isolated vertex,
+    or two open twins (N(u) = N(v)) for O and F, or two closed twins (N[u]
+    = N[v]) for I and F.
 
     A vertex set is a kind-code exactly when it hits every candidate set.
     In this order every set comes after each set it strictly contains: a
@@ -191,13 +178,9 @@ def _candidates(g: Graph, kind: CodeKind) -> list[int]:
     smaller."""
     adj = g.adj
     closed = tuple(map(or_, adj, _units(g.order)))
-    parts = _KIND_PARTS[kind]
-    for p in parts:
-        if _PARTS[p][0](adj, closed):
-            return [0]
     sets: set[int] = set()
-    for p in parts:
-        sets.update(_PARTS[p][1](adj, closed))
+    for p in _KIND_PARTS[kind]:
+        sets.update(_PARTS[p](adj, closed))
     candidates = sorted(sets)
     candidates.sort(key=int.bit_count)
     candidates.sort(key=int.bit_length)  # stable: by largest vertex, size, value
@@ -250,9 +233,9 @@ def min_code(g: Graph, kind: CodeKind, budget: int = DEFAULT_BUDGET) -> SolveRep
     bound takes each set i in one AND with cut[i][x]. The last level (one
     vertex left) is a scan for the first x that hits every set left,
     whose nodes are counted, and tested against the budget, at once: the
-    same nodes and the same BudgetError as one at a time. A family of [0]
-    means g is inadmissible (no is_admissible pass), and no node is
-    searched."""
+    same nodes and the same BudgetError as one at a time. A family that
+    starts with the empty set means g is inadmissible (no is_admissible
+    pass), and no node is searched."""
     lb = lower_bound(kind, g.order)
     family = _candidates(g, kind)
     if family[0] == 0:
@@ -426,7 +409,7 @@ def _class_numbers(plan: tuple[tuple[int, ...], ...], n: int, codes: array[int])
     column w is an adjacency table of m-bit masks. _PARTS's generators, fed
     column w, give per set the graphs whose set contains w; nin[w] holds
     the complements. A graph is inadmissible when one of its sets lacks
-    every vertex (the twin rules). The vertex sets C are walked once,
+    every vertex, as in _candidates. The vertex sets C are walked once,
     depth first in ascending vertex order, carrying per set the graphs
     whose set C misses: one AND with nin[w] per set as w is added. C is a
     code of a graph exactly when it misses none of its sets, so the graph's
@@ -454,7 +437,7 @@ def _class_numbers(plan: tuple[tuple[int, ...], ...], n: int, codes: array[int])
         for parts in blocks.values():
             start = len(lacks)
             for p in parts:
-                lacks.extend(full ^ s for s in _PARTS[p][1](adj, closed))
+                lacks.extend(full ^ s for s in _PARTS[p](adj, closed))
             spans.append((start, len(lacks)))
         nin.append(lacks)
     empty = [reduce(and_, column) for column in zip(*nin)]
@@ -488,41 +471,27 @@ def _class_numbers(plan: tuple[tuple[int, ...], ...], n: int, codes: array[int])
 
 
 @cache
-def _rows(n: int, lo: int = 0, hi: int | None = None) -> tuple[array[int], array[int]]:
+def _rows(n: int, lo: int, hi: int) -> tuple[array[int], array[int]]:
     """The graphs census decides on n vertices for the parents
     class_parents(n)[lo:hi], classes on n - 1 vertices, as edge codes
     (graph_code numbering) and weights, two array("Q")s. Each labeled graph
     is counted once per vertex of least degree, relabeled to be n - 1: so
     the graphs are P + s, for a parent P in its canonical labeling and each
-    neighbourhood s of n - 1 that keeps it at least degree (|s| at most P's
-    least degree low, or low + 1 with s holding every vertex of degree
-    low). P + s has the edge code P's certificate | s << C(n - 1, 2), which
-    raises OverflowError past order 11 rather than truncate, and with m
-    vertices of least degree it stands for n!/(|Aut P| * m) labeled graphs;
-    its weight is that times lcm(1..n), an integer. Kept for a whole order,
-    once per process (0.48 MB at order 8: 29755 codes and weights); a slice
-    of the parents, as a pool worker takes, is built through __wrapped__
-    and not kept. Guarded at CENSUS_GUARD, checked before any work."""
+    neighbourhood s of n - 1 that keeps it at least degree, in ascending s
+    (_least_degree_children). P + s has the edge code P's certificate | s
+    << C(n - 1, 2), which raises OverflowError past order 11 rather than
+    truncate, and with m vertices of least degree it stands for n!/(|Aut P|
+    * m) labeled graphs; its weight is that times lcm(1..n), an integer.
+    Kept per chunk of parents, once per process (0.48 MB at order 8: 29755
+    codes and weights); a pool worker's rows go with the pool. Guarded at
+    CENSUS_GUARD, checked before any work."""
     new = n - 1
     shift = comb(new, 2)
     scale = factorial(n) * lcm(*range(1, n + 1))
     codes = array("Q")
     weights = array("Q")
     for code, aut, _ in class_parents(n)[lo:hi]:
-        adj = decode_edges(new, code)
-        low = min(map(int.bit_count, adj), default=0)
-        # at[d]: the parent's vertices of degree d; at[-1] is empty, as no
-        # vertex of the parent has degree n - 1
-        at = [0] * n
-        for v, row in enumerate(adj):
-            at[row.bit_count()] |= 1 << v
-        for s in range(1 << new):
-            d = s.bit_count()
-            if d > low + 1 or d > low and at[low] & ~s:
-                continue
-            # the child's least-degree vertices: n - 1, those of degree d
-            # outside s and those of degree d - 1 in s
-            m = 1 + (at[d] & ~s).bit_count() + (at[d - 1] & s).bit_count()
+        for s, m in _least_degree_children(decode_edges(new, code)):
             codes.append(code | s << shift)
             weights.append(scale // (aut * m))
     return codes, weights
@@ -533,13 +502,11 @@ def _census_chunk(
 ) -> Counter[tuple[int, int | None]]:
     """Labeled graphs on n vertices by (index in `plan`, number or None when
     inadmissible), each counted lcm(1..n) times, over the graphs _rows
-    gives for class_parents(n)[lo:hi], whose numbers _class_numbers decides
-    at once. Each bin is bit-sliced: with plane b of the weights (_planes),
-    it sums popcount(mask & plane b) << b. The rows of the whole order are
-    kept (_rows); a slice is built and not kept. A chunk with no parents
-    has no bins."""
-    whole = lo == 0 and hi == len(class_parents(n))
-    codes, weights = _rows(n) if whole else _rows.__wrapped__(n, lo, hi)
+    gives, and keeps, for class_parents(n)[lo:hi], whose numbers
+    _class_numbers decides at once. Each bin is bit-sliced: with plane b of
+    the weights (_planes), it sums popcount(mask & plane b) << b. A chunk
+    with no parents has no bins."""
+    codes, weights = _rows(n, lo, hi)
     bins: Counter[tuple[int, int | None]] = Counter()
     if not codes:
         return bins
@@ -555,11 +522,12 @@ def _census_chunk(
 
 def census_kinds(kinds: Iterable[CodeKind], n: int, jobs: int = 1) -> list[CensusReport]:
     """census for each of `kinds`, in that order, from the package's one
-    pass over the classes on n - 1 vertices: `scan` shards them over `jobs`
-    workers, each reading class_parents itself, and each chunk decides
-    every kind's number of all its graphs at once (_census_chunk). The
-    chunks' bins are summed, then divided by lcm(1..n). Guarded at
-    CENSUS_GUARD, checked before any work."""
+    pass over the classes on n - 1 vertices: `scan` splits them into
+    chunks, shared over `jobs` workers that each read class_parents
+    themselves, and each chunk decides every kind's number of all its
+    graphs at once (_census_chunk). The chunks' bins are summed, then
+    divided by lcm(1..n). Guarded at CENSUS_GUARD, checked before any
+    work."""
     kinds = tuple(kinds)
     chunk = partial(_census_chunk, tuple(_KIND_PARTS[kind] for kind in kinds), n)
     weights = sum(scan(chunk, len(class_parents(n)), jobs), Counter())
@@ -589,15 +557,24 @@ def resolve_jobs(jobs: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1))
 
 
+# the most items a chunk of `scan` takes: at most this many parents' rows
+# and masks are live at once. Census at n <= 8 is one chunk at jobs 1
+# (1044 parents at n = 8), so a warm census reads one kept set of rows
+_SCAN_CHUNK = 2048
+
+
 def scan(fn: Callable[[int, int], T], total: int, jobs: int) -> list[T]:
-    """The results of fn(lo, hi) over chunks of [0, total), in order. With `jobs`
-    resolved to 1, or fewer than two items per worker, the one chunk is the
-    whole range and runs in this process; otherwise a pool of `jobs`
-    workers maps fn over four chunks per worker, so fn must pickle."""
+    """The results of fn(lo, hi) over chunks of [0, total), in order, each
+    of at most _SCAN_CHUNK items. With `jobs` resolved to 1, or fewer than
+    two items per worker, the chunks run in this process; otherwise a pool
+    of `jobs` workers maps fn over four chunks per worker, or more when
+    that passes _SCAN_CHUNK, so fn must pickle."""
     jobs = resolve_jobs(jobs)
-    if jobs == 1 or total < 2 * jobs:
-        return [fn(0, total)]
-    step = -(-total // (jobs * 4))
+    serial = jobs == 1 or total < 2 * jobs
+    step = _SCAN_CHUNK if serial else min(_SCAN_CHUNK, -(-total // (jobs * 4)))
     los = range(0, total, step)
+    his = [min(lo + step, total) for lo in los]
+    if serial:
+        return list(map(fn, los, his))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, los, [min(lo + step, total) for lo in los]))
+        return list(pool.map(fn, los, his))

@@ -67,6 +67,7 @@ from sepcodes.graphs import (
     _canonical,
     _equitable,
     _find,
+    _least_degree_children,
     _level,
     _refine,
     _subset_orbits,
@@ -566,16 +567,19 @@ def class_records() -> list[list[tuple]]:
 
 
 def test_subset_orbit_sizes_cover_every_subset(class_records):
-    # each representative is the least member of its orbit, closed here
-    # under the generators; distinct least members make the orbits
-    # disjoint, so they cover the 2^k subsets exactly when their sizes sum
-    # to it, and each size divides |Aut|
+    # the reference walks all 2^k subsets in ascending order, closing each
+    # one not yet met under the generators: its least member, with orbit
+    # sizes that divide |Aut| and, as the orbits are disjoint, cover the
+    # 2^k subsets. _subset_orbits gives the same representatives over all
+    # subsets, and over the least-degree neighbourhoods, a union of orbits
+    # as automorphisms keep degrees, the reference's among them
     for k in range(1, 8):
-        for _, aut, automorphisms in class_records[k]:
-            reps = _subset_orbits(k, automorphisms)
-            assert reps == sorted(reps)
-            covered = 0
-            for s in reps:
+        for cert, aut, automorphisms in class_records[k]:
+            reference = []
+            orbit_of = {}
+            for s in range(1 << k):
+                if s in orbit_of:
+                    continue
                 orbit = {s}
                 frontier = [s]
                 while frontier:
@@ -587,8 +591,29 @@ def test_subset_orbit_sizes_cover_every_subset(class_records):
                             frontier.append(u)
                 assert min(orbit) == s
                 assert aut % len(orbit) == 0
-                covered += len(orbit)
-            assert covered == 1 << k
+                orbit_of.update(dict.fromkeys(orbit, s))
+                reference.append(s)
+            assert len(orbit_of) == 1 << k
+            assert _subset_orbits(range(1 << k), automorphisms) == reference
+            allowed = [s for s, _ in _least_degree_children(decode_edges(k, cert))]
+            kept = set(allowed)
+            assert all((s in kept) == (orbit_of[s] in kept) for s in range(1 << k))
+            assert _subset_orbits(allowed, automorphisms) == [s for s in reference if s in kept]
+
+
+def test_least_degree_children_follow_the_definition():
+    # s is yielded exactly when the new vertex has the least degree in the
+    # child built from it, with m the child's vertices of that degree, for
+    # every labeled graph on at most 5 vertices and the graph on none
+    for adj in [()] + [g.adj for n in range(1, 6) for g in labeled_graphs(n)]:
+        k = len(adj)
+        expected = []
+        for s in range(1 << k):
+            child = [a | (s >> v & 1) << k for v, a in enumerate(adj)] + [s]
+            degree = [a.bit_count() for a in child]
+            if degree[k] == min(degree):
+                expected.append((s, degree.count(degree[k])))
+        assert list(_least_degree_children(adj)) == expected
 
 
 def _reference_orbits(n: int, automorphisms) -> list[int]:
@@ -644,7 +669,7 @@ def test_census_path_weights_every_labeled_graph_at_order_eight(monkeypatch):
         return search(n, adj, cells)
 
     monkeypatch.setattr("sepcodes.graphs._canonical", counted)
-    codes, weights = _rows.__wrapped__(8)
+    codes, weights = _rows.__wrapped__(8, 0, len(class_parents(8)))
     assert calls == 0
     assert len(codes) == 29755
     totals: Counter = Counter()

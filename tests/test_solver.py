@@ -76,6 +76,7 @@ from sepcodes.solver import (
     _rows,
     make_mask_checker,
     resolve_jobs,
+    scan,
     smallest_k,
 )
 
@@ -231,7 +232,8 @@ def test_mask_checker_agrees_with_is_code_exhaustively():
     # one checker per kind, called on every labeled graph of every order, so
     # a checker that kept any state between graphs or orders would fail; its
     # answer is also the solver's, that the mask hits every set of
-    # _candidates ([0] on an inadmissible graph, which no mask hits)
+    # _candidates (the empty set first on an inadmissible graph, which no
+    # mask hits)
     checks = {kind: make_mask_checker(kind) for kind in ALL_KINDS}
     for n in range(1, 6):
         for g in labeled_graphs(n):
@@ -423,36 +425,29 @@ def minimal_candidates(g, kind):
     return [s for s in candidates if all(t & s != t or t == s for t in candidates)]
 
 
-def test_family_matches_the_reference_filter_exhaustively():
-    for n in range(1, 6):
-        for g in labeled_graphs(n):
-            for kind in ALL_KINDS:
-                assert minimal_candidates(g, kind) == reference_separation_family(g, kind)
-
-
-@pytest.mark.parametrize("n", [6, 7])
-def test_family_matches_the_reference_filter_on_every_class(n):
-    for g, _ in class_graphs(n):
-        for kind in ALL_KINDS:
-            family = minimal_candidates(g, kind)
-            assert family == reference_separation_family(g, kind)
-            assert (family == [0]) == (not is_admissible(g, kind))
-
-
 def assert_candidates_put_subsets_first(g):
     # the lemma min_code's search rests on: _candidates lists each set once
     # and puts every set after each set it strictly contains, and its
-    # inclusion-minimal members, in its order, are the separation family
+    # inclusion-minimal members, in its order, are the separation family;
+    # so an empty set comes first, and there is one exactly when g is
+    # inadmissible
     for kind in ALL_KINDS:
         candidates = _candidates(g, kind)
         assert len(set(candidates)) == len(candidates), kind
         for j, s in enumerate(candidates):
             assert all(t & s != s for t in candidates[:j]), (kind, s)
         assert minimal_candidates(g, kind) == reference_separation_family(g, kind), kind
+        assert (candidates[0] == 0) == (not is_admissible(g, kind)), kind
+
+
+def test_family_matches_the_reference_filter_exhaustively():
+    for n in range(1, 6):
+        for g in labeled_graphs(n):
+            assert_candidates_put_subsets_first(g)
 
 
 def test_candidates_put_subsets_first_on_every_class():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for g, _ in class_graphs(n):
             assert_candidates_put_subsets_first(g)
 
@@ -460,26 +455,6 @@ def test_candidates_put_subsets_first_on_every_class():
 @given(graphs(max_order=20))
 def test_candidates_put_subsets_first_on_random_graphs(g):
     assert_candidates_put_subsets_first(g)
-
-
-def test_inadmissible_graphs_build_no_pair_set(monkeypatch):
-    # the twin rule decides admissibility before any pair set is built, so
-    # _candidates is [0] and min_code searches no node with combinations
-    # patched to raise
-    def no_pairs(*args):
-        raise AssertionError("pair sets built for an inadmissible graph")
-
-    monkeypatch.setattr(sepcodes.solver, "combinations", no_pairs)
-    inadmissible = 0
-    for n in range(1, 7):
-        for g, _ in class_graphs(n):
-            for kind in ALL_KINDS:
-                if not is_admissible(g, kind):
-                    assert _candidates(g, kind) == [0]
-                    report = min_code(g, kind)
-                    assert (report.number, report.subsets_tested) == (None, 0)
-                    inadmissible += 1
-    assert inadmissible > 600
 
 
 def star_graph(m: int):
@@ -525,11 +500,12 @@ def test_family_matches_the_reference_filter_on_random_graphs(g):
 
 
 def assert_inadmissible_exactly_when_the_family_holds_the_empty_set(g):
-    # min_code reads admissibility off _candidates alone: it is [0] exactly
-    # when g has no kind-code, and then no node is searched
+    # min_code reads admissibility off _candidates alone: it starts with
+    # the empty set exactly when g has no kind-code, and then no node is
+    # searched
     for kind in ALL_KINDS:
         inadmissible = not is_admissible(g, kind)
-        assert (_candidates(g, kind) == [0]) == inadmissible
+        assert (_candidates(g, kind)[0] == 0) == inadmissible
         report = min_code(g, kind)
         assert (report.number is None) == inadmissible
         if inadmissible:
@@ -561,7 +537,7 @@ def test_family_hitting_agrees_with_is_code(g, data):
     # when it is a code
     for kind in ALL_KINDS:
         family = _candidates(g, kind)
-        assert (family == [0]) == (not is_admissible(g, kind))
+        assert (family[0] == 0) == (not is_admissible(g, kind))
         for _ in range(8):
             mask = data.draw(st.integers(0, (1 << g.order) - 1))
             assert all(s & mask for s in family) == is_code(g, mask, kind)
@@ -944,7 +920,7 @@ def test_census_rows_are_the_least_degree_children(n):
             degree = [nb.bit_count() for nb in g.adj]
             if degree[-1] == min(degree):
                 expected.append((graph_code(g), scale // (aut * degree.count(degree[-1]))))
-    codes, weights = _rows(n)
+    codes, weights = _rows(n, 0, len(class_parents(n)))
     assert list(zip(codes, weights)) == expected
 
 
@@ -956,7 +932,7 @@ ROW_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 70, 6: 348, 7: 2690, 8: 29755}
 def test_census_rows_weigh_every_labeled_graph_lcm_times(n):
     # at n = 1 the parent is the graph on no vertices, and its one child K1
     # weighs 1
-    codes, weights = _rows(n)
+    codes, weights = _rows(n, 0, len(class_parents(n)))
     assert len(codes) == ROW_COUNTS[n]
     assert sum(weights) == lcm(*range(1, n + 1)) << comb(n, 2)
 
@@ -982,24 +958,66 @@ def test_census_makes_no_canonical_search_at_its_order(n, monkeypatch):
     assert all(sum(r.histogram.values()) + r.inadmissible == 2 ** comb(n, 2) for r in reports)
 
 
-def test_census_rows_keep_the_whole_order_only(cold_classes, monkeypatch):
+def test_census_rows_are_kept_per_chunk(cold_classes, monkeypatch):
     rows = sepcodes.solver._rows
-    whole = rows(6)
+    total = len(class_parents(6))
+    whole = rows(6, 0, total)
     assert rows.cache_info().currsize == 1
     codes, weights = whole
     assert codes.typecode == weights.typecode == "Q" and len(codes) == len(weights) == 348
-    # slices of the parents, as pool workers take them, are built and not
-    # kept, and they join to the whole order
-    total = len(class_parents(6))
-    sliced = [rows.__wrapped__(6, lo, min(lo + 5, total)) for lo in range(0, total, 5)]
+    # slices of the parents, as smaller chunks take them, are kept under
+    # their own bounds, and they join to the whole order
+    sliced = [rows(6, lo, min(lo + 5, total)) for lo in range(0, total, 5)]
     assert array("Q", chain.from_iterable(c for c, _ in sliced)) == codes
     assert array("Q", chain.from_iterable(w for _, w in sliced)) == weights
-    assert rows.cache_info().currsize == 1
-    # census reads the kept rows back without building them
+    assert rows.cache_info().currsize == 1 + len(sliced)
+    # census at n = 6 is one chunk, and reads its kept rows back without
+    # building them
     monkeypatch.setattr("sepcodes.solver.decode_edges", None)
-    assert rows(6) is whole
+    assert rows(6, 0, total) is whole
     reports = census_kinds(ALL_KINDS, 6)
     assert {r.kind: (r.histogram, r.inadmissible) for r in reports} == CENSUS_ORDER_SIX
+    assert rows.cache_info().currsize == 1 + len(sliced)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_census_chunks_stay_within_the_scan_bound(n, monkeypatch):
+    expected = census_kinds(ALL_KINDS, n)
+    # with the bound at 5 parents, census at jobs 1 runs its parents in
+    # chunks of 5, each packed once and kept, and gives the result of the
+    # one chunk it makes at n <= 8
+    monkeypatch.setattr("sepcodes.solver._SCAN_CHUNK", 5)
+    packed = []
+
+    def pack(order, lo, hi):
+        packed.append((lo, hi))
+        return _rows.__wrapped__(order, lo, hi)
+
+    monkeypatch.setattr("sepcodes.solver._rows", cache(pack))
+    assert census_kinds(ALL_KINDS, n) == expected
+    total = len(class_parents(n))
+    assert packed == [(lo, min(lo + 5, total)) for lo in range(0, total, 5)]
+    # a warm second call reads every chunk's kept rows and decodes nothing
+    monkeypatch.setattr("sepcodes.solver.decode_edges", None)
+    assert census_kinds(ALL_KINDS, n) == expected
+    assert len(packed) == -(-total // 5)
+
+
+def test_scan_chunks_stay_within_the_bound(spy_pools, monkeypatch):
+    # in process the step is the bound; with a pool it is the bound or a
+    # quarter of a worker's share, whichever is less
+    monkeypatch.setattr("sepcodes.solver._SCAN_CHUNK", 5)
+    for jobs, total, step, pooled in [
+        (1, 0, 5, False),
+        (1, 23, 5, False),
+        (4, 7, 5, False),
+        (4, 34, 3, True),
+        (4, 200, 5, True),
+    ]:
+        made = len(spy_pools)
+        chunks = scan(lambda lo, hi: (lo, hi), total, jobs)
+        assert chunks == [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+        assert len(spy_pools) - made == pooled
 
 
 def test_census_rows_pack_codes_past_32_bits(monkeypatch):
@@ -1011,7 +1029,7 @@ def test_census_rows_pack_codes_past_32_bits(monkeypatch):
     monkeypatch.setattr("sepcodes.graphs.CENSUS_GUARD", 9)
     monkeypatch.setattr("sepcodes.graphs._level", (levels + [level8]).__getitem__)
     monkeypatch.setattr("sepcodes.solver._rows", cache(_rows.__wrapped__))
-    codes, weights = sepcodes.solver._rows(9)
+    codes, weights = sepcodes.solver._rows(9, 0, 1)
     assert sepcodes.solver._rows.cache_info().currsize == 1
     assert max(codes).bit_length() == 36
     [(cert, aut, _)] = level8
@@ -1047,15 +1065,14 @@ def test_census_chunks_at_every_split_sum_to_the_whole_order(n, monkeypatch):
     # concatenation, so the splits below need no rows built
     pieces = [_rows.__wrapped__(n, lo, lo + 1) for lo in range(total)]
 
-    def rows(order, lo=0, hi=None):
+    def rows(order, lo, hi):
         chosen = pieces[lo:hi]
         return (
             array("Q", chain.from_iterable(c for c, _ in chosen)),
             array("Q", chain.from_iterable(w for _, w in chosen)),
         )
 
-    rows.__wrapped__ = rows
-    assert rows(n) == _rows(n)
+    assert rows(n, 0, total) == _rows(n, 0, total)
     monkeypatch.setattr("sepcodes.solver._rows", rows)
     for m in range(total + 1):
         assert _census_chunk(ALL_PARTS, n, 0, m) + _census_chunk(ALL_PARTS, n, m, total) == whole
@@ -1070,19 +1087,21 @@ def test_census_kinds_at_two_jobs_equal_one_job(monkeypatch):
 def test_census_workers_transpose_the_slices_they_pack(cold_classes, spy_pools, monkeypatch):
     packed = []
 
-    def pack(order, lo=0, hi=None):
+    def pack(order, lo, hi):
         packed.append((lo, hi))
         return _rows.__wrapped__(order, lo, hi)
 
-    # _census_chunk keeps the whole order through _rows and builds a
-    # slice through _rows.__wrapped__, pack itself
+    # every chunk reads its rows through _rows, pack itself
     monkeypatch.setattr("sepcodes.solver._rows", cache(pack))
     reports = census_kinds(ALL_KINDS, 6, jobs=4)
     assert spy_pools[0].tasks == len(packed) > 1
-    # the workers' slices tile the 34 parents; no whole order was built or kept
+    # the workers' slices tile the 34 parents; no whole order was built
     assert packed[0][0] == 0 and packed[-1][1] == 34
     assert all(a[1] == b[0] for a, b in zip(packed, packed[1:]))
-    assert sepcodes.solver._rows.cache_info().currsize == 0
+    assert (0, 34) not in packed
+    # the spy pool runs its tasks here, so the slices are kept here; a
+    # worker process keeps its own, which go with the pool
+    assert sepcodes.solver._rows.cache_info().currsize == len(packed)
     assert {r.kind: (r.histogram, r.inadmissible) for r in reports} == CENSUS_ORDER_SIX
 
 
@@ -1178,7 +1197,7 @@ def test_census_kinds_solve_one_pass_for_every_kind(cold_classes, jobs, monkeypa
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     passes = []
 
-    def counted(n, lo=0, hi=None):
+    def counted(n, lo, hi):
         passes.append((lo, hi))
         return _rows.__wrapped__(n, lo, hi)
 
@@ -1189,8 +1208,10 @@ def test_census_kinds_solve_one_pass_for_every_kind(cold_classes, jobs, monkeypa
         assert report.n == 6
         assert (report.histogram, report.inadmissible) == CENSUS_ORDER_SIX[report.kind]
     if jobs == 1:
-        # one pass over the whole order's 34 parents serves all eight kinds
-        assert passes == [(0, None)]
+        # one pass over the whole order's 34 parents, one chunk, serves all
+        # eight kinds, and is kept
+        assert passes == [(0, 34)]
+        assert sepcodes.solver._rows.cache_info().currsize == 1
     assert census_kinds([CodeKind.FTD, CodeKind.LD], 6, jobs=jobs) == [
         census(CodeKind.FTD, 6),
         census(CodeKind.LD, 6),
